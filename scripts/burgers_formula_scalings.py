@@ -12,6 +12,7 @@ import numpy as np
 from mfklab.grids import GridSpec
 from mfklab.oracles import burgers_fd_reference, burgers_expectation_formula
 from mfklab.problems import GaussianDensity
+from mfklab.quadrature import trapezoid_weights
 
 
 def main():
@@ -22,8 +23,7 @@ def main():
         grid = GridSpec(R=R, n_x=512, n_t=16, T=t, tau=t)
         ref = burgers_fd_reference(u0, nu, grid, refine=4)
         x = grid.x_nodes()
-        w = np.full(grid.n_x, grid.dx)
-        w[0] = w[-1] = 0.5 * grid.dx
+        w = trapezoid_weights(grid.n_x, grid.dx)
         k = grid.time_index(t)
         errs = {}
         for variant in ("nu_squared", "cole_hopf"):

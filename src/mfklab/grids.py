@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import trapezoid_weights
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -135,9 +137,7 @@ def slab_l1(values: np.ndarray, dx: float, dt: float) -> float:
     per_time = np.abs(values).sum(axis=1) * dx
     if per_time.size == 1:
         return float(per_time[0] * dt)
-    w = np.full(per_time.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return float(np.dot(w, per_time))
+    return float(np.dot(trapezoid_weights(per_time.size, dt), per_time))
 
 
 def cell_means_from_cdf(cdf, grid: GridSpec) -> np.ndarray:

@@ -22,6 +22,7 @@ from .mild import plan_grid, solve
 from .oracles import burgers_fd_reference, exp_mass_oracle, heat_oracle
 from .particles import simulate_frozen, solve_selfconsistent, weighted_functional
 from .problems import PRESET_NAMES, preset, smooth_test_functions
+from .quadrature import trapezoid_weights
 
 _FMT = "%.17g"
 
@@ -81,18 +82,14 @@ class RunConfig:
     n_x: int
     n_t: int
     tau: float | None
-    min_levels_per_slab: int
     min_slabs: int
     tol: float
     max_iter: int
-    n_w: int
     N: int
     dt: float
-    h: float | None
     seed: int
     seed_count: int
     sweep_N: list
-    sweep_slack: float
     compare_l1: float | None
     compare_times: list
     compare_z: float
@@ -121,18 +118,14 @@ class RunConfig:
             n_x=_get(raw, "grid.n_x", int, 256),
             n_t=_get(raw, "grid.n_t", int, 128),
             tau=_get(raw, "grid.tau", float, None),
-            min_levels_per_slab=_get(raw, "grid.min_levels_per_slab", int, 2),
             min_slabs=_get(raw, "grid.min_slabs", int, 1),
             tol=_get(raw, "solver.tol", float, 1e-6),
             max_iter=_get(raw, "solver.max_iter", int, 200),
-            n_w=_get(raw, "solver.n_w", int, 65),
             N=_get(raw, "particles.N", int, 10_000),
             dt=_get(raw, "particles.dt", float, 1.0 / 256),
-            h=_get(raw, "particles.h", float, 0.0) or None,
             seed=_get(raw, "particles.seed", int, 1234),
             seed_count=_get(raw, "particles.seeds", int, 5),
             sweep_N=_get(raw, "sweep.N", _int_list, [1000, 10_000, 100_000]),
-            sweep_slack=_get(raw, "sweep.slack", float, 1.0),
             compare_l1=_get(raw, "compare.l1", float, None),
             compare_times=_get(raw, "compare.times", _float_list, []),
             compare_z=_get(raw, "compare.z", float, 3.0),
@@ -142,10 +135,10 @@ class RunConfig:
         )
         known = {"experiment", "out", "threads"}
         known |= {f"problem.{k}" for k in ("preset", "nu", "T", "lam", "u0_mean", "u0_var", "z_max")}
-        known |= {f"grid.{k}" for k in ("R", "n_x", "n_t", "tau", "min_levels_per_slab", "min_slabs")}
-        known |= {f"solver.{k}" for k in ("tol", "max_iter", "n_w")}
-        known |= {f"particles.{k}" for k in ("N", "dt", "h", "seed", "seeds")}
-        known |= {"sweep.N", "sweep.slack"}
+        known |= {f"grid.{k}" for k in ("R", "n_x", "n_t", "tau", "min_slabs")}
+        known |= {f"solver.{k}" for k in ("tol", "max_iter")}
+        known |= {f"particles.{k}" for k in ("N", "dt", "seed", "seeds")}
+        known |= {"sweep.N"}
         known |= {f"compare.{k}" for k in ("l1", "times", "z", "fraction")}
         unknown = set(raw) - known
         if unknown:
@@ -184,9 +177,7 @@ def compare_fields(a: Field, b: Field) -> ComparisonReport:
     if (ga.n_x, ga.n_t, ga.R, ga.T) != (gb.n_x, gb.n_t, gb.R, gb.T):
         raise ValueError("fields live on different grids")
     diff = np.abs(a.values - b.values)
-    w = np.full(ga.n_x, ga.dx)
-    w[0] = w[-1] = 0.5 * ga.dx
-    l1 = diff @ w
+    l1 = diff @ trapezoid_weights(ga.n_x, ga.dx)
     linf = diff.max(axis=1)
     return ComparisonReport(ga.times(), l1, linf)
 
@@ -251,7 +242,6 @@ def _run_inner(config: RunConfig) -> int:
             raise ConfigError(f"grid.tau: {exc}") from None
     else:
         grid = plan_grid(problem, config.R, config.n_x, config.n_t, kernel=kernel,
-                         levels_per_slab_min=config.min_levels_per_slab,
                          min_slabs=config.min_slabs)
     summary = [f"experiment = {config.kind}", f"preset = {config.preset_name}",
                f"grid: R={grid.R} n_x={grid.n_x} n_t={grid.n_t} tau={grid.tau:.6g}"]
@@ -259,7 +249,7 @@ def _run_inner(config: RunConfig) -> int:
 
     if config.kind in ("solve-mild", "validate", "simulate-frozen", "simulate-mckean", "sweep"):
         u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter,
-                          n_w=config.n_w, kernel=kernel)
+                          kernel=kernel)
         write_field_csv(out / "field.csv", u)
         (out / "solve_report.txt").write_text(report.to_text() + "\n")
         summary.append(f"mild solve: slabs={report.n_slabs} iters={sum(report.slab_iterations)}")
@@ -287,8 +277,7 @@ def _run_inner(config: RunConfig) -> int:
         basket = smooth_test_functions()
         times = config.compare_times or [grid.T / 4, grid.T / 2, grid.T]
         x = grid.x_nodes()
-        wx = np.full(grid.n_x, grid.dx)
-        wx[0] = wx[-1] = 0.5 * grid.dx
+        wx = trapezoid_weights(grid.n_x, grid.dx)
         rows = []
         hits = 0
         total = 0
@@ -321,8 +310,7 @@ def _run_inner(config: RunConfig) -> int:
         status |= 0 if battery.passed else 1
 
     elif config.kind == "simulate-mckean":
-        _, rec = solve_selfconsistent(problem, config.N, config.dt, config.h,
-                                      config.seed, grid)
+        _, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
         write_field_csv(out / "mckean_field.csv", rec)
         dist = _l1_at_final(rec, u)
         summary.append(f"self-consistent: l1 distance to mild at T = {dist:.3e}")
@@ -339,13 +327,12 @@ def _run_inner(config: RunConfig) -> int:
                 dists = []
                 for s in range(config.seed_count):
                     _, rec = solve_selfconsistent(problem, n_particles, config.dt,
-                                                  config.h, config.seed + s, grid)
+                                                  config.seed + s, grid)
                     dists.append(_l1_at_final(rec, u))
                 med = float(np.median(dists))
                 medians.append(med)
                 fh.write(f"{n_particles},{_FMT % med},{config.seed_count}\n")
-        slack = config.sweep_slack
-        monotone = all(medians[i + 1] <= medians[i] * slack for i in range(len(medians) - 1))
+        monotone = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
         summary.append(f"sweep medians = {[f'{m:.3e}' for m in medians]} "
                        f"monotone={'yes' if monotone else 'NO'}")
         status |= 0 if monotone else 1
@@ -359,6 +346,5 @@ def _run_inner(config: RunConfig) -> int:
 def _l1_at_final(reconstructed: Field, mild: Field) -> float:
     """Trapezoid L1 distance of the final time slices (shared x nodes)."""
     g = mild.grid
-    w = np.full(g.n_x, g.dx)
-    w[0] = w[-1] = 0.5 * g.dx
+    w = trapezoid_weights(g.n_x, g.dx)
     return float(np.dot(w, np.abs(reconstructed.values[-1] - mild.values[-1])))

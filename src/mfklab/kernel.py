@@ -133,10 +133,9 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     return np.diff(padded) / dx
 
 
-def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float,
-                      order: int = 2) -> np.ndarray:
+def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
     n = values.shape[-1]
-    w = smooth_weights(sigma, beta, dx, n) if order >= 2 else mean_weights(sigma, beta, dx, n)
+    w = smooth_weights(sigma, beta, dx, n)
     return fftconvolve(values, w)[..., n - 1 : 2 * n - 1]
 
 

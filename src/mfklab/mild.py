@@ -30,19 +30,17 @@ from scipy.signal import fftconvolve
 from .grids import Field, GridSpec, cell_means_from_cdf, cell_means_from_pdf, slab_l1
 from .kernel import KernelModel, apply_mean_smooth, kernel_for, slope_kernel_weights, smooth_weights
 from .problems import ProblemSpec, SmoothTestFunction
-from .quadrature import simpson_weights
+from .quadrature import simpson_weights, trapezoid_weights
 
 
 def estimate_slab_tau(M_b: float, M_Lambda: float, C_u: float, d: int,
-                      M: float = 1.0, horizon: float | None = None) -> float:
+                      horizon: float | None = None) -> float:
     """Largest slab width for which the fixed-point map preserves the ball.
 
     Solves 2 sqrt(tau) (M_Lambda tau^{3/2} + 2 d M_b C_u) <= 1 by bisection on
-    the monotone left-hand side; the ball radius M scales out of the
-    condition, so it only enters through the documentation of the contract.
+    the monotone left-hand side; the ball radius scales out of the condition.
     Returns min(tau_max, horizon) when a horizon is given.
     """
-    del M  # the bound is homogeneous in the ball radius
     if M_b < 0 or M_Lambda < 0 or C_u <= 0 or d < 1:
         raise ValueError("constants must be nonnegative, C_u positive")
 
@@ -146,14 +144,13 @@ def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpe
     return PicardState(slab_index, r, grid.tau, grid, u0hat, v, stencils)
 
 
-def picard_map(state: PicardState, problem: ProblemSpec, kernel: KernelModel) -> np.ndarray:
+def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     """One application of the slab map Pi to the current iterate.
 
     Returns the next iterate on the slab grid (the caller updates state).
     Inputs in the ball of radius M stay in it for tau below the
-    estimate_slab_tau threshold.
+    estimate_slab_tau threshold.  The kernel enters through the slab stencils.
     """
-    del kernel  # kernel content is baked into the slab stencils
     grid = state.grid
     m, n = grid.levels_per_slab, grid.n_x
     x = grid.x_nodes()
@@ -201,7 +198,7 @@ def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
     state = prepare_slab(slab_index, r, phi, problem, kernel, grid,
                          stencils=stencils, n_w=n_w, v0=v0)
     for it in range(1, max_iter + 1):
-        v_new = picard_map(state, problem, kernel)
+        v_new = picard_map(state, problem)
         res = slab_l1(v_new - state.v, grid.dx, grid.dt)
         state.v = v_new
         state.iterations = it
@@ -217,9 +214,8 @@ def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
 
 @dataclass
 class SolveReport:
-    """Convergence diagnostics of one mild solve."""
+    """Convergence diagnostics of one mild solve (non-convergence raises)."""
 
-    converged: bool
     tol: float
     slab_iterations: list
     slab_residuals: list
@@ -245,7 +241,6 @@ class SolveReport:
 
     def to_text(self) -> str:
         lines = [
-            f"converged = {self.converged}",
             f"tol = {self.tol:.6g}",
             f"n_slabs = {self.n_slabs}",
             f"tau = {self.tau:.6g}",
@@ -291,7 +286,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         kernel = kernel_for(problem)
     M = ball_radius(problem, kernel)
     tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                problem.d, M, horizon=problem.T)
+                                problem.d, horizon=problem.T)
     if grid.tau > tau_max * (1.0 + 1e-9):
         raise ValueError(f"slab width tau={grid.tau:.6g} exceeds tau_max={tau_max:.6g}")
 
@@ -337,7 +332,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     # empirical sup-norm slab constant: ||Pi(v)||_inf <= Cbar sqrt(tau)
     cbar = max_sup / np.sqrt(grid.tau) if max_sup > 0 else 0.0
     report = SolveReport(
-        converged=True, tol=tol, slab_iterations=iters, slab_residuals=residuals,
+        tol=tol, slab_iterations=iters, slab_residuals=residuals,
         residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
         tau=grid.tau, n_slabs=N, contraction_C=float(C), pi_C2_tau=rho2,
         contraction_monitor_ok=monitor_ok, max_iterate_per_time_l1=float(max_l1),
@@ -429,8 +424,7 @@ def weak_residual(u: Field, phi_test: SmoothTestFunction, t: float, problem: Pro
     grid = u.grid
     k = grid.time_index(t)
     x = grid.x_nodes()
-    wx = np.full(grid.n_x, grid.dx)
-    wx[0] = wx[-1] = 0.5 * grid.dx
+    wx = trapezoid_weights(grid.n_x, grid.dx)
     a = problem.a_fn()
     b0 = problem.b0 if problem.b0 is not None else 0.0
     gen_phi = 0.5 * a * phi_test.d2f(x) + b0 * phi_test.df(x)
@@ -461,9 +455,8 @@ def plan_grid(problem: ProblemSpec, R: float, n_x: int, n_t_min: int,
     times land on levels)."""
     if kernel is None:
         kernel = kernel_for(problem)
-    M = ball_radius(problem, kernel)
     tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                problem.d, M, horizon=problem.T)
+                                problem.d, horizon=problem.T)
     N0 = max(min_slabs, int(np.ceil(problem.T / tau_max - 1e-12)))
     for N in range(N0, 4 * N0 + align + 1):
         m = max(levels_per_slab_min, int(np.ceil(n_t_min / N)))

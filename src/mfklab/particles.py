@@ -87,14 +87,15 @@ def _check_dt(problem: ProblemSpec, u: Field | None, dt: float):
     return round(n_steps)
 
 
-def simulate_frozen(u: Field | None, problem: ProblemSpec, N: int, dt: float,
-                    seed: int) -> ParticleEnsemble:
-    """Euler-Maruyama simulation with the feedback field u frozen.
+def _march(problem: ProblemSpec, N: int, dt: float, seed: int, n_steps: int,
+           feedback) -> ParticleEnsemble:
+    """Euler-Maruyama march of the weighted particle system.
 
-    The field is read with nearest-node-in-space, left-level-in-time lookups
-    and returns 0 outside the box; u=None freezes the feedback at z = 0.
+    feedback(t, y, logw) returns z = u(t, y) for the positions y and log-weights
+    logw at level t; None freezes the feedback at z = 0.  The growth integral
+    accumulates by the left-point rule, and the Philox draws come in the fixed
+    order (initial sample, then one normal vector per step).
     """
-    n_steps = _check_dt(problem, u, dt)
     rng = _rng(seed)
     y = problem.u0.sample(rng, N)
     positions = np.empty((n_steps + 1, N))
@@ -105,13 +106,25 @@ def simulate_frozen(u: Field | None, problem: ProblemSpec, N: int, dt: float,
     sq = np.sqrt(dt)
     for k in range(n_steps):
         t = times[k]
-        z = u.lookup(t, y) if u is not None else np.zeros(N)
+        z = feedback(t, y, logw[k]) if feedback is not None else np.zeros(N)
         drift = np.asarray(problem.b(t, y, z)) + b0
         lam = np.asarray(problem.Lambda(t, y, z))
         logw[k + 1] = logw[k] + lam * dt
         y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
         positions[k + 1] = y
     return ParticleEnsemble(times, positions, logw, seed, dt)
+
+
+def simulate_frozen(u: Field | None, problem: ProblemSpec, N: int, dt: float,
+                    seed: int) -> ParticleEnsemble:
+    """Euler-Maruyama simulation with the feedback field u frozen.
+
+    The field is read with nearest-node-in-space, left-level-in-time lookups
+    and returns 0 outside the box; u=None freezes the feedback at z = 0.
+    """
+    n_steps = _check_dt(problem, u, dt)
+    feedback = None if u is None else (lambda t, y, logw: u.lookup(t, y))
+    return _march(problem, N, dt, seed, n_steps, feedback)
 
 
 def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
@@ -132,8 +145,10 @@ def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray) -> float:
     """Silverman's rule with the effective sample size of the weighted ensemble."""
     wsum = weights.sum()
     n_eff = wsum**2 / np.square(weights).sum()
-    mean = np.dot(weights, positions) / wsum
-    var = np.dot(weights, np.square(positions - mean)) / wsum
+    # einsum, not BLAS dot: a threaded BLAS splits long sums by thread count,
+    # which would make the closure's field depend on it
+    mean = np.einsum("i,i", weights, positions) / wsum
+    var = np.einsum("i,i", weights, np.square(positions - mean)) / wsum
     sd = np.sqrt(max(var, 1e-300))
     return float(1.06 * sd * n_eff ** (-0.2))
 
@@ -185,42 +200,32 @@ def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
     return full[grid.n_x - 1 : 2 * grid.n_x - 1] / n_total
 
 
-def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float,
-                         h: float | None, seed: int, grid: GridSpec):
+def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
+                         grid: GridSpec):
     """Time-marched closure of the coupled system.
 
-    At each level the weighted KDE of the current ensemble defines u(t_k, .),
-    which feeds the drift and growth coefficients for the step to k+1;
-    u(0, .) is the initial density itself.  Returns the ensemble and the
-    reconstructed field on the grid nodes at the simulation levels.
-    h=None selects Silverman's rule per level.
+    At each level the weighted KDE of the current ensemble, with Silverman's
+    bandwidth, defines u(t_k, .), which feeds the drift and growth
+    coefficients for the step to k+1; u(0, .) is the initial density itself.
+    Returns the ensemble and the reconstructed field on the grid nodes at the
+    simulation levels.
     """
     n_steps = _check_dt(problem, None, dt)
-    rng = _rng(seed)
-    y = problem.u0.sample(rng, N)
-    positions = np.empty((n_steps + 1, N))
-    logw = np.zeros((n_steps + 1, N))
-    positions[0] = y
-    times = np.linspace(0.0, problem.T, n_steps + 1)
-    x = grid.x_nodes()
-    u_vals = np.empty((n_steps + 1, grid.n_x))
-    u_vals[0] = problem.u0.pdf(x)
-    b0 = problem.b0 if problem.b0 is not None else 0.0
-    sq = np.sqrt(dt)
     field_grid = GridSpec(R=grid.R, n_x=grid.n_x, n_t=n_steps, T=problem.T,
                           tau=problem.T)
-    for k in range(n_steps):
-        t = times[k]
-        row = u_vals[k]
-        j = grid.nearest_node(y)
-        z = np.where(j >= 0, row[np.where(j >= 0, j, 0)], 0.0)
-        drift = np.asarray(problem.b(t, y, z)) + b0
-        lam = np.asarray(problem.Lambda(t, y, z))
-        logw[k + 1] = logw[k] + lam * dt
-        y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
-        positions[k + 1] = y
-        w = np.exp(logw[k + 1])
-        hk = h if h is not None else silverman_bandwidth(y, w)
-        u_vals[k + 1] = _binned_kde(y, w, grid, hk, N)
-    ensemble = ParticleEnsemble(times, positions, logw, seed, dt)
-    return ensemble, Field(field_grid, u_vals)
+    rec = Field.zeros(field_grid)
+    rec.values[0] = problem.u0.pdf(grid.x_nodes())
+
+    def estimate(k: int, y: np.ndarray, logw: np.ndarray):
+        w = np.exp(logw)
+        rec.values[k] = _binned_kde(y, w, grid, silverman_bandwidth(y, w), N)
+
+    def feedback(t, y, logw):
+        k = field_grid.time_index(t)
+        if k > 0:
+            estimate(k, y, logw)
+        return rec.lookup(t, y)
+
+    ensemble = _march(problem, N, dt, seed, n_steps, feedback)
+    estimate(n_steps, ensemble.positions[-1], ensemble.logw[-1])
+    return ensemble, Field(field_grid, rec.values)  # validates every estimated level

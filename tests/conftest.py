@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from mfklab.kernel import kernel_for
@@ -33,9 +32,3 @@ def burgers_reference(burgers_setup):
     ref = burgers_fd_reference(burgers_setup["problem"].u0, 1.0,
                                burgers_setup["grid"], refine=4)
     return {"ref": ref, "wall": time.perf_counter() - t0}
-
-
-def trapezoid_weights_x(grid):
-    w = np.full(grid.n_x, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    return w

@@ -23,9 +23,7 @@ from mfklab.mild import (
 from mfklab.oracles import heat_oracle
 from mfklab.particles import simulate_frozen, solve_selfconsistent, weighted_functional
 from mfklab.problems import preset, smooth_test_functions
-from mfklab.quadrature import beta_half_half_quad
-
-from conftest import trapezoid_weights_x
+from mfklab.quadrature import beta_half_half_quad, trapezoid_weights
 
 
 def _criterion(num, name, ok, detail):
@@ -41,7 +39,7 @@ def test_criterion_1_heat_exactness():
     u, _ = solve(problem, grid, tol=1e-8, kernel=kernel)
     wall = time.perf_counter() - t0
     x = grid.x_nodes()
-    w = trapezoid_weights_x(grid)
+    w = trapezoid_weights(grid.n_x, grid.dx)
     worst = 0.0
     for k, t in enumerate(grid.times()):
         oracle = problem.u0.pdf(x) if t == 0.0 else heat_oracle(0.0, 0.04, 1.0, t, x)
@@ -69,7 +67,7 @@ def test_criterion_3_burgers_cross_validation(burgers_setup, burgers_reference):
     u, grid = burgers_setup["u"], burgers_setup["grid"]
     ref = burgers_reference["ref"]
     wall = burgers_setup["wall"] + burgers_reference["wall"]
-    w = trapezoid_weights_x(grid)
+    w = trapezoid_weights(grid.n_x, grid.dx)
     dists = {}
     for t in (0.25, 0.5, 1.0):
         k = grid.time_index(t)
@@ -94,7 +92,7 @@ def test_criterion_5_slab_gluing(burgers_setup):
     # run both decompositions at the tolerance matching the scheme's
     # discretization accuracy; slab junctions re-represent near-grid-scale
     # kernel output, a ~3e-5 floor at 512 nodes that no iteration tolerance
-    # removes (see the decisions ledger)
+    # removes (see the README's numerical notes)
     problem, kernel = burgers_setup["problem"], burgers_setup["kernel"]
     grid = burgers_setup["grid"]
     tol = 1e-4
@@ -142,7 +140,7 @@ def test_criterion_7_kernel_suite():
 def test_criterion_8_frozen_representation(burgers_setup):
     problem, grid, u = (burgers_setup[k] for k in ("problem", "grid", "u"))
     x = grid.x_nodes()
-    w = trapezoid_weights_x(grid)
+    w = trapezoid_weights(grid.n_x, grid.dx)
     basket = smooth_test_functions()
     t0 = time.perf_counter()
     hits = total = 0
@@ -193,13 +191,12 @@ def test_criterion_10_weak_mild_equivalence(burgers_setup):
 
 def test_criterion_11_mckean_trend(burgers_setup):
     problem, grid, u = (burgers_setup[k] for k in ("problem", "grid", "u"))
-    w = trapezoid_weights_x(grid)
+    w = trapezoid_weights(grid.n_x, grid.dx)
     medians = []
     for n_particles in (1_000, 10_000, 100_000):
         dists = []
         for s in range(5):
-            _, rec = solve_selfconsistent(problem, n_particles, 1.0 / 256, None,
-                                          7000 + s, grid)
+            _, rec = solve_selfconsistent(problem, n_particles, 1.0 / 256, 7000 + s, grid)
             dists.append(float(np.dot(w, np.abs(rec.values[-1] - u.values[-1]))))
         medians.append(float(np.median(dists)))
     ok = medians[0] >= medians[1] >= medians[2]

@@ -45,6 +45,13 @@ def test_config_unknown_key_named():
         RunConfig.from_text(HEAT_CFG + "\ngrid.nx = 3")
 
 
+def test_config_rejects_removed_keys():
+    for key in ("particles.h = 0.1", "solver.n_w = 33", "sweep.slack = 1.1",
+                "grid.min_levels_per_slab = 4"):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            RunConfig.from_text(HEAT_CFG + "\n" + key)
+
+
 def test_config_requires_known_experiment():
     with pytest.raises(ConfigError, match="experiment"):
         RunConfig.from_text("experiment = frobnicate\nproblem.preset = heat")

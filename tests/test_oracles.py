@@ -11,6 +11,7 @@ from mfklab.oracles import (
     heat_oracle,
 )
 from mfklab.problems import GaussianDensity
+from mfklab.quadrature import trapezoid_weights
 
 
 def test_heat_oracle_values():
@@ -81,8 +82,7 @@ class TestBurgersFormula:
         grid = GridSpec(R=8.0, n_x=512, n_t=16, T=0.5, tau=0.5)
         ref = burgers_fd_reference(self.u0, nu, grid, refine=4)
         x = grid.x_nodes()
-        w = np.full(grid.n_x, grid.dx)
-        w[0] = w[-1] = 0.5 * grid.dx
+        w = trapezoid_weights(grid.n_x, grid.dx)
         k = grid.time_index(0.5)
         ch = burgers_expectation_formula(self.u0, nu, 0.5, x, variant="cole_hopf")
         ap = burgers_expectation_formula(self.u0, nu, 0.5, x, variant="nu_squared")
@@ -114,8 +114,7 @@ class TestFdReference:
             grid = GridSpec(R=R, n_x=512, n_t=8, T=0.25, tau=0.25)
             ref = burgers_fd_reference(self.u0, nu, grid, refine=4)
             x = grid.x_nodes()
-            w = np.full(grid.n_x, grid.dx)
-            w[0] = w[-1] = 0.5 * grid.dx
+            w = trapezoid_weights(grid.n_x, grid.dx)
             k = grid.time_index(0.25)
             errs[nu] = float(np.dot(w, np.abs(ref.values[k] - heat_oracle(0.0, 0.04, nu, 0.25, x))))
         assert errs[5.0] <= 5e-2
@@ -126,8 +125,7 @@ class TestFdReference:
         grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5, tau=0.5)
         a = burgers_fd_reference(self.u0, 1.0, grid, refine=4)
         b = burgers_fd_reference(self.u0, 1.0, grid, refine=8)
-        w = np.full(grid.n_x, grid.dx)
-        w[0] = w[-1] = 0.5 * grid.dx
+        w = trapezoid_weights(grid.n_x, grid.dx)
         worst = max(
             float(np.dot(w, np.abs(a.values[k] - b.values[k])))
             for k in range(grid.n_t + 1)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfklab
 from mfklab.grids import GridSpec
 from mfklab.kernel import kernel_for
 from mfklab.mild import plan_grid, solve
@@ -15,6 +20,7 @@ from mfklab.particles import (
     weighted_functional,
 )
 from mfklab.problems import GaussianDensity, preset
+from mfklab.quadrature import trapezoid_weights
 
 
 def test_frozen_heat_brownian_variance():
@@ -36,7 +42,7 @@ def test_constant_growth_weights_exact():
 def test_weight_bound_invariant():
     prob = preset("logistic_fkpp", lam=0.4, z_max=2.0)
     grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0, tau=1.0)
-    _, rec = solve_selfconsistent(prob, 2000, 1.0 / 64, None, 3, grid)
+    _, rec = solve_selfconsistent(prob, 2000, 1.0 / 64, 3, grid)
     ens = simulate_frozen(rec, prob, 2000, 1.0 / 64, seed=3)
     for k, t in enumerate(ens.times):
         assert np.abs(ens.logw[k]).max() <= prob.M_Lambda * t + 1e-12
@@ -55,8 +61,7 @@ def test_initial_drift_functional_matches_quadrature():
     vals = np.asarray(prob.b(0.0, y0, z0))
     est, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(N))
     x = grid.x_nodes()
-    w = np.full(grid.n_x, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
+    w = trapezoid_weights(grid.n_x, grid.dx)
     quadrature = float(np.dot(w, np.asarray(prob.b(0.0, x, u.values[0])) * prob.u0.pdf(x)))
     assert abs(est - quadrature) <= 3 * se
 
@@ -158,7 +163,7 @@ class TestSelfConsistent:
         prob = preset("heat")
         grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0, tau=1.0)
         ens_free = simulate_frozen(None, prob, 3000, 1.0 / 32, seed=21)
-        ens_sc, rec = solve_selfconsistent(prob, 3000, 1.0 / 32, None, 21, grid)
+        ens_sc, rec = solve_selfconsistent(prob, 3000, 1.0 / 32, 21, grid)
         assert np.array_equal(ens_free.positions, ens_sc.positions)
         assert np.array_equal(ens_free.logw, ens_sc.logw)
         assert np.array_equal(rec.values[0], prob.u0.pdf(grid.x_nodes()))
@@ -166,7 +171,7 @@ class TestSelfConsistent:
     def test_growth_mass_recovered(self):
         prob = preset("exponential_growth", lam=0.5)
         grid = GridSpec(R=9.0, n_x=257, n_t=32, T=1.0, tau=1.0)
-        _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 64, None, 31, grid)
+        _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 64, 31, grid)
         mass = float(np.trapezoid(rec.values[-1], grid.x_nodes()))
         # weights are deterministic e^{lam t}; the residual error is KDE truncation
         assert mass == pytest.approx(math.exp(0.5), abs=5e-3)
@@ -176,11 +181,33 @@ class TestSelfConsistent:
         kern = kernel_for(prob)
         grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512, kernel=kern)
         u, _ = solve(prob, grid, tol=1e-7, kernel=kern)
-        _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 128, None, 17, grid)
-        w = np.full(grid.n_x, grid.dx)
-        w[0] = w[-1] = 0.5 * grid.dx
+        _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 128, 17, grid)
+        w = trapezoid_weights(grid.n_x, grid.dx)
         dist = float(np.dot(w, np.abs(rec.values[-1] - u.values[-1])))
         assert dist <= 0.05
+
+    def test_field_identical_across_blas_threads(self):
+        # N = 1e5 is past the size at which OpenBLAS splits a dot product
+        # over threads, so a BLAS reduction in the closure would show here
+        script = (
+            "import sys\n"
+            "from mfklab.grids import GridSpec\n"
+            "from mfklab.particles import solve_selfconsistent\n"
+            "from mfklab.problems import preset\n"
+            "prob = preset('burgers', nu=1.0, u0_var=0.04)\n"
+            "grid = GridSpec(R=8.0, n_x=129, n_t=16, T=prob.T, tau=prob.T)\n"
+            "_, rec = solve_selfconsistent(prob, 100_000, prob.T / 16, 7000, grid)\n"
+            "sys.stdout.buffer.write(rec.values.tobytes())\n"
+        )
+        src = str(Path(mfklab.__file__).resolve().parents[1])
+        fields = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, check=True, timeout=300)
+            fields.append(proc.stdout)
+        assert len(fields[0]) == 17 * 129 * 8
+        assert fields[0] == fields[1]
 
 
 def test_silverman_bandwidth_scaling():
