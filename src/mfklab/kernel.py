@@ -128,9 +128,9 @@ def slope_kernel_weights(sigma: float, beta: float, dx: float, n: int) -> np.nda
 
 
 def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
-    """Slopes of the piecewise-linear interpolant, zero-extended outside the box."""
-    padded = np.concatenate(([0.0], np.asarray(values, dtype=float), [0.0]))
-    return np.diff(padded) / dx
+    """Slopes of the piecewise-linear interpolant along the last axis,
+    zero-extended outside the box (length n + 1 per row)."""
+    return np.diff(values, axis=-1, prepend=0.0, append=0.0) / dx
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:

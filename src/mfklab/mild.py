@@ -15,20 +15,21 @@ Discretization: fields are piecewise constant in time from the left level;
 the time integral of the kernel weights over each source interval is computed
 in the substituted variable w = sqrt(t - s) (uniform Simpson nodes), which
 also removes the 1/sqrt(t - s) kernel-gradient singularity.  Space integrals
-use the exactly integrated Gaussian cell weights from the kernel module, so
-every sweep is a batch of discrete convolutions.
+use the exactly integrated Gaussian cell weights from the kernel module.  The
+weights depend on the level gap only, so each sweep is one space-time
+convolution in (level gap, x) per nonlinear term.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .grids import Field, GridSpec, cell_means_from_cdf, cell_means_from_pdf, slab_l1
-from .kernel import KernelModel, apply_mean_smooth, kernel_for, slope_kernel_weights, smooth_weights
+from .kernel import (KernelModel, kernel_for, slope_kernel_weights, smooth_weights,
+                     staggered_slopes)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -77,40 +78,54 @@ def contraction_constant(problem, kernel, M: float, tau: float) -> float:
         kernel.C_u * problem.d * (2.0 * problem.L_b * M + problem.M_b)
 
 
+# Simpson nodes per source interval in the w = sqrt(t - s) variable (odd).
+_N_W = 65
+
+
 @dataclass
 class SlabStencils:
-    """Time-integrated convolution stencils for one slab, indexed by level gap."""
+    """Every kernel weight one slab uses, row g - 1 holding level gap g = 1..m.
 
-    A: np.ndarray  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
-    B: np.ndarray  # (m, 2 n_x): gradient kernel, applied to staggered slopes
+    A and B are built only for the terms the problem has (None otherwise), so
+    picard_map reads which terms to apply from the stencils it holds.
+    """
+
+    S: np.ndarray  # (m, 2 n_x - 1): smoothing of the slab initial data from r to r + g dt
+    A: np.ndarray | None  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
+    B: np.ndarray | None  # (m, 2 n_x): gradient kernel, applied to staggered slopes
 
 
 def build_slab_stencils(kernel: KernelModel, grid: GridSpec, r: float,
-                        n_w: int = 65) -> SlabStencils:
-    """Integrate the cell-weight kernels over every source interval of a slab.
+                        problem: ProblemSpec) -> SlabStencils:
+    """Build the initial-data smoothing and the interval-integrated kernels.
 
     For the target level at gap g, the source interval is
     [t - g dt, t - (g-1) dt]; the integral runs in w = sqrt(t - s) with
     composite Simpson weights carrying the 2w Jacobian, so the w = 0 endpoint
     (kernel degenerating to the identity) has zero weight and is skipped.
+    A is built iff M_Lambda > 0 and B iff M_b > 0.
     """
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
-    if n_w % 2 == 0:
-        n_w += 1
-    A = np.zeros((m, 2 * n - 1))
-    B = np.zeros((m, 2 * n))
+    S = np.empty((m, 2 * n - 1))
+    A = np.zeros((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
+    B = np.zeros((m, 2 * n)) if problem.M_b > 0.0 else None
     for g in range(1, m + 1):
         t = r + g * dt
+        S[g - 1] = smooth_weights(*kernel.sigma_beta(r, t), dx, n)
+        if A is None and B is None:
+            continue
         w_lo, w_hi = np.sqrt((g - 1) * dt), np.sqrt(g * dt)
-        w = np.linspace(w_lo, w_hi, n_w)
-        wt = simpson_weights(n_w, (w_hi - w_lo) / (n_w - 1)) * 2.0 * w
+        w = np.linspace(w_lo, w_hi, _N_W)
+        wt = simpson_weights(_N_W, (w_hi - w_lo) / (_N_W - 1)) * 2.0 * w
         for wi, wti in zip(w, wt):
             if wti == 0.0:
                 continue
             sigma, beta = kernel.sigma_beta(max(t - wi * wi, 0.0), t)
-            A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
-            B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
-    return SlabStencils(A, B)
+            if A is not None:
+                A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
+            if B is not None:
+                B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
+    return SlabStencils(S, A, B)
 
 
 @dataclass
@@ -130,18 +145,18 @@ class PicardState:
 
 def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpec,
                  kernel: KernelModel, grid: GridSpec, stencils: SlabStencils | None = None,
-                 n_w: int = 65, v0: np.ndarray | None = None) -> PicardState:
-    """Assemble u0_hat and the stencils for the slab starting at r with data phi."""
-    m = grid.levels_per_slab
+                 perturb: float = 0.0) -> PicardState:
+    """Assemble u0_hat and the stencils for the slab starting at r with data phi.
+
+    The iteration starts from v = perturb * u0_hat (v = 0 by default).
+    """
     if stencils is None:
-        stencils = build_slab_stencils(kernel, grid, r, n_w=n_w)
-    u0hat = np.empty((m + 1, grid.n_x))
+        stencils = build_slab_stencils(kernel, grid, r, problem)
+    n = grid.n_x
+    u0hat = np.empty((grid.levels_per_slab + 1, n))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
-    for ell in range(1, m + 1):
-        sigma, beta = kernel.sigma_beta(r, r + ell * grid.dt)
-        u0hat[ell] = apply_mean_smooth(phi, sigma, beta, grid.dx)
-    v = np.zeros_like(u0hat) if v0 is None else np.array(v0, dtype=float)
-    return PicardState(slab_index, r, grid.tau, grid, u0hat, v, stencils)
+    u0hat[1:] = fftconvolve(phi[None, :], stencils.S, axes=-1)[:, n - 1 : 2 * n - 1]
+    return PicardState(slab_index, r, grid.tau, grid, u0hat, perturb * u0hat, stencils)
 
 
 def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
@@ -150,44 +165,32 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     Returns the next iterate on the slab grid (the caller updates state).
     Inputs in the ball of radius M stay in it for tau below the
     estimate_slab_tau threshold.  The kernel enters through the slab stencils.
+    Level l receives sum_{j<l} K[l-1-j] * src[j], causal in the level gap as
+    well as a convolution in x, so each term is one 2-D convolution.
     """
-    grid = state.grid
+    grid, st = state.grid, state.stencils
     m, n = grid.levels_per_slab, grid.n_x
+    out = np.zeros_like(state.v)
+    if st.A is None and st.B is None:
+        return out
     x = grid.x_nodes()
     w = state.v + state.u0hat
-    out = np.zeros_like(state.v)
-
-    use_lam = problem.M_Lambda > 0.0
-    use_b = problem.M_b > 0.0
-    if not (use_lam or use_b):
-        return out
-
-    lam_src = np.empty((m, n)) if use_lam else None
-    slope_src = np.empty((m, n + 1)) if use_b else None
-    for j in range(m):
-        t_j = state.r + j * grid.dt
-        if use_lam:
-            lam_src[j] = np.asarray(problem.Lambda(t_j, x, w[j])) * w[j]
-        if use_b:
-            b_hat = np.asarray(problem.b(t_j, x, w[j])) * w[j]
-            padded = np.concatenate(([0.0], b_hat, [0.0]))
-            slope_src[j] = np.diff(padded) / grid.dx
-
-    for ell in range(1, m + 1):
-        if use_lam:
-            conv = fftconvolve(lam_src[:ell], state.stencils.A[ell - 1 :: -1], axes=-1)
-            out[ell] += conv[:, n - 1 : 2 * n - 1].sum(axis=0)
-        if use_b:
-            conv = fftconvolve(slope_src[:ell], state.stencils.B[ell - 1 :: -1], axes=-1)
-            out[ell] += conv[:, n : 2 * n].sum(axis=0)
+    times = state.r + np.arange(m) * grid.dt
+    if st.A is not None:
+        lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
+        out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
+    if st.B is not None:
+        b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
+        out[1:] += fftconvolve(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
     return out
 
 
 def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
                kernel: KernelModel, grid: GridSpec, tol: float = 1e-6,
                max_iter: int = 200, stencils: SlabStencils | None = None,
-               n_w: int = 65, v0: np.ndarray | None = None, slab_index: int = 0):
-    """Iterate the slab map from v = 0 until the successive L1 distance <= tol.
+               perturb: float = 0.0, slab_index: int = 0):
+    """Iterate the slab map from v = perturb * u0_hat until the successive L1
+    distance <= tol.
 
     Returns (u_slab, state) where u_slab = u0_hat + v_fixed on the slab levels
     and state carries the residual history and iteration count.  Raises
@@ -196,7 +199,7 @@ def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
     if abs(tau - grid.tau) > 1e-12 * max(1.0, grid.tau):
         raise ValueError("tau must match the grid slab width")
     state = prepare_slab(slab_index, r, phi, problem, kernel, grid,
-                         stencils=stencils, n_w=n_w, v0=v0)
+                         stencils=stencils, perturb=perturb)
     for it in range(1, max_iter + 1):
         v_new = picard_map(state, problem)
         res = slab_l1(v_new - state.v, grid.dx, grid.dt)
@@ -231,7 +234,6 @@ class SolveReport:
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     cbar_observed: float
-    wall_clock: float
     grid: GridSpec
     notes: str = ""
 
@@ -256,7 +258,6 @@ class SolveReport:
             f"cbar_observed = {self.cbar_observed:.6g}",
             f"slab_iterations = {self.slab_iterations}",
             f"final_slab_residuals = {[f'{r:.3e}' for r in self.slab_residuals]}",
-            f"wall_clock_s = {self.wall_clock:.3f}",
             f"grid = R{self.grid.R} n_x{self.grid.n_x} n_t{self.grid.n_t} T{self.grid.T}",
         ]
         if self.notes:
@@ -271,7 +272,7 @@ def _initial_cell_means(u0, grid: GridSpec) -> np.ndarray:
 
 
 def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
-          max_iter: int = 200, n_w: int = 65, kernel: KernelModel | None = None,
+          max_iter: int = 200, kernel: KernelModel | None = None,
           perturb_initial: float = 0.0):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
@@ -290,14 +291,13 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     if grid.tau > tau_max * (1.0 + 1e-9):
         raise ValueError(f"slab width tau={grid.tau:.6g} exceeds tau_max={tau_max:.6g}")
 
-    t0 = _time.perf_counter()
     N, m = grid.n_slabs, grid.levels_per_slab
     tol_slab = tol * grid.tau / grid.T
     times = grid.times()
     u = np.empty((grid.n_t + 1, grid.n_x))
     u[0] = _initial_cell_means(problem.u0, grid)
 
-    shared = build_slab_stencils(kernel, grid, 0.0, n_w=n_w) if kernel.time_homogeneous else None
+    shared = build_slab_stencils(kernel, grid, 0.0, problem) if kernel.time_homogeneous else None
     iters, residuals, histories = [], [], []
     max_l1 = 0.0
     max_sup = 0.0
@@ -308,14 +308,10 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     for k in range(N):
         r = times[k * m]
         phi = u[k * m]
-        stencils = shared if shared is not None else build_slab_stencils(kernel, grid, r, n_w=n_w)
-        v0 = None
-        if perturb_initial != 0.0:
-            state0 = prepare_slab(k, r, phi, problem, kernel, grid, stencils=stencils)
-            v0 = perturb_initial * state0.u0hat
+        stencils = shared if shared is not None else build_slab_stencils(kernel, grid, r, problem)
         u_slab, state = solve_slab(r, grid.tau, phi, problem, kernel, grid,
-                                   tol=tol_slab, max_iter=max_iter,
-                                   stencils=stencils, n_w=n_w, v0=v0, slab_index=k)
+                                   tol=tol_slab, max_iter=max_iter, stencils=stencils,
+                                   perturb=perturb_initial, slab_index=k)
         u[k * m : (k + 1) * m + 1] = u_slab
         iters.append(state.iterations)
         residuals.append(state.residual_history[-1])
@@ -337,7 +333,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         tau=grid.tau, n_slabs=N, contraction_C=float(C), pi_C2_tau=rho2,
         contraction_monitor_ok=monitor_ok, max_iterate_per_time_l1=float(max_l1),
         max_iterate_sup=float(max_sup), cbar_observed=float(cbar),
-        wall_clock=_time.perf_counter() - t0, grid=grid,
+        grid=grid,
     )
     return Field(grid, u), report
 
@@ -391,7 +387,7 @@ def freeze_coefficients(problem: ProblemSpec, u: Field):
 
 def solve_linearized(b_hat: np.ndarray, Lambda_hat: np.ndarray, u0, grid: GridSpec,
                      kernel: KernelModel, tol: float = 1e-6, max_iter: int = 200,
-                     n_w: int = 65, Phi: float | None = None) -> Field:
+                     Phi: float | None = None) -> Field:
     """Measure-mild solution of the frozen-coefficient linear equation.
 
     b_hat and Lambda_hat are bounded fields on the grid levels; the fixed
@@ -410,7 +406,7 @@ def solve_linearized(b_hat: np.ndarray, Lambda_hat: np.ndarray, u0, grid: GridSp
         b_values=b_hat, Lambda_values=Lambda_hat, dt=grid.dt,
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
     )
-    field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter, n_w=n_w, kernel=kernel)
+    field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter, kernel=kernel)
     return field_out
 
 

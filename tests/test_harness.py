@@ -102,7 +102,10 @@ def test_runs_are_byte_identical(tmp_path):
     cfg2 = RunConfig.from_text(HEAT_CFG + f"\nout = {tmp_path}/b")
     assert run(cfg1) == 0
     assert run(cfg2) == 0
-    for name in ("field.csv", "comparison.csv"):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert "solve_report.txt" in names
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import brentq
 
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import kernel_for
+from mfklab.kernel import KernelModel, apply_mean_smooth, kernel_for
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -20,7 +21,7 @@ from mfklab.mild import (
     weak_residual,
 )
 from mfklab.oracles import heat_oracle
-from mfklab.problems import GaussianDensity, preset, smooth_test_functions
+from mfklab.problems import GaussianDensity, ProblemSpec, preset, smooth_test_functions
 from mfklab.quadrature import trapezoid_weights
 
 
@@ -278,12 +279,75 @@ def test_ball_radius_envelope():
 
 
 def test_stencils_cache_shape():
-    prob = preset("burgers", nu=1.0, u0_var=0.04)
-    kern = kernel_for(prob)
     grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, tau=0.25)
-    st = build_slab_stencils(kern, grid, 0.0)
-    assert st.A.shape == (2, 2 * 65 - 1)
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    st = build_slab_stencils(kernel_for(prob), grid, 0.0, prob)
+    assert st.S.shape == (2, 2 * 65 - 1)
+    assert st.A is None  # Burgers has no growth term
     assert st.B.shape == (2, 2 * 65)
+    growth = preset("exponential_growth", lam=0.5)
+    st = build_slab_stencils(kernel_for(growth), grid, 0.0, growth)
+    assert st.A.shape == (2, 2 * 65 - 1)
+    assert st.B is None  # no state-dependent drift
+
+
+def test_slab_operator_matches_per_level_sums():
+    # both terms nonzero (no preset has both) on a slab starting at r > 0:
+    # the fused space-time convolutions against direct per-level sums
+    drift = lambda t, x, z: 0.5 * np.clip(z, -2.0, 2.0)
+    growth = lambda t, x, z: 0.3 * (1.0 - np.clip(z, -2.0, 2.0))
+    prob = ProblemSpec("drift_growth", 1, 1.0, 1.0, drift, growth,
+                       GaussianDensity(0.0, 0.04), M_b=1.0, M_Lambda=0.9,
+                       L_b=0.5, L_Lambda=0.3, z_max=2.0)
+    kern = kernel_for(prob)
+    grid = GridSpec(R=7.0, n_x=65, n_t=20, T=1.0, tau=0.2)
+    m, n, dx = grid.levels_per_slab, grid.n_x, grid.dx
+    r = grid.tau
+    phi = cell_means_from_cdf(prob.u0.cdf, grid)
+    state = prepare_slab(1, r, phi, prob, kern, grid, perturb=0.3)
+    for ell in range(1, m + 1):
+        ref = apply_mean_smooth(phi, *kern.sigma_beta(r, r + ell * grid.dt), dx)
+        assert np.abs(state.u0hat[ell] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    A, B = state.stencils.A, state.stencils.B
+    x = grid.x_nodes()
+    w = state.v + state.u0hat
+    expected = np.zeros_like(w)
+    for ell in range(1, m + 1):
+        for j in range(ell):
+            t_j = r + j * grid.dt
+            lam_src = growth(t_j, x, w[j]) * w[j]
+            slopes = np.diff(np.concatenate(([0.0], drift(t_j, x, w[j]) * w[j], [0.0]))) / dx
+            expected[ell] += np.convolve(lam_src, A[ell - 1 - j])[n - 1 : 2 * n - 1]
+            expected[ell] += np.convolve(slopes, B[ell - 1 - j])[n : 2 * n]
+    out = picard_map(state, prob)
+    assert np.all(out[0] == 0.0)
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_per_slab_stencils_match_shared():
+    # a callable diffusion makes the kernel time-inhomogeneous, so every slab
+    # builds its own stencils at its start r; the kernel is the same one
+    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
+    kern = kernel_for(prob)
+    per_slab = KernelModel(1, lambda t: np.array([[1.0]]), T=prob.T,
+                           constants=(kern.C_u, kern.c_u))
+    assert kern.time_homogeneous and not per_slab.time_homogeneous
+    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=0.125, tau=1.0 / 256)
+    u_shared, _ = solve(prob, grid, tol=1e-9, kernel=kern)
+    u_slab, _ = solve(prob, grid, tol=1e-9, kernel=per_slab)
+    assert np.abs(u_shared.values - u_slab.values).max() <= 1e-12
+
+
+def test_solve_identical_across_fft_workers():
+    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
+    kern = kernel_for(prob)
+    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.125, tau=1.0 / 256)
+    fields = []
+    for workers in (1, 2):
+        with scipy.fft.set_workers(workers):
+            fields.append(solve(prob, grid, tol=1e-9, kernel=kern)[0].values)
+    assert np.array_equal(fields[0], fields[1])
 
 
 def test_grid_rejects_higher_dimension():
@@ -321,8 +385,6 @@ def test_burgers_mild_matches_closed_form_oracle():
 
 def test_base_drift_shifts_the_heat_solution():
     # exercises the drift-shift path of the kernel weights end to end
-    from mfklab.problems import GaussianDensity, ProblemSpec
-
     zero = lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float))
     prob = ProblemSpec("drifted_heat", 1, 1.0, 1.0, zero, zero,
                        GaussianDensity(0.0, 0.04), M_b=0.0, M_Lambda=0.0,
