@@ -184,13 +184,14 @@ def compare_fields(a: Field, b: Field) -> ComparisonReport:
 
 def write_field_csv(path, field_obj: Field):
     grid = field_obj.grid
-    x = grid.x_nodes()
-    times = grid.times()
+    # the x columns are formatted once; each level's lines become one
+    # template whose only % fields are its values (formatted numbers hold no %)
+    x_tails = [f",{_FMT % x},{_FMT}\n" for x in grid.x_nodes()]
     with open(path, "w") as fh:
         fh.write("t,x1,u\n")
-        for k, t in enumerate(times):
-            for j in range(grid.n_x):
-                fh.write(f"{_FMT % t},{_FMT % x[j]},{_FMT % field_obj.values[k, j]}\n")
+        for t, row in zip(grid.times(), field_obj.values):
+            t_head = _FMT % t
+            fh.write("".join([t_head + tail for tail in x_tails]) % tuple(row.tolist()))
 
 
 def write_comparison_csv(path, report: ComparisonReport):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Field, GridSpec
 
@@ -78,7 +79,9 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
     Runs on a grid refined `refine`-fold in space with an internally chosen
     stable explicit step, zero flux through the box boundary (telescoping
     fluxes conserve mass exactly), then restricts cell averages back to the
-    requested grid at its time levels.
+    requested grid at its time levels.  After each level it checks the
+    scheme's discrete maximum principle, 0 <= u <= sup|u0|, and raises
+    FloatingPointError when a step was unstable (e.g. cfl too large).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -88,13 +91,17 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
     n_f = refine * (grid.n_x - 1) + 1
     dx = 2.0 * grid.R / (n_f - 1)
     x = np.linspace(-grid.R, grid.R, n_f)
+    # the fine state lives inside a zero halo that the restriction windows read
+    padded = np.zeros(n_f + 2 * (refine // 2))
+    u = padded[refine // 2 : refine // 2 + n_f]
     if hasattr(u0, "cdf"):
         edges = np.concatenate((x - 0.5 * dx, [x[-1] + 0.5 * dx]))
-        u = np.diff(u0.cdf(edges)) / dx
+        u[:] = np.diff(u0.cdf(edges)) / dx
     else:
-        u = np.asarray(u0.pdf(x), dtype=float)
+        u[:] = u0.pdf(x)
 
-    umax = max(float(np.abs(u).max()), 1e-12)
+    sup_u0 = float(np.abs(u).max())
+    umax = max(sup_u0, 1e-12)
     dt_level = T / grid.n_t
     dt_stable = cfl * min(dx * dx / nu, dx / umax)
     steps_per_level = max(1, int(np.ceil(dt_level / dt_stable)))
@@ -105,33 +112,68 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
         )
     dt = dt_level / steps_per_level
 
+    stencil = _restriction_stencil(padded, refine)
+    square = np.empty(n_f)
+    flux = np.zeros(n_f + 1)  # face fluxes; the two boundary faces stay 0
+    interior = flux[1:-1]
+    gradient = np.empty(n_f - 1)
+    diff = np.empty(n_f)
     out = np.empty((grid.n_t + 1, grid.n_x))
-    out[0] = _restrict(u, refine, grid.n_x)
+    out[0] = _restrict(*stencil)
     for k in range(grid.n_t):
         for _ in range(steps_per_level):
-            flux = 0.25 * (u[:-1] ** 2 + u[1:] ** 2) - (0.5 * nu) * np.diff(u) / dx
-            u[1:-1] -= (dt / dx) * np.diff(flux)
-            u[0] -= (dt / dx) * flux[0]
-            u[-1] += (dt / dx) * flux[-1]
-        out[k + 1] = _restrict(u, refine, grid.n_x)
+            # interior fluxes 0.25 * (u[:-1]**2 + u[1:]**2) - (0.5 * nu) * diff(u) / dx,
+            # evaluated in that order into the buffers
+            np.square(u, out=square)
+            np.add(square[:-1], square[1:], out=interior)
+            interior *= 0.25
+            np.subtract(u[1:], u[:-1], out=gradient)
+            gradient *= 0.5 * nu
+            gradient /= dx
+            interior -= gradient
+            np.subtract(flux[1:], flux[:-1], out=diff)
+            diff *= dt / dx
+            u -= diff
+        # discrete maximum principle of the monotone scheme: 0 <= u <= sup|u0|
+        # (written so that NaN fails it too)
+        lo, hi = float(u.min()), float(u.max())
+        if not (lo >= -1e-12 * sup_u0 and hi <= (1.0 + 1e-12) * sup_u0):
+            raise FloatingPointError(
+                f"finite-volume reference left its maximum principle at level {k + 1} "
+                f"(t = {(k + 1) * dt_level:.6g}): u in [{lo:.6g}, {hi:.6g}], "
+                f"sup|u0| = {sup_u0:.6g}; lower cfl (now {cfl:g})"
+            )
+        out[k + 1] = _restrict(*stencil)
     return Field(grid, out)
 
 
-def _restrict(fine: np.ndarray, refine: int, n_coarse: int) -> np.ndarray:
-    """Average fine cell means onto coarse cells (exact overlap weights)."""
-    if refine == 1:
-        return fine.copy()
+def _restriction_stencil(padded: np.ndarray, refine: int):
+    """Windows, overlap weights and weight sums for restricting to coarse cells.
+
+    `padded` holds the fine cells with a zero halo of refine // 2 on each
+    side.  Coarse cell j averages fine cells refine*j - refine//2 ..
+    refine*j + refine//2; for even refine the outermost two overlap it
+    halfway.  Fine indices outside the grid get weight 0, so the two
+    boundary cells average over their truncated windows.  The windows are
+    views into `padded`, so the stencil follows later writes to it.
+    """
     half = refine // 2
-    out = np.empty(n_coarse)
-    for j in range(n_coarse):
-        c = refine * j
-        lo = max(c - half, 0)
-        hi = min(c + half, len(fine) - 1)
-        w = np.ones(hi - lo + 1)
-        if refine % 2 == 0:  # even refine: the outermost fine cells overlap halfway
-            if lo == c - half:
-                w[0] = 0.5
-            if hi == c + half:
-                w[-1] = 0.5
-        out[j] = np.dot(w, fine[lo : hi + 1]) / w.sum()
-    return out
+    n_fine = len(padded) - 2 * half
+    n_coarse = (n_fine - 1) // refine + 1
+    pattern = np.ones(2 * half + 1)
+    if refine % 2 == 0:
+        pattern[[0, -1]] = 0.5
+    fine_index = refine * np.arange(n_coarse) + np.arange(-half, half + 1)[:, None]
+    inside = (fine_index >= 0) & (fine_index < n_fine)
+    weights = np.where(inside, pattern[:, None], 0.0)
+    windows = sliding_window_view(padded, 2 * half + 1)[::refine].T
+    return windows, weights, weights.sum(axis=0)
+
+
+def _restrict(windows: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Average fine cell means onto coarse cells (exact overlap weights).
+
+    Sums each window in order along the window axis, then divides by the
+    weight sum, as a per-cell dot product would.
+    """
+    return (weights * windows).sum(axis=0) / sums

@@ -142,6 +142,20 @@ def test_field_csv_schema(tmp_path):
     assert lines[1].split(",")[2] == "0"
 
 
+def test_field_csv_matches_per_value_format(tmp_path):
+    grid = GridSpec(R=1.5, n_x=2, n_t=3, T=0.3, tau=0.3)
+    values = np.array([[-0.0, 5e-324], [1e-320, 1e300], [3.0, -7.0], [0.1, -2.5e-17]])
+    path = tmp_path / "f.csv"
+    write_field_csv(path, Field(grid, values))
+    want = "t,x1,u\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % (t, x, values[k, j])
+        for k, t in enumerate(grid.times())
+        for j, x in enumerate(grid.x_nodes())
+    )
+    assert path.read_bytes() == want.encode()
+    assert path.read_text().splitlines()[1:3] == ["0,-1.5,-0", "0,1.5,4.9406564584124654e-324"]
+
+
 def test_frozen_battery_small(tmp_path):
     cfg = RunConfig.from_text(
         "experiment = simulate-frozen\n"

@@ -1,10 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mfklab
 from mfklab.grids import GridSpec
 from mfklab.oracles import (
+    _restrict,
+    _restriction_stencil,
     burgers_fd_reference,
     burgers_expectation_formula,
     exp_mass_oracle,
@@ -136,3 +145,95 @@ class TestFdReference:
         grid = GridSpec(R=8.0, n_x=2048, n_t=64, T=1.0, tau=1.0)
         with pytest.raises(RuntimeError, match="stability"):
             burgers_fd_reference(self.u0, 1.0, grid, refine=8, max_steps=1000)
+
+    def test_unstable_step_breaks_the_maximum_principle(self):
+        grid = GridSpec(R=8.0, n_x=256, n_t=16, T=0.5, tau=0.5)
+        with pytest.raises(FloatingPointError, match=r"maximum principle at level 1 .*cfl \(now 1.2\)"):
+            burgers_fd_reference(self.u0, 1.0, grid, refine=4, cfl=1.2)
+
+    def test_nan_state_breaks_the_maximum_principle(self):
+        class Spike:  # u^2 overflows in the first step, so the state turns NaN
+            @staticmethod
+            def pdf(x):
+                return np.where(np.abs(x) < 0.5, 1e200, 0.0)
+
+        grid = GridSpec(R=8.0, n_x=64, n_t=4, T=0.5, tau=0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"at level 1 .*u in \[nan, nan\]"):
+                burgers_fd_reference(Spike(), 1.0, grid, refine=2, cfl=1e300)
+
+    def test_identical_across_blas_threads(self):
+        script = (
+            "import sys\n"
+            "from mfklab.grids import GridSpec\n"
+            "from mfklab.oracles import burgers_fd_reference\n"
+            "from mfklab.problems import GaussianDensity\n"
+            "grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5, tau=0.5)\n"
+            "ref = burgers_fd_reference(GaussianDensity(0.0, 0.04), 1.0, grid, refine=4)\n"
+            "sys.stdout.buffer.write(ref.values.tobytes())\n"
+        )
+        src = str(Path(mfklab.__file__).resolve().parents[1])
+        fields = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, check=True, timeout=300)
+            fields.append(proc.stdout)
+        assert len(fields[0]) == 9 * 256 * 8
+        assert fields[0] == fields[1]
+
+
+def _restrict_by_cells(fine, refine, n_coarse):
+    """Per-cell overlap average, one coarse cell at a time: the oracle for _restrict."""
+    if refine == 1:
+        return fine.copy()
+    half = refine // 2
+    out = np.empty(n_coarse)
+    for j in range(n_coarse):
+        c = refine * j
+        lo = max(c - half, 0)
+        hi = min(c + half, len(fine) - 1)
+        w = np.ones(hi - lo + 1)
+        if refine % 2 == 0:  # even refine: the outermost fine cells overlap halfway
+            if lo == c - half:
+                w[0] = 0.5
+            if hi == c + half:
+                w[-1] = 0.5
+        out[j] = np.dot(w, fine[lo : hi + 1]) / w.sum()
+    return out
+
+
+def _restrict_padded(fine, refine):
+    return _restrict(*_restriction_stencil(np.pad(fine, refine // 2), refine))
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3, 4, 8])
+def test_restrict_matches_per_cell_overlap(refine):
+    n_coarse = 37
+    rng = np.random.default_rng(refine)
+    # large values at both ends, so the truncated boundary cells carry weight
+    fine = rng.uniform(0.5, 2.0, refine * (n_coarse - 1) + 1)
+    fine[:refine] *= 10.0
+    fine[-refine:] *= 10.0
+    got = _restrict_padded(fine, refine)
+    want = _restrict_by_cells(fine, refine, n_coarse)
+    assert got.shape == (n_coarse,)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(fine).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 8]),
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_restrict_preserves_mass(refine, n_coarse, seed):
+    # fine data vanishing on the cells the boundary windows touch
+    fine = np.random.default_rng(seed).uniform(-1.0, 1.0, refine * (n_coarse - 1) + 1)
+    fine[:refine] = 0.0
+    fine[-refine:] = 0.0
+    coarse = _restrict_padded(fine, refine)
+    dx_fine = 1.0 / (len(fine) - 1)
+    fine_mass = float(trapezoid_weights(len(fine), dx_fine) @ fine)
+    coarse_mass = float(trapezoid_weights(n_coarse, refine * dx_fine) @ coarse)
+    assert abs(coarse_mass - fine_mass) <= 1e-13 * np.abs(fine).sum() * dx_fine
