@@ -2,20 +2,23 @@
 
 Configuration files are flat `key = value` text with dotted section prefixes
 (see the README for the schema).  Every run writes plot-ready CSV artifacts
-with 17-significant-digit formatting, so repeated runs of one config are
-byte-identical.  The exit status is the conjunction of all tolerance checks
-declared in the config.
+with 17-significant-digit formatting and one `run.json` record (config echo,
+versions, solve report, checks) that holds no timings, so repeated runs of one
+config are byte-identical.  The exit status is the conjunction of the checks.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.fft
 
+from . import __version__
 from .grids import Field, GridSpec
 from .kernel import kernel_for
 from .mild import plan_grid, solve
@@ -158,17 +161,11 @@ class RunConfig:
 
 @dataclass
 class ComparisonReport:
-    """Distances between two fields plus optional Monte-Carlo z-scores."""
+    """Per-time-level L1 and sup distances between two fields."""
 
     times: np.ndarray
     l1: np.ndarray
     linf: np.ndarray
-    tolerances: dict = field(default_factory=dict)
-    passed: bool = True
-    z_scores: list = field(default_factory=list)
-
-    def to_rows(self):
-        return [(t, a, b) for t, a, b in zip(self.times, self.l1, self.linf)]
 
 
 def compare_fields(a: Field, b: Field) -> ComparisonReport:
@@ -197,7 +194,7 @@ def write_field_csv(path, field_obj: Field):
 def write_comparison_csv(path, report: ComparisonReport):
     with open(path, "w") as fh:
         fh.write("t,l1,linf\n")
-        for t, a, b in report.to_rows():
+        for t, a, b in zip(report.times, report.l1, report.linf):
             fh.write(f"{_FMT % t},{_FMT % a},{_FMT % b}\n")
 
 
@@ -230,6 +227,10 @@ def run(config: RunConfig) -> int:
         return _run_inner(config)
 
 
+def _check(name: str, value: float, tol, passed) -> dict:
+    return {"name": name, "value": float(value), "tol": tol, "passed": bool(passed)}
+
+
 def _run_inner(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -244,16 +245,15 @@ def _run_inner(config: RunConfig) -> int:
     else:
         grid = plan_grid(problem, config.R, config.n_x, config.n_t, kernel=kernel,
                          min_slabs=config.min_slabs)
-    summary = [f"experiment = {config.kind}", f"preset = {config.preset_name}",
-               f"grid: R={grid.R} n_x={grid.n_x} n_t={grid.n_t} tau={grid.tau:.6g}"]
-    status = 0
 
-    if config.kind in ("solve-mild", "validate", "simulate-frozen", "simulate-mckean", "sweep"):
-        u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter,
-                          kernel=kernel)
-        write_field_csv(out / "field.csv", u)
-        (out / "solve_report.txt").write_text(report.to_text() + "\n")
-        summary.append(f"mild solve: slabs={report.n_slabs} iters={sum(report.slab_iterations)}")
+    u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter,
+                      kernel=kernel)
+    write_field_csv(out / "field.csv", u)
+    checks = []
+    if problem.L_b > 0 or problem.L_Lambda > 0:
+        # the coefficients clamp z at z_max; the theory needs the clamp inactive
+        checks.append(_check("max |w| within z_max", report.max_abs_w, problem.z_max,
+                             report.max_abs_w <= problem.z_max))
 
     if config.kind == "validate":
         tol = config.compare_l1 if config.compare_l1 is not None else 1e-3
@@ -267,12 +267,8 @@ def _run_inner(config: RunConfig) -> int:
         rep = compare_fields(u, ref)
         idx = _select_times(grid, config.compare_times or default_times)
         worst = max(rep.l1[i] for i in idx)
-        rep.tolerances = {"l1": tol}
-        rep.passed = bool(worst <= tol)
         write_comparison_csv(out / "comparison.csv", rep)
-        summary.append(f"validate: worst per-time l1 = {worst:.3e} (tol {tol:g}) "
-                       f"-> {'pass' if rep.passed else 'FAIL'}")
-        status |= 0 if rep.passed else 1
+        checks.append(_check("worst per-time l1 to reference", worst, tol, worst <= tol))
 
     elif config.kind == "simulate-frozen":
         basket = smooth_test_functions()
@@ -281,7 +277,6 @@ def _run_inner(config: RunConfig) -> int:
         wx = trapezoid_weights(grid.n_x, grid.dx)
         rows = []
         hits = 0
-        total = 0
         for s in range(config.seed_count):
             ens = simulate_frozen(u, problem, config.N, config.dt, config.seed + s)
             for t in times:
@@ -292,33 +287,22 @@ def _run_inner(config: RunConfig) -> int:
                     z = abs(est - quad) / se if se > 0 else 0.0
                     rows.append((config.seed + s, t, tf.name, quad, est, se, z))
                     hits += z <= config.compare_z
-                    total += 1
         with open(out / "functionals.csv", "w") as fh:
             fh.write("seed,t,phi,quadrature,estimate,stderr,z\n")
             for r in rows:
                 fh.write(f"{r[0]},{_FMT % r[1]},{r[2]},{_FMT % r[3]},{_FMT % r[4]},"
                          f"{_FMT % r[5]},{_FMT % r[6]}\n")
-        frac = hits / total
-        battery = ComparisonReport(np.array(times), np.zeros(len(times)),
-                                   np.zeros(len(times)),
-                                   tolerances={"z": config.compare_z,
-                                               "fraction": config.compare_fraction},
-                                   passed=frac >= config.compare_fraction,
-                                   z_scores=[r[6] for r in rows])
-        summary.append(f"frozen battery: {hits}/{total} within {config.compare_z} se "
-                       f"({frac:.1%}), max z {max(battery.z_scores):.2f} "
-                       f"-> {'pass' if battery.passed else 'FAIL'}")
-        status |= 0 if battery.passed else 1
+        frac = hits / len(rows)
+        checks.append(_check(f"share of battery z within {config.compare_z:g} se (at least tol)",
+                             frac, config.compare_fraction, frac >= config.compare_fraction))
 
     elif config.kind == "simulate-mckean":
         _, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
         write_field_csv(out / "mckean_field.csv", rec)
         dist = _l1_at_final(rec, u)
-        summary.append(f"self-consistent: l1 distance to mild at T = {dist:.3e}")
-        if config.compare_l1 is not None:
-            ok = dist <= config.compare_l1
-            summary.append(f"tolerance {config.compare_l1:g} -> {'pass' if ok else 'FAIL'}")
-            status |= 0 if ok else 1
+        tol = config.compare_l1
+        checks.append(_check("l1 distance to mild at T", dist, tol,
+                             tol is None or dist <= tol))
 
     elif config.kind == "sweep":
         medians = []
@@ -333,15 +317,23 @@ def _run_inner(config: RunConfig) -> int:
                 med = float(np.median(dists))
                 medians.append(med)
                 fh.write(f"{n_particles},{_FMT % med},{config.seed_count}\n")
-        monotone = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
-        summary.append(f"sweep medians = {[f'{m:.3e}' for m in medians]} "
-                       f"monotone={'yes' if monotone else 'NO'}")
-        status |= 0 if monotone else 1
+        rise = max((b - a for a, b in zip(medians, medians[1:])), default=0.0)
+        checks.append(_check("largest rise of the median l1 between successive N",
+                             rise, 0.0, rise <= 0.0))
 
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    for line in summary:
-        print(line)
-    return status
+    echo = {k: v for k, v in asdict(config).items() if k not in ("out_dir", "threads")}
+    record = {
+        "config": echo,
+        "versions": {"mfklab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+        "solve": {**asdict(report), "ball_ok": bool(report.ball_ok())},
+        "checks": checks,
+    }
+    (out / "run.json").write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")
+    for c in checks:
+        print(f"{c['name']}: {c['value']:.6g} (tol {c['tol']}) "
+              f"-> {'pass' if c['passed'] else 'FAIL'}")
+    return 0 if all(c["passed"] for c in checks) else 1
 
 
 def _l1_at_final(reconstructed: Field, mild: Field) -> float:

@@ -141,6 +141,7 @@ class PicardState:
     stencils: SlabStencils
     residual_history: list = field(default_factory=list)
     iterations: int = 0
+    max_abs_w: float = 0.0  # largest |w| fed to the coefficients, to compare with z_max
 
 
 def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpec,
@@ -176,6 +177,7 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     x = grid.x_nodes()
     w = state.v + state.u0hat
     times = state.r + np.arange(m) * grid.dt
+    state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
     if st.A is not None:
         lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
         out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
@@ -227,42 +229,20 @@ class SolveReport:
     c_u: float
     M: float
     tau: float
+    tau_max: float
     n_slabs: int
     contraction_C: float
     pi_C2_tau: float
     contraction_monitor_ok: bool
     max_iterate_per_time_l1: float
     max_iterate_sup: float
+    max_abs_w: float
     cbar_observed: float
     grid: GridSpec
-    notes: str = ""
 
     def ball_ok(self) -> bool:
         return (self.max_iterate_per_time_l1 <= self.M + 1e-12
                 and self.max_iterate_sup <= self.M + 1e-12)
-
-    def to_text(self) -> str:
-        lines = [
-            f"tol = {self.tol:.6g}",
-            f"n_slabs = {self.n_slabs}",
-            f"tau = {self.tau:.6g}",
-            f"C_u = {self.C_u:.6g}",
-            f"c_u = {self.c_u:.6g}",
-            f"M = {self.M:.6g}",
-            f"contraction_C = {self.contraction_C:.6g}",
-            f"pi_C2_tau = {self.pi_C2_tau:.6g}",
-            f"contraction_monitor_ok = {self.contraction_monitor_ok}",
-            f"ball_ok = {self.ball_ok()}",
-            f"max_iterate_per_time_l1 = {self.max_iterate_per_time_l1:.6g}",
-            f"max_iterate_sup = {self.max_iterate_sup:.6g}",
-            f"cbar_observed = {self.cbar_observed:.6g}",
-            f"slab_iterations = {self.slab_iterations}",
-            f"final_slab_residuals = {[f'{r:.3e}' for r in self.slab_residuals]}",
-            f"grid = R{self.grid.R} n_x{self.grid.n_x} n_t{self.grid.n_t} T{self.grid.T}",
-        ]
-        if self.notes:
-            lines.append(f"notes = {self.notes}")
-        return "\n".join(lines)
 
 
 def _initial_cell_means(u0, grid: GridSpec) -> np.ndarray:
@@ -301,6 +281,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     iters, residuals, histories = [], [], []
     max_l1 = 0.0
     max_sup = 0.0
+    max_abs_w = 0.0
     monitor_ok = True
     C = contraction_constant(problem, kernel, M, grid.tau)
     rho2 = float(np.pi * C * C * grid.tau)
@@ -319,6 +300,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
         max_l1 = max(max_l1, per_time_l1)
         max_sup = max(max_sup, float(np.abs(state.v).max()))
+        max_abs_w = max(max_abs_w, state.max_abs_w)
         if rho2 < 1.0:
             h = state.residual_history
             for i in range(len(h) - 2):
@@ -330,10 +312,10 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     report = SolveReport(
         tol=tol, slab_iterations=iters, slab_residuals=residuals,
         residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
-        tau=grid.tau, n_slabs=N, contraction_C=float(C), pi_C2_tau=rho2,
-        contraction_monitor_ok=monitor_ok, max_iterate_per_time_l1=float(max_l1),
-        max_iterate_sup=float(max_sup), cbar_observed=float(cbar),
-        grid=grid,
+        tau=grid.tau, tau_max=float(tau_max), n_slabs=N, contraction_C=float(C),
+        pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok,
+        max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
+        max_abs_w=max_abs_w, cbar_observed=float(cbar), grid=grid,
     )
     return Field(grid, u), report
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -88,13 +90,26 @@ class TestCompareFields:
             compare_fields(a, Field.zeros(other))
 
 
+def _read_record(out, code):
+    """run.json of a finished run, checked against the run's exit code."""
+    record = json.loads((out / "run.json").read_text())
+    assert code == (0 if all(c["passed"] for c in record["checks"]) else 1)
+    assert "out_dir" not in record["config"] and "threads" not in record["config"]
+    return record
+
+
 def test_validate_heat_passes(tmp_path):
     cfg = RunConfig.from_text(HEAT_CFG + f"\nout = {tmp_path}/run")
-    assert run(cfg) == 0
-    assert (tmp_path / "run" / "field.csv").exists()
-    assert (tmp_path / "run" / "comparison.csv").exists()
+    code = run(cfg)
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "comparison.csv", "field.csv", "run.json"]
     header = (tmp_path / "run" / "comparison.csv").read_text().splitlines()[0]
     assert header == "t,l1,linf"
+    record = _read_record(tmp_path / "run", code)
+    assert [c["name"] for c in record["checks"]] == ["worst per-time l1 to reference"]
+    assert record["solve"]["tau"] <= record["solve"]["tau_max"]
+    assert record["solve"]["grid"]["n_x"] == 128
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -104,7 +119,7 @@ def test_runs_are_byte_identical(tmp_path):
     assert run(cfg2) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert "solve_report.txt" in names
+    assert "run.json" in names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -197,4 +212,41 @@ def test_sweep_monotone_small(tmp_path):
 def test_failed_tolerance_gives_nonzero_exit(tmp_path):
     cfg = RunConfig.from_text(HEAT_CFG.replace("compare.l1 = 1e-2", "compare.l1 = 1e-9")
                               + f"\nout = {tmp_path}/strict")
-    assert run(cfg) == 1
+    code = run(cfg)
+    assert code == 1
+    record = _read_record(tmp_path / "strict", code)
+    assert [c["passed"] for c in record["checks"]] == [False]
+
+
+def _burgers_cfg(kind, n_x, n_t, extra):
+    return (f"experiment = {kind}\nproblem.preset = burgers\nproblem.nu = 1.0\n"
+            f"problem.u0_var = 0.04\ngrid.R = 8.0\ngrid.n_x = {n_x}\ngrid.n_t = {n_t}\n"
+            f"solver.tol = 1e-8\n{extra}\n")
+
+
+def test_engaged_clamp_fails_the_run(tmp_path, capsys):
+    path = tmp_path / "clamp.cfg"
+    path.write_text(_burgers_cfg("solve-mild", 128, 64,
+                                 f"problem.z_max = 1.0\nout = {tmp_path}/clamp"))
+    code = cli_main(["solve-mild", "--config", str(path)])
+    assert code == 1
+    assert "max |w| within z_max: " in capsys.readouterr().out.split("-> FAIL")[0]
+    record = _read_record(tmp_path / "clamp", code)
+    (check,) = record["checks"]
+    assert check["name"] == "max |w| within z_max"
+    assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
+
+
+def test_burgers_validate_identical_across_threads(tmp_path):
+    cfgs = [RunConfig.from_text(_burgers_cfg("validate", 257, 256,
+                                             f"out = {tmp_path}/t{n}\nthreads = {n}"))
+            for n in (1, 2)]
+    assert [run(cfg) for cfg in cfgs] == [0, 0]
+    clamp, _ = _read_record(tmp_path / "t1", 0)["checks"]
+    assert clamp["name"] == "max |w| within z_max"
+    assert 0.0 < clamp["value"] <= clamp["tol"]
+    names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+    assert names == ["comparison.csv", "field.csv", "run.json"]
+    assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
