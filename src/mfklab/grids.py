@@ -20,7 +20,7 @@ from .quadrature import trapezoid_weights
 class GridSpec:
     """Uniform grid on [-R, R] x [0, T] with a slab decomposition of [0, T].
 
-    n_x is the node count per axis, n_t the number of time intervals
+    n_x is the node count, n_t the number of time intervals
     (levels = n_t + 1).  The slab width tau must satisfy N * tau = T for an
     integer N that divides n_t, so slab boundaries land on time levels.
     """
@@ -30,11 +30,8 @@ class GridSpec:
     n_t: int
     T: float
     tau: float
-    d: int = 1
 
     def __post_init__(self):
-        if self.d != 1:
-            raise NotImplementedError("grid-based fields are implemented for d = 1")
         if self.n_x < 2:
             raise ValueError("n_x must be at least 2")
         if self.n_t < 1:
@@ -145,10 +142,3 @@ def cell_means_from_cdf(cdf, grid: GridSpec) -> np.ndarray:
     edges = np.concatenate((grid.x_nodes() - 0.5 * grid.dx, [grid.R + 0.5 * grid.dx]))
     c = cdf(edges)
     return np.diff(c) / grid.dx
-
-
-def cell_means_from_pdf(pdf, grid: GridSpec) -> np.ndarray:
-    """Cell averages of a density by 3-point Simpson inside each cell."""
-    x = grid.x_nodes()
-    h = 0.5 * grid.dx
-    return (pdf(x - h) + 4.0 * pdf(x) + pdf(x + h)) / 6.0

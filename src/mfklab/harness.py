@@ -198,6 +198,11 @@ def write_comparison_csv(path, report: ComparisonReport):
             fh.write(f"{_FMT % t},{_FMT % a},{_FMT % b}\n")
 
 
+# presets with an independent reference field for `validate`: the closed forms
+# of _oracle_field, and the finite-volume solver for burgers
+VALIDATE_REFERENCES = ("heat", "exponential_growth", "burgers")
+
+
 def _oracle_field(problem, grid: GridSpec) -> Field:
     """Closed-form reference for the zero-drift presets on the grid."""
     x = grid.x_nodes()
@@ -232,6 +237,9 @@ def _check(name: str, value: float, tol, passed) -> dict:
 
 
 def _run_inner(config: RunConfig) -> int:
+    if config.kind == "validate" and config.preset_name not in VALIDATE_REFERENCES:
+        raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
+                          f"presets with one: {', '.join(VALIDATE_REFERENCES)}")
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     problem = preset(config.preset_name, **config.problem_params)

@@ -27,26 +27,26 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .grids import Field, GridSpec, cell_means_from_cdf, cell_means_from_pdf, slab_l1
+from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (KernelModel, kernel_for, slope_kernel_weights, smooth_weights,
                      staggered_slopes)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
 
-def estimate_slab_tau(M_b: float, M_Lambda: float, C_u: float, d: int,
+def estimate_slab_tau(M_b: float, M_Lambda: float, C_u: float,
                       horizon: float | None = None) -> float:
     """Largest slab width for which the fixed-point map preserves the ball.
 
-    Solves 2 sqrt(tau) (M_Lambda tau^{3/2} + 2 d M_b C_u) <= 1 by bisection on
+    Solves 2 sqrt(tau) (M_Lambda tau^{3/2} + 2 M_b C_u) <= 1 by bisection on
     the monotone left-hand side; the ball radius scales out of the condition.
     Returns min(tau_max, horizon) when a horizon is given.
     """
-    if M_b < 0 or M_Lambda < 0 or C_u <= 0 or d < 1:
+    if M_b < 0 or M_Lambda < 0 or C_u <= 0:
         raise ValueError("constants must be nonnegative, C_u positive")
 
     def bound(tau):
-        return 2.0 * np.sqrt(tau) * (M_Lambda * tau**1.5 + 2.0 * d * M_b * C_u)
+        return 2.0 * np.sqrt(tau) * (M_Lambda * tau**1.5 + 2.0 * M_b * C_u)
 
     if M_b == 0.0 and M_Lambda == 0.0:
         return float("inf") if horizon is None else float(horizon)
@@ -75,7 +75,7 @@ def ball_radius(problem: ProblemSpec, kernel: KernelModel) -> float:
 def contraction_constant(problem, kernel, M: float, tau: float) -> float:
     """Constant C with ||Pi(v1)(t) - Pi(v2)(t)|| <= C int (t-s)^{-1/2} ||v1-v2|| ds."""
     return (2.0 * problem.L_Lambda * M + problem.M_Lambda) * np.sqrt(tau) + \
-        kernel.C_u * problem.d * (2.0 * problem.L_b * M + problem.M_b)
+        kernel.C_u * (2.0 * problem.L_b * M + problem.M_b)
 
 
 # Simpson nodes per source interval in the w = sqrt(t - s) variable (odd).
@@ -233,7 +233,7 @@ class SolveReport:
     n_slabs: int
     contraction_C: float
     pi_C2_tau: float
-    contraction_monitor_ok: bool
+    contraction_monitor_ok: bool | None  # None when pi_C2_tau >= 1: nothing to check
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     max_abs_w: float
@@ -243,12 +243,6 @@ class SolveReport:
     def ball_ok(self) -> bool:
         return (self.max_iterate_per_time_l1 <= self.M + 1e-12
                 and self.max_iterate_sup <= self.M + 1e-12)
-
-
-def _initial_cell_means(u0, grid: GridSpec) -> np.ndarray:
-    if hasattr(u0, "cdf"):
-        return cell_means_from_cdf(u0.cdf, grid)
-    return cell_means_from_pdf(u0.pdf if hasattr(u0, "pdf") else u0, grid)
 
 
 def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
@@ -267,7 +261,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         kernel = kernel_for(problem)
     M = ball_radius(problem, kernel)
     tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                problem.d, horizon=problem.T)
+                                horizon=problem.T)
     if grid.tau > tau_max * (1.0 + 1e-9):
         raise ValueError(f"slab width tau={grid.tau:.6g} exceeds tau_max={tau_max:.6g}")
 
@@ -275,16 +269,17 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     tol_slab = tol * grid.tau / grid.T
     times = grid.times()
     u = np.empty((grid.n_t + 1, grid.n_x))
-    u[0] = _initial_cell_means(problem.u0, grid)
+    u[0] = cell_means_from_cdf(problem.u0.cdf, grid)
 
     shared = build_slab_stencils(kernel, grid, 0.0, problem) if kernel.time_homogeneous else None
     iters, residuals, histories = [], [], []
     max_l1 = 0.0
     max_sup = 0.0
     max_abs_w = 0.0
-    monitor_ok = True
     C = contraction_constant(problem, kernel, M, grid.tau)
     rho2 = float(np.pi * C * C * grid.tau)
+    # the two-sweep residual recursion only bounds anything when rho2 < 1
+    monitor_ok = True if rho2 < 1.0 else None
 
     for k in range(N):
         r = times[k * m]
@@ -325,7 +320,6 @@ class _FrozenProblem:
     """Adapter exposing frozen coefficient fields through the ProblemSpec surface."""
 
     name: str
-    d: int
     T: float
     Phi: float
     b0: float | None
@@ -382,9 +376,9 @@ def solve_linearized(b_hat: np.ndarray, Lambda_hat: np.ndarray, u0, grid: GridSp
     if b_hat.shape != shape or Lambda_hat.shape != shape:
         raise ValueError(f"frozen coefficient fields must have shape {shape}")
     if Phi is None:
-        Phi = float(np.sqrt(kernel.covariance(0.0, grid.T)[0, 0] / grid.T))
+        Phi = float(np.sqrt(kernel.variance(0.0, grid.T) / grid.T))
     frozen = _FrozenProblem(
-        name="frozen", d=1, T=grid.T, Phi=Phi, b0=None, u0=u0,
+        name="frozen", T=grid.T, Phi=Phi, b0=None, u0=u0,
         b_values=b_hat, Lambda_values=Lambda_hat, dt=grid.dt,
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
     )
@@ -434,7 +428,7 @@ def plan_grid(problem: ProblemSpec, R: float, n_x: int, n_t_min: int,
     if kernel is None:
         kernel = kernel_for(problem)
     tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                problem.d, horizon=problem.T)
+                                horizon=problem.T)
     N0 = max(min_slabs, int(np.ceil(problem.T / tau_max - 1e-12)))
     for N in range(N0, 4 * N0 + align + 1):
         m = max(levels_per_slab_min, int(np.ceil(n_t_min / N)))

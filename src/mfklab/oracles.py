@@ -1,12 +1,12 @@
 """Independent reference solutions for cross-validation.
 
-Closed forms for the heat and constant-growth presets, the explicit Burgers
-expectation formula evaluated by Gauss-Hermite quadrature, and a conservative
-finite-volume reference solver for viscous Burgers.  The finite-volume solver
-is the arbiter for Burgers acceptance: it is independently checkable through
-exact mass conservation and grid self-convergence, whereas the expectation
-formula ships in two scalings (see burgers_expectation_formula) that must be
-compared against it before trust.
+Closed forms for the heat and constant-growth presets, the explicit
+(Cole-Hopf) Burgers expectation formula evaluated by Gauss-Hermite quadrature,
+and a conservative finite-volume reference solver for viscous Burgers.  The
+finite-volume solver is the arbiter for Burgers acceptance: it is
+independently checkable through exact mass conservation and grid
+self-convergence, and the test suite checks the expectation formula against
+it.
 """
 
 from __future__ import annotations
@@ -37,31 +37,20 @@ def exp_mass_oracle(lam: float, t: float) -> float:
 
 
 def burgers_expectation_formula(u0, nu: float, t: float, x,
-                                quad_nodes: int = GH_NODES_DEFAULT,
-                                variant: str = "nu_squared") -> np.ndarray | float:
-    """Explicit Burgers solution as a ratio of Gaussian expectations.
+                                quad_nodes: int = GH_NODES_DEFAULT) -> np.ndarray | float:
+    """Explicit (Cole-Hopf) solution of u_t = (nu/2) u_xx - u u_x.
 
-    variant="nu_squared" evaluates E[u0(x + nu B_t) e^{-U0(x + nu B_t)/nu^2}]
-    over E[e^{-U0(x + nu B_t)/nu^2}]; variant="cole_hopf" uses x + sqrt(nu) B_t
-    and exponent U0/nu.  The two coincide at nu = 1 and are compared against
-    the finite-volume reference to decide which one solves
-    u_t = (nu/2) u_xx - u u_x (the answer is recorded by the test suite:
-    cole_hopf matches; nu_squared solves the nu^2-viscosity equation).
-    u0 must expose pdf and cdf; t must be positive.
+    Evaluates E[u0(x + sqrt(nu) B_t) e^{-U0(x + sqrt(nu) B_t)/nu}] over
+    E[e^{-U0(x + sqrt(nu) B_t)/nu}], U0 being the CDF of u0.  u0 must expose
+    pdf and cdf; t must be positive.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if variant == "nu_squared":
-        scale, denom = nu, nu**2
-    elif variant == "cole_hopf":
-        scale, denom = math.sqrt(nu), nu
-    else:
-        raise ValueError("variant must be 'nu_squared' or 'cole_hopf'")
     xg, wg = np.polynomial.hermite.hermgauss(quad_nodes)
-    shift = scale * math.sqrt(2.0 * t) * xg  # nodes of N(0, scale^2 t)
+    shift = math.sqrt(nu) * math.sqrt(2.0 * t) * xg  # nodes of N(0, nu t)
     x = np.asarray(x, dtype=float)
     args = x[..., None] + shift
-    expo = -u0.cdf(args) / denom
+    expo = -u0.cdf(args) / nu
     expo -= expo.max(axis=-1, keepdims=True)  # guard the exponent range
     weights = wg * np.exp(expo)
     den = weights.sum(axis=-1)
@@ -79,7 +68,8 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
     Runs on a grid refined `refine`-fold in space with an internally chosen
     stable explicit step, zero flux through the box boundary (telescoping
     fluxes conserve mass exactly), then restricts cell averages back to the
-    requested grid at its time levels.  After each level it checks the
+    requested grid at its time levels; the fine cells start from the exact
+    cell averages of u0, which must expose a cdf.  After each level it checks the
     scheme's discrete maximum principle, 0 <= u <= sup|u0|, and raises
     FloatingPointError when a step was unstable (e.g. cfl too large).
     """
@@ -94,11 +84,8 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
     # the fine state lives inside a zero halo that the restriction windows read
     padded = np.zeros(n_f + 2 * (refine // 2))
     u = padded[refine // 2 : refine // 2 + n_f]
-    if hasattr(u0, "cdf"):
-        edges = np.concatenate((x - 0.5 * dx, [x[-1] + 0.5 * dx]))
-        u[:] = np.diff(u0.cdf(edges)) / dx
-    else:
-        u[:] = u0.pdf(x)
+    edges = np.concatenate((x - 0.5 * dx, [x[-1] + 0.5 * dx]))
+    u[:] = np.diff(u0.cdf(edges)) / dx
 
     sup_u0 = float(np.abs(u).max())
     umax = max(sup_u0, 1e-12)

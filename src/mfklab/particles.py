@@ -179,21 +179,17 @@ def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
 
     Splits each particle weight between its two neighboring nodes, then
     convolves with the Gaussian averaged over width-dx cells, which stays
-    valid even for h below the grid spacing.
+    valid even for h below the grid spacing.  Shares that fall outside the
+    nodes land in one pad bin on either side, which is dropped.
     """
-    x = grid.x_nodes()
     dx = grid.dx
     pos = (y + grid.R) / dx
     j = np.floor(pos).astype(int)
     frac = pos - j
-    inside = (j >= -1) & (j < grid.n_x)
-    binned = np.zeros(grid.n_x)
-    jl = np.clip(j, 0, grid.n_x - 1)
-    jr = np.clip(j + 1, 0, grid.n_x - 1)
-    keep_l = inside & (j >= 0)
-    keep_r = inside & (j + 1 < grid.n_x)
-    np.add.at(binned, jl[keep_l], (w * (1.0 - frac))[keep_l])
-    np.add.at(binned, jr[keep_r], (w * frac)[keep_r])
+    padded = np.zeros(grid.n_x + 2)
+    np.add.at(padded, np.clip(j, -1, grid.n_x) + 1, w * (1.0 - frac))
+    np.add.at(padded, np.clip(j + 1, -1, grid.n_x) + 1, w * frac)
+    binned = padded[1:-1]
     m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
     kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
     full = fftconvolve(binned, kern)

@@ -87,9 +87,8 @@ class ProblemSpec:
     """One MFKE / semilinear PDE instance with its declared constants."""
 
     name: str
-    d: int
     T: float
-    Phi: float  # isotropic constant diffusion coefficient matrix Phi = sqrt(nu) I
+    Phi: float  # constant diffusion coefficient Phi = sqrt(nu)
     b: Callable  # b(t, x, z) -> drift, vectorized over x, z
     Lambda: Callable  # Lambda(t, x, z) -> growth rate, vectorized
     u0: GaussianDensity | UniformDensity
@@ -100,11 +99,6 @@ class ProblemSpec:
     z_max: float
     b0: float | None = None  # space-independent base drift, None means 0
     params: dict = field(default_factory=dict)
-
-    @property
-    def mu(self) -> float:
-        """Ellipticity constant of a = Phi Phi^T."""
-        return self.Phi**2
 
     def a_fn(self):
         return self.Phi**2
@@ -127,7 +121,7 @@ def _default_z_max(nu: float, T: float, u0) -> float:
     # Gaussian-domination ceiling 2 ||u0||_inf C_u for the constant-nu kernel
     from .kernel import KernelModel
 
-    C_u = KernelModel(1, nu, T=T).C_u
+    C_u = KernelModel(nu, T=T).C_u
     return 2.0 * u0.max_value * C_u
 
 
@@ -150,21 +144,21 @@ def preset(name: str, **params) -> ProblemSpec:
     zero = lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float))
 
     if name == "heat":
-        return ProblemSpec(name, 1, T, phi, zero, zero, u0,
+        return ProblemSpec(name, T, phi, zero, zero, u0,
                            M_b=0.0, M_Lambda=0.0, L_b=0.0, L_Lambda=0.0,
                            z_max=_default_z_max(nu, T, u0), params=dict(params))
 
     if name == "exponential_growth":
         lam = float(params.get("lam", 0.5))
         growth = lambda t, x, z: np.full_like(np.asarray(z, dtype=float), lam)
-        return ProblemSpec(name, 1, T, phi, zero, growth, u0,
+        return ProblemSpec(name, T, phi, zero, growth, u0,
                            M_b=0.0, M_Lambda=abs(lam), L_b=0.0, L_Lambda=0.0,
                            z_max=_default_z_max(nu, T, u0), params=dict(params))
 
     if name == "burgers":
         z_max = float(params.get("z_max", _default_z_max(nu, T, u0)))
         drift = lambda t, x, z: 0.5 * _clamp(np.asarray(z, dtype=float), z_max)
-        return ProblemSpec(name, 1, T, phi, drift, zero, u0,
+        return ProblemSpec(name, T, phi, drift, zero, u0,
                            M_b=0.5 * z_max, M_Lambda=0.0, L_b=0.5, L_Lambda=0.0,
                            z_max=z_max, params=dict(params))
 
@@ -172,14 +166,14 @@ def preset(name: str, **params) -> ProblemSpec:
     lam = float(params.get("lam", 0.5))
     z_max = float(params.get("z_max", _default_z_max(nu, T, u0)))
     growth = lambda t, x, z: lam * (1.0 - _clamp(np.asarray(z, dtype=float), z_max))
-    return ProblemSpec(name, 1, T, phi, zero, growth, u0,
+    return ProblemSpec(name, T, phi, zero, growth, u0,
                        M_b=0.0, M_Lambda=abs(lam) * (1.0 + z_max), L_b=0.0,
                        L_Lambda=abs(lam), z_max=z_max, params=dict(params))
 
 
 @dataclass(frozen=True)
 class SmoothTestFunction:
-    """Smooth test function with analytic first and second derivatives (d = 1)."""
+    """Smooth test function with analytic first and second derivatives."""
 
     name: str
     f: Callable
@@ -212,34 +206,21 @@ def smooth_test_functions() -> list[SmoothTestFunction]:
     return basket
 
 
-def apply_generator(problem: ProblemSpec, phi, t: float, x, h_fd: float = 1e-5) -> float:
-    """Generator L_t phi(x) = 1/2 sum a_ij d2_ij phi + sum b0_j d_j phi.
+def apply_generator(problem: ProblemSpec, phi, t: float, x: float,
+                    h_fd: float = 1e-5) -> float:
+    """Generator L_t phi(x) = (a/2) phi''(x) + b0 phi'(x) at a point x.
 
     phi is a SmoothTestFunction (analytic derivatives) or a plain callable, in which
-    case a centered stencil of width h_fd supplies the derivatives.  x is a
-    scalar for d = 1 or a length-d vector.
+    case a centered stencil of width h_fd supplies the derivatives.
     """
     a = problem.a_fn()
     b0 = problem.b0 if problem.b0 is not None else 0.0
     if isinstance(phi, SmoothTestFunction):
-        if problem.d != 1:
-            raise ValueError("SmoothTestFunction derivatives are d = 1")
         return float(0.5 * a * phi.d2f(x) + b0 * phi.df(x))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = x.size
-
-    def ev(p):
-        return float(np.asarray(phi(p)).reshape(-1)[0])
-
-    val = 0.0
-    # a = Phi^2 I is isotropic, so only diagonal second derivatives enter
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h_fd
-        dii = (ev(x + ei) - 2.0 * ev(x) + ev(x - ei)) / h_fd**2
-        di = (ev(x + ei) - ev(x - ei)) / (2.0 * h_fd)
-        val += 0.5 * a * dii + b0 * di
-    return float(val)
+    lo, mid, hi = (float(phi(x + step)) for step in (-h_fd, 0.0, h_fd))
+    d2 = (hi - 2.0 * mid + lo) / h_fd**2
+    d1 = (hi - lo) / (2.0 * h_fd)
+    return float(0.5 * a * d2 + b0 * d1)
 
 
 def check_constants(problem: ProblemSpec, n_samples: int = 10_000, seed: int = 0) -> dict:

@@ -1,9 +1,9 @@
 """Deterministic quadrature helpers.
 
-Composite Newton-Cotes rules on uniform nodes, Gauss-Hermite expectations
-against a Gaussian law, and integrals with inverse-square-root endpoint
-singularities handled by the substitution s = b - w**2 (resp. s = a + w**2),
-which maps g(s)/sqrt(b - s) to the bounded integrand 2*g(b - w**2).
+Composite Newton-Cotes rules on uniform nodes, and integrals with
+inverse-square-root endpoint singularities handled by the substitution
+s = b - w**2 (resp. s = a + w**2), which maps g(s)/sqrt(b - s) to the bounded
+integrand 2*g(b - w**2).
 """
 
 from __future__ import annotations
@@ -30,32 +30,6 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
-
-
-def substituted_nodes(a: float, b: float, n: int, anchor: str = "upper"):
-    """Nodes and weights for integrating f over [a, b] in the substituted variable.
-
-    With anchor="upper" the change of variable is s = b - w**2, so that
-    int_a^b f(s) ds = int_0^sqrt(b-a) 2*w*f(b - w**2) dw.  Returns the s nodes
-    together with composite Simpson weights that already include the 2*w
-    Jacobian.  The node at w = 0 (s = b) carries weight zero through the
-    Jacobian, so f is never evaluated at the singular endpoint by callers that
-    skip zero-weight nodes.
-    """
-    if b <= a:
-        raise ValueError("need a < b")
-    if anchor not in ("upper", "lower"):
-        raise ValueError("anchor must be 'upper' or 'lower'")
-    if n % 2 == 0:
-        n += 1
-    W = np.sqrt(b - a)
-    w = np.linspace(0.0, W, n)
-    wt = simpson_weights(n, W / (n - 1)) * 2.0 * w
-    if anchor == "upper":
-        s = b - w**2
-    else:
-        s = a + w**2
-    return s, wt
 
 
 def sqrt_singular_quad(
@@ -94,14 +68,3 @@ def beta_half_half_quad(delta: float, n: int = 4097) -> float:
         lambda s: 1.0 / np.sqrt((delta - s) * s), 0.0, delta, n=n, singular="both"
     )
 
-
-def gauss_hermite_expectation(g: Callable[[np.ndarray], np.ndarray], var: float, n: int = 200):
-    """Nodes-and-weights evaluation of E[g(Z)] with Z ~ N(0, var).
-
-    Returns the quadrature value; g must be vectorized.
-    """
-    if var < 0:
-        raise ValueError("variance must be nonnegative")
-    xg, wg = np.polynomial.hermite.hermgauss(n)
-    z = np.sqrt(2.0 * var) * xg
-    return float(np.dot(wg, g(z)) / np.sqrt(np.pi))

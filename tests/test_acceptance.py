@@ -113,7 +113,7 @@ def test_criterion_6_ball_preservation(burgers_setup):
 
 
 def test_criterion_7_kernel_suite():
-    kernel = KernelModel(1, 1.0, T=1.0)
+    kernel = KernelModel(1.0, T=1.0)
     x = np.linspace(-10.0, 10.0, 4001)
     norm_err = max(
         abs(np.trapezoid(kernel.eval_p(0.0, 0.3, t, x), x) - 1.0)

@@ -142,6 +142,16 @@ def test_cli_validate_heat(tmp_path, capsys):
     assert "pass" in out
 
 
+def test_cli_validate_without_reference_fails(tmp_path, capsys):
+    # the subcommand wins over the config's experiment, so the check follows it
+    path = tmp_path / "fkpp.cfg"
+    path.write_text("experiment = solve-mild\nproblem.preset = logistic_fkpp\n"
+                    f"grid.n_x = 64\ngrid.n_t = 16\nout = {tmp_path}/fkpp\n")
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert "logistic_fkpp" in capsys.readouterr().err
+    assert not (tmp_path / "fkpp").exists()  # refused before the mild solve
+
+
 def test_cli_missing_config(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 

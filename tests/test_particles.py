@@ -13,6 +13,7 @@ from mfklab.kernel import kernel_for
 from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
+    _binned_kde,
     density_estimate,
     silverman_bandwidth,
     simulate_frozen,
@@ -208,6 +209,41 @@ class TestSelfConsistent:
             fields.append(proc.stdout)
         assert len(fields[0]) == 17 * 129 * 8
         assert fields[0] == fields[1]
+
+
+def _binned_kde_masked(y, w, grid, h, n_total):
+    """Linear binning with explicit masks for the shares outside the nodes:
+    the oracle for _binned_kde's pad bins."""
+    from scipy.signal import fftconvolve
+    from scipy.special import ndtr
+
+    dx = grid.dx
+    pos = (y + grid.R) / dx
+    j = np.floor(pos).astype(int)
+    frac = pos - j
+    inside = (j >= -1) & (j < grid.n_x)
+    binned = np.zeros(grid.n_x)
+    jl = np.clip(j, 0, grid.n_x - 1)
+    jr = np.clip(j + 1, 0, grid.n_x - 1)
+    keep_l = inside & (j >= 0)
+    keep_r = inside & (j + 1 < grid.n_x)
+    np.add.at(binned, jl[keep_l], (w * (1.0 - frac))[keep_l])
+    np.add.at(binned, jr[keep_r], (w * frac)[keep_r])
+    m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
+    kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
+    return fftconvolve(binned, kern)[grid.n_x - 1 : 2 * grid.n_x - 1] / n_total
+
+
+@pytest.mark.parametrize("spread", [0.5, 3.0, 9.0])
+def test_binned_kde_pad_bins_match_masks(spread):
+    grid = GridSpec(R=8.0, n_x=512, n_t=4, T=1.0, tau=1.0)
+    R, dx = grid.R, grid.dx
+    rng = np.random.Generator(np.random.Philox(key=int(10 * spread)))
+    edges = np.array([R, R + dx / 2, R - dx / 2, R + dx, R - dx, 100.0])
+    y = np.concatenate((edges, -edges, spread * rng.standard_normal(20_000)))
+    w = np.exp(0.3 * rng.standard_normal(y.size))
+    got = _binned_kde(y, w, grid, 0.2, y.size)
+    assert np.array_equal(got, _binned_kde_masked(y, w, grid, 0.2, y.size))
 
 
 def test_silverman_bandwidth_scaling():

@@ -23,7 +23,7 @@ def test_generator_quadratic():
 
 
 def test_generator_pure_drift():
-    prob = ProblemSpec("drifted", 1, 1.0, 1.0,
+    prob = ProblemSpec("drifted", 1.0, 1.0,
                        b=lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float)),
                        Lambda=lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float)),
                        u0=GaussianDensity(), M_b=0, M_Lambda=0, L_b=0, L_Lambda=0,
@@ -31,16 +31,6 @@ def test_generator_pure_drift():
     phi = lambda x: float(np.sum(np.asarray(x)))
     # second derivative vanishes, drift term contributes phi' = 1
     assert apply_generator(prob, phi, 0.0, 2.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_generator_2d_laplacian():
-    prob = ProblemSpec("plane", 2, 1.0, 1.0,
-                       b=lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float)),
-                       Lambda=lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float)),
-                       u0=GaussianDensity(), M_b=0, M_Lambda=0, L_b=0, L_Lambda=0,
-                       z_max=1.0)
-    phi = lambda x: float(np.exp(-np.sum(np.asarray(x) ** 2)))
-    assert apply_generator(prob, phi, 0.0, np.zeros(2)) == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_heat_preset_constants():

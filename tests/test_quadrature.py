@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from mfklab.quadrature import (
     beta_half_half_quad,
-    gauss_hermite_expectation,
     simpson_weights,
     sqrt_singular_quad,
-    substituted_nodes,
     trapezoid_weights,
 )
 
@@ -55,13 +53,3 @@ def test_sqrt_singular_polynomial_oracle(a, b):
     val = sqrt_singular_quad(lambda s: (a + b * s) / np.sqrt(1.0 - s), 0.0, 1.0)
     assert val == pytest.approx(2.0 * a + 4.0 * b / 3.0, abs=1e-6)
 
-
-def test_substituted_nodes_smooth_integral():
-    s, wt = substituted_nodes(0.0, 1.0, 65, anchor="upper")
-    assert np.dot(wt, np.exp(s)) == pytest.approx(math.e - 1.0, abs=1e-7)
-    assert wt[0] == 0.0  # the singular endpoint carries no weight
-
-
-def test_gauss_hermite_moments():
-    assert gauss_hermite_expectation(lambda z: z**2, 1.7) == pytest.approx(1.7, rel=1e-12)
-    assert gauss_hermite_expectation(np.cos, 0.5) == pytest.approx(math.exp(-0.25), rel=1e-12)
