@@ -79,10 +79,11 @@ class GridSpec:
         return k
 
     def nearest_node(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-node indices; -1 marks points outside the box."""
-        j = np.rint((np.asarray(x) + self.R) / self.dx).astype(int)
-        outside = (j < 0) | (j >= self.n_x)
-        return np.where(outside, -1, j)
+        """Nearest-node indices of an array of points; -1 marks points outside the box."""
+        pos = (np.asarray(x) + self.R) / self.dx
+        j = np.rint(pos, out=pos).astype(np.intp)
+        j[j.view(np.uintp) >= self.n_x] = -1  # negative indices view as huge unsigned ones
+        return j
 
 
 @dataclass
@@ -119,14 +120,17 @@ class Field:
         return slab_l1(self.values[k_lo : (self.grid.n_t if k_hi is None else k_hi) + 1],
                        self.grid.dx, self.grid.dt)
 
-    def lookup(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Pointwise value lookup: left level in time, nearest node in space, 0 outside."""
+    def lookup(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Pointwise values at one time t (a scalar or one-element array) and points x:
+        left level in time, nearest node in space, 0 outside."""
         times = self.grid.times()
-        k = np.searchsorted(times, np.asarray(t) + 1e-12 * self.grid.dt, side="right") - 1
-        k = np.clip(k, 0, self.grid.n_t)
+        k = np.searchsorted(times, np.asarray(t) + 1e-12 * self.grid.dt, side="right").item() - 1
+        row = np.empty(self.grid.n_x + 1)  # the level's values behind one zero for outside
+        row[0] = 0.0
+        row[1:] = self.values[min(max(k, 0), self.grid.n_t)]
         j = self.grid.nearest_node(x)
-        out = np.where(j >= 0, self.values[k, np.where(j >= 0, j, 0)], 0.0)
-        return out
+        j += 1
+        return row.take(j)
 
 
 def slab_l1(values: np.ndarray, dx: float, dt: float) -> float:

@@ -21,8 +21,10 @@ cell-weight operators used by the grid solver:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import ndtr
 
 from .grids import GridSpec, cell_means_from_cdf
@@ -137,17 +139,61 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     return np.diff(values, axis=-1, prepend=0.0, append=0.0) / dx
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Real FFT of a stencil, padded for full convolution with arrays of one shape."""
+
+    values: np.ndarray
+    data_shape: tuple  # the only shape of first operand this spectrum serves
+    axes: list  # transformed axes: those where both operands are longer than 1
+    fshape: list  # FFT length per transformed axis
+    full: tuple  # slices cutting the padded result to the full-convolution shape
+
+
+def stencil_spectrum(stencil: np.ndarray, data_shape) -> Spectrum:
+    """The transform convolve_full(a, .) needs for every a of shape data_shape.
+
+    Pads as scipy's fftconvolve(a, stencil) does: an axis where either
+    operand has length 1 is not transformed but broadcast, and each other axis
+    is padded to next_fast_len(s1 + s2 - 1, real=True).
+    """
+    data_shape = tuple(data_shape)
+    if len(data_shape) != stencil.ndim:
+        raise ValueError(f"convolution operands of shapes {data_shape} and "
+                         f"{stencil.shape} differ in dimensionality")
+    pairs = list(zip(data_shape, stencil.shape))
+    axes = [i for i, (s1, s2) in enumerate(pairs) if s1 != 1 and s2 != 1]
+    shape = [s1 + s2 - 1 if i in axes else max(s1, s2) for i, (s1, s2) in enumerate(pairs)]
+    fshape = [next_fast_len(shape[i], True) for i in axes]
+    return Spectrum(rfftn(stencil, fshape, axes=axes), data_shape, axes, fshape,
+                    tuple(slice(s) for s in shape))
+
+
+def convolve_full(data: np.ndarray, stencil) -> np.ndarray:
+    """Full linear convolution, bit-identical to scipy's fftconvolve(data, stencil).
+
+    stencil is an array or its stencil_spectrum(stencil, data.shape), which a
+    caller convolving many arrays with one stencil computes once.
+    """
+    spec = stencil if isinstance(stencil, Spectrum) else stencil_spectrum(stencil, data.shape)
+    if data.shape != spec.data_shape:
+        raise ValueError(f"spectrum built for shape {spec.data_shape}, got {data.shape}")
+    out = irfftn(rfftn(data, spec.fshape, axes=spec.axes) * spec.values, spec.fshape,
+                 axes=spec.axes)
+    return out[spec.full]
+
+
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
     n = values.shape[-1]
     w = smooth_weights(sigma, beta, dx, n)
-    return fftconvolve(values, w)[..., n - 1 : 2 * n - 1]
+    return convolve_full(values, w)[..., n - 1 : 2 * n - 1]
 
 
 def apply_grad_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
     n = values.shape[-1]
     s = staggered_slopes(values, dx)
     w = slope_kernel_weights(sigma, beta, dx, n)
-    return fftconvolve(s, w)[..., n : 2 * n]
+    return convolve_full(s, w)[..., n : 2 * n]
 
 
 class KernelModel:

@@ -25,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (KernelModel, kernel_for, slope_kernel_weights, smooth_weights,
-                     staggered_slopes)
+from .kernel import (KernelModel, Spectrum, convolve_full, kernel_for, slope_kernel_weights,
+                     smooth_weights, staggered_slopes, stencil_spectrum)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -87,12 +86,17 @@ class SlabStencils:
     """Every kernel weight one slab uses, row g - 1 holding level gap g = 1..m.
 
     A and B are built only for the terms the problem has (None otherwise), so
-    picard_map reads which terms to apply from the stencils it holds.
+    picard_map reads which terms to apply from the stencils it holds.  Each
+    stencil comes with its spectrum for the one data shape it is convolved
+    with, so a sweep transforms only its sources.
     """
 
     S: np.ndarray  # (m, 2 n_x - 1): smoothing of the slab initial data from r to r + g dt
     A: np.ndarray | None  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
     B: np.ndarray | None  # (m, 2 n_x): gradient kernel, applied to staggered slopes
+    S_hat: Spectrum  # for the (1, n_x) slab initial data
+    A_hat: Spectrum | None  # for the (m, n_x) growth sources
+    B_hat: Spectrum | None  # for the (m, n_x + 1) staggered drift slopes
 
 
 def build_slab_stencils(kernel: KernelModel, grid: GridSpec, r: float,
@@ -125,7 +129,9 @@ def build_slab_stencils(kernel: KernelModel, grid: GridSpec, r: float,
                 A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
             if B is not None:
                 B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
-    return SlabStencils(S, A, B)
+    return SlabStencils(S, A, B, stencil_spectrum(S, (1, n)),
+                        None if A is None else stencil_spectrum(A, (m, n)),
+                        None if B is None else stencil_spectrum(B, (m, n + 1)))
 
 
 @dataclass
@@ -156,7 +162,7 @@ def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpe
     n = grid.n_x
     u0hat = np.empty((grid.levels_per_slab + 1, n))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
-    u0hat[1:] = fftconvolve(phi[None, :], stencils.S, axes=-1)[:, n - 1 : 2 * n - 1]
+    u0hat[1:] = convolve_full(phi[None, :], stencils.S_hat)[:, n - 1 : 2 * n - 1]
     return PicardState(slab_index, r, grid.tau, grid, u0hat, perturb * u0hat, stencils)
 
 
@@ -180,10 +186,10 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
     if st.A is not None:
         lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
+        out[1:] += convolve_full(lam_src, st.A_hat)[:m, n - 1 : 2 * n - 1]
     if st.B is not None:
         b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += fftconvolve(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
+        out[1:] += convolve_full(staggered_slopes(b_src, grid.dx), st.B_hat)[:m, n : 2 * n]
     return out
 
 

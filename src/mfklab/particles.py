@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from .grids import Field, GridSpec
+from .kernel import convolve_full
 from .problems import ProblemSpec
 
 
@@ -192,7 +192,7 @@ def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
     binned = padded[1:-1]
     m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
     kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
-    full = fftconvolve(binned, kern)
+    full = convolve_full(binned, kern)
     return full[grid.n_x - 1 : 2 * grid.n_x - 1] / n_total
 
 

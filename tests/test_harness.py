@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfklab
 from mfklab.cli import main as cli_main
 from mfklab.grids import Field, GridSpec
 from mfklab.harness import (
@@ -154,6 +159,16 @@ def test_cli_validate_without_reference_fails(tmp_path, capsys):
 
 def test_cli_missing_config(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_cli_import_leaves_out_slow_scipy_modules():
+    # scipy.signal (which loads scipy.stats) was about 1 s of every run's set-up
+    script = ("import sys, mfklab.cli; "
+              "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+    src = str(Path(mfklab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_field_csv_schema(tmp_path):

@@ -11,8 +11,10 @@ from mfklab.kernel import (
     KernelModel,
     apply_grad_smooth,
     apply_mean_smooth,
+    convolve_full,
     mean_weights,
     smooth_weights,
+    stencil_spectrum,
 )
 from mfklab.problems import GaussianDensity, UniformDensity
 
@@ -239,6 +241,31 @@ def test_smooth_weights_exact_on_linear_data_property(sigma, beta, dx, c0, c1):
     out = apply_mean_smooth(c0 + c1 * x / R, sigma, beta, dx)
     inner = R - np.abs(x) >= margin
     assert np.abs(out - (c0 + c1 * (x - beta) / R))[inner].max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("m", [1, 5])
+def test_convolve_full_bit_identical_to_fftconvolve(m, n):
+    # the shapes the library convolves: a row by a kernel, a space-time block
+    # by a stencil (growth and drift), slab data broadcast against a stencil
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(m * 100 + n)
+    cases = [((n,), (2 * n - 1,)), ((m, n), (m, 2 * n - 1)), ((m, n + 1), (m, 2 * n)),
+             ((1, n), (m, 2 * n - 1))]
+    for data_shape, stencil_shape in cases:
+        data = rng.standard_normal(data_shape)
+        stencil = rng.standard_normal(stencil_shape)
+        ref = fftconvolve(data, stencil)
+        assert np.array_equal(convolve_full(data, stencil), ref)
+        assert np.array_equal(convolve_full(data, stencil_spectrum(stencil, data_shape)), ref)
+
+
+def test_convolve_full_rejects_mismatched_operands():
+    with pytest.raises(ValueError, match="dimensionality"):
+        convolve_full(np.ones(4), np.ones((2, 7)))
+    with pytest.raises(ValueError, match="spectrum built for shape"):
+        convolve_full(np.ones((3, 4)), stencil_spectrum(np.ones((3, 7)), (3, 5)))
 
 
 def test_convolve_initial_gaussian_closed_form(unit_kernel):

@@ -370,6 +370,29 @@ def test_field_lookup_conventions():
     assert f.lookup(np.array([0.5]), np.array([5.0]))[0] == 0.0
 
 
+@pytest.mark.parametrize("n_x", [9, 10])
+def test_field_lookup_matches_masked_index(n_x):
+    grid = GridSpec(R=2.0, n_x=n_x, n_t=4, T=1.0, tau=0.25)
+    R, dx = grid.R, grid.dx
+    f = Field(grid, np.random.default_rng(3).standard_normal((5, n_x)))
+    x = grid.x_nodes()
+    # the box edges, half a cell and a cell either side, half-node ties (rint
+    # rounds half to even, so R + dx/2 is inside for odd n_x only), far outside
+    x = np.concatenate(([-R, R, -R - dx / 2, -R + dx / 2, R - dx / 2, R + dx / 2,
+                         -R - dx, R + dx, -100.0, 100.0], x[:-1] + dx / 2, x))
+
+    def masked(t, x):
+        times = grid.times()
+        k = np.searchsorted(times, np.asarray(t) + 1e-12 * grid.dt, side="right") - 1
+        k = np.clip(k, 0, grid.n_t)
+        j = np.rint((np.asarray(x) + R) / dx).astype(int)
+        j = np.where((j < 0) | (j >= grid.n_x), -1, j)
+        return np.where(j >= 0, f.values[k, np.where(j >= 0, j, 0)], 0.0)
+
+    for t in (-0.1, 0.0, 0.25, 0.3, 0.5 - 1e-14, 0.999, 1.0, 1.5, np.array([0.75])):
+        assert np.array_equal(f.lookup(t, x), masked(t, x))
+
+
 def test_burgers_mild_matches_closed_form_oracle():
     # triangular cross-validation: the Picard solution, the finite-volume
     # reference and the closed-form expectation formula are three independent
