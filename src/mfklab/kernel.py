@@ -1,9 +1,9 @@
 """Gaussian fundamental solutions of the one-dimensional linear Fokker-Planck flow.
 
-For a space-independent diffusion coefficient a(t) > 0 and a constant base
-drift b0, the transition kernel of d/dt nu = L* nu is exactly Gaussian:
+For a constant diffusion coefficient a > 0 and a constant base drift b0, the
+transition kernel of d/dt nu = L* nu is exactly Gaussian:
 
-    p(s, x0, t, x) = N(x; x0 + b0 (t - s), int_s^t a(r) dr).
+    p(s, x0, t, x) = N(x; x0 + b0 (t - s), a (t - s)).
 
 This module evaluates p and its x0-derivative, derives domination constants
 (C_u, c_u) such that p <= C_u q and |d_x0 p| <= C_u q / sqrt(t-s) with q a
@@ -30,9 +30,6 @@ from scipy.special import ndtr
 from .grids import GridSpec, cell_means_from_cdf
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
-
-# Gauss-Legendre rule reused for coefficient time integrals.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def normal_pdf(z):
@@ -201,58 +198,31 @@ class KernelModel:
 
     Parameters
     ----------
-    a : diffusion coefficient a(t) > 0; a float (constant) or a callable
-        t -> float
-    b0 : constant base drift; None means 0
+    a : constant diffusion coefficient a > 0
+    b0 : constant base drift
     T : time horizon; constants are derived to hold over [0, T]
-    a_integral : optional exact antiderivative (s, t) -> int_s^t a(r) dr of a
-        callable a; defaults to Gauss-Legendre quadrature
     constants : optional (C_u, c_u) override, bypassing the derivation
     """
 
-    def __init__(self, a, b0=None, T=1.0, a_integral=None, constants=None):
+    def __init__(self, a: float, b0: float = 0.0, T: float = 1.0, constants=None):
         if T <= 0:
             raise ValueError("T must be positive")
         self.T = float(T)
-        self.b0 = 0.0 if b0 is None else float(b0)
-        if callable(a):
-            self._a_fn = lambda t: float(a(t))
-            self._a_int = a_integral if a_integral is not None else self._gl_integral
-            self.time_homogeneous = False
-        else:
-            a = float(a)
-            self._a_fn = lambda t: a
-            self._a_int = lambda s, t: (t - s) * a
-            self.time_homogeneous = True
-        self._check_ellipticity()
+        self.a = float(a)
+        self.b0 = float(b0)
+        if not self.a > 0:
+            raise ValueError(f"diffusion coefficient not positive: a={self.a}")
         if constants is not None:
             self.C_u, self.c_u = float(constants[0]), float(constants[1])
         else:
             self.C_u, self.c_u = self._derive_constants()
 
-    # -- coefficient plumbing -------------------------------------------------
-
-    def _gl_integral(self, s, t):
-        mid, half = 0.5 * (s + t), 0.5 * (t - s)
-        out = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            out += wi * self._a_fn(mid + half * xi)
-        return half * out
-
-    def _check_ellipticity(self):
-        for t in np.linspace(0.0, self.T, 9):
-            if self._a_fn(t) <= 0:
-                raise ValueError(f"diffusion coefficient not positive at t={t}")
-
     # -- kernel moments -------------------------------------------------------
 
     def variance(self, s: float, t: float) -> float:
-        """int_s^t a(r) dr, the variance of p(s, x0, t, .)."""
+        """(t - s) a, the variance of p(s, x0, t, .)."""
         self._check_times(s, t)
-        var = float(self._a_int(s, t))
-        if var <= 0:
-            raise ValueError("accumulated variance not positive definite")
-        return var
+        return float((t - s) * self.a)
 
     def mean_shift(self, s: float, t: float) -> float:
         self._check_times(s, t)
@@ -287,30 +257,15 @@ class KernelModel:
 
     # -- domination constants -------------------------------------------------
 
-    def _probe_pairs(self):
-        fracs = np.concatenate((np.geomspace(1e-6, 0.1, 8), np.linspace(0.15, 1.0, 8)))
-        starts = np.linspace(0.0, 1.0, 9)
-        for f in fracs:
-            dt = f * self.T
-            for s0 in starts:
-                s = s0 * (self.T - dt)
-                yield s, s + dt
-
     def _derive_constants(self):
-        if self.time_homogeneous:
-            pairs = [(0.0, self.T)]
-        else:
-            pairs = list(self._probe_pairs())
-        c_u = 1.0 / (4.0 * max(self.variance(s, t) / (t - s) for s, t in pairs))
-        C_u = 0.0
-        for s, t in pairs:
-            dt = t - s
-            var = self.variance(s, t)
-            # density ratio p/q maximized at the mode
-            K = np.sqrt(dt / (2.0 * c_u * var))
-            # maximization of sqrt(dt) |x - mean| p / (var q)
-            m = 1.0 / var - 2.0 * c_u / dt
-            C_u = max(C_u, K, np.sqrt(dt) * K / (var * np.sqrt(m * np.e)))
+        dt = self.T
+        var = self.variance(0.0, self.T)
+        c_u = 1.0 / (4.0 * (var / dt))
+        # density ratio p/q maximized at the mode
+        K = np.sqrt(dt / (2.0 * c_u * var))
+        # maximization of sqrt(dt) |x - mean| p / (var q)
+        m = 1.0 / var - 2.0 * c_u / dt
+        C_u = max(K, np.sqrt(dt) * K / (var * np.sqrt(m * np.e)))
         return C_u * (1.0 + 1e-9), c_u
 
     def verify_bounds(self, sample_count: int, seed: int):
@@ -321,7 +276,6 @@ class KernelModel:
         an exception.
         """
         rng = np.random.Generator(np.random.Philox(key=seed))
-        rate = max(self.variance(s, t) / (t - s) for s, t in self._probe_pairs())
         worst_p = 0.0
         worst_g = 0.0
         for _ in range(sample_count):
@@ -330,7 +284,7 @@ class KernelModel:
             if t <= s + 1e-12 * self.T:
                 continue
             x0 = rng.uniform(-1.0, 1.0)
-            z = rng.uniform(-6.0, 6.0) * np.sqrt(rate * (t - s))
+            z = rng.uniform(-6.0, 6.0) * np.sqrt(self.a * (t - s))
             x = x0 + self.mean_shift(s, t) + z
             q = self.q_density(s, x0, t, x)
             worst_p = max(worst_p, self.eval_p(s, x0, t, x) / (self.C_u * q))
@@ -366,7 +320,6 @@ class KernelModel:
         return apply_mean_smooth(source, *self.sigma_beta(r, t), grid.dx)
 
 
-def kernel_for(problem, constants=None) -> KernelModel:
-    """Kernel of the linear part of a problem (a = Phi Phi^T, drift b0)."""
-    return KernelModel(problem.a_fn(), b0=problem.b0_fn(), T=problem.T,
-                       constants=constants)
+def kernel_for(problem) -> KernelModel:
+    """Kernel of the linear part of a problem (a = Phi^2, drift b0)."""
+    return KernelModel(problem.Phi**2, b0=problem.b0, T=problem.T)

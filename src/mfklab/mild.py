@@ -22,7 +22,7 @@ convolution in (level gap, x) per nonlinear term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,11 +99,13 @@ class SlabStencils:
     B_hat: Spectrum | None  # for the (m, n_x + 1) staggered drift slopes
 
 
-def build_slab_stencils(kernel: KernelModel, grid: GridSpec, r: float,
+def build_slab_stencils(kernel: KernelModel, grid: GridSpec,
                         problem: ProblemSpec) -> SlabStencils:
     """Build the initial-data smoothing and the interval-integrated kernels.
 
-    For the target level at gap g, the source interval is
+    The kernel is time-homogeneous, so the weights depend on the level gap
+    only and one set, built for the slab at r = 0, serves every slab.  For the
+    target level t = g dt at gap g, the source interval is
     [t - g dt, t - (g-1) dt]; the integral runs in w = sqrt(t - s) with
     composite Simpson weights carrying the 2w Jacobian, so the w = 0 endpoint
     (kernel degenerating to the identity) has zero weight and is skipped.
@@ -114,8 +116,8 @@ def build_slab_stencils(kernel: KernelModel, grid: GridSpec, r: float,
     A = np.zeros((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
     B = np.zeros((m, 2 * n)) if problem.M_b > 0.0 else None
     for g in range(1, m + 1):
-        t = r + g * dt
-        S[g - 1] = smooth_weights(*kernel.sigma_beta(r, t), dx, n)
+        t = g * dt
+        S[g - 1] = smooth_weights(*kernel.sigma_beta(0.0, t), dx, n)
         if A is None and B is None:
             continue
         w_lo, w_hi = np.sqrt((g - 1) * dt), np.sqrt(g * dt)
@@ -140,7 +142,6 @@ class PicardState:
 
     slab_index: int
     r: float
-    tau: float
     grid: GridSpec
     u0hat: np.ndarray  # (m + 1, n_x) kernel-evolved slab initial condition
     v: np.ndarray  # (m + 1, n_x) current iterate, v[0] = 0
@@ -158,12 +159,12 @@ def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpe
     The iteration starts from v = perturb * u0_hat (v = 0 by default).
     """
     if stencils is None:
-        stencils = build_slab_stencils(kernel, grid, r, problem)
+        stencils = build_slab_stencils(kernel, grid, problem)
     n = grid.n_x
     u0hat = np.empty((grid.levels_per_slab + 1, n))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
     u0hat[1:] = convolve_full(phi[None, :], stencils.S_hat)[:, n - 1 : 2 * n - 1]
-    return PicardState(slab_index, r, grid.tau, grid, u0hat, perturb * u0hat, stencils)
+    return PicardState(slab_index, r, grid, u0hat, perturb * u0hat, stencils)
 
 
 def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
@@ -193,7 +194,7 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     return out
 
 
-def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
+def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec,
                kernel: KernelModel, grid: GridSpec, tol: float = 1e-6,
                max_iter: int = 200, stencils: SlabStencils | None = None,
                perturb: float = 0.0, slab_index: int = 0):
@@ -204,8 +205,6 @@ def solve_slab(r: float, tau: float, phi: np.ndarray, problem: ProblemSpec,
     and state carries the residual history and iteration count.  Raises
     RuntimeError on non-convergence within max_iter, reporting the history.
     """
-    if abs(tau - grid.tau) > 1e-12 * max(1.0, grid.tau):
-        raise ValueError("tau must match the grid slab width")
     state = prepare_slab(slab_index, r, phi, problem, kernel, grid,
                          stencils=stencils, perturb=perturb)
     for it in range(1, max_iter + 1):
@@ -277,7 +276,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     u = np.empty((grid.n_t + 1, grid.n_x))
     u[0] = cell_means_from_cdf(problem.u0.cdf, grid)
 
-    shared = build_slab_stencils(kernel, grid, 0.0, problem) if kernel.time_homogeneous else None
+    stencils = build_slab_stencils(kernel, grid, problem)
     iters, residuals, histories = [], [], []
     max_l1 = 0.0
     max_sup = 0.0
@@ -290,8 +289,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     for k in range(N):
         r = times[k * m]
         phi = u[k * m]
-        stencils = shared if shared is not None else build_slab_stencils(kernel, grid, r, problem)
-        u_slab, state = solve_slab(r, grid.tau, phi, problem, kernel, grid,
+        u_slab, state = solve_slab(r, phi, problem, kernel, grid,
                                    tol=tol_slab, max_iter=max_iter, stencils=stencils,
                                    perturb=perturb_initial, slab_index=k)
         u[k * m : (k + 1) * m + 1] = u_slab
@@ -321,40 +319,6 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     return Field(grid, u), report
 
 
-@dataclass(frozen=True)
-class _FrozenProblem:
-    """Adapter exposing frozen coefficient fields through the ProblemSpec surface."""
-
-    name: str
-    T: float
-    Phi: float
-    b0: float | None
-    u0: object
-    b_values: np.ndarray  # (n_t + 1, n_x)
-    Lambda_values: np.ndarray
-    dt: float
-    M_b: float
-    M_Lambda: float
-    L_b: float = 0.0
-    L_Lambda: float = 0.0
-    z_max: float = float("inf")
-
-    def _level(self, t):
-        return int(round(t / self.dt))
-
-    def b(self, t, x, z):
-        return self.b_values[self._level(t)]
-
-    def Lambda(self, t, x, z):
-        return self.Lambda_values[self._level(t)]
-
-    def a_fn(self):
-        return self.Phi**2
-
-    def b0_fn(self):
-        return self.b0
-
-
 def freeze_coefficients(problem: ProblemSpec, u: Field):
     """Coefficient fields b^(t,x) = b(t,x,u) and Lam^(t,x) = Lambda(t,x,u)."""
     x = u.grid.x_nodes()
@@ -367,13 +331,13 @@ def freeze_coefficients(problem: ProblemSpec, u: Field):
     return b_hat, lam_hat
 
 
-def solve_linearized(b_hat: np.ndarray, Lambda_hat: np.ndarray, u0, grid: GridSpec,
-                     kernel: KernelModel, tol: float = 1e-6, max_iter: int = 200,
-                     Phi: float | None = None) -> Field:
+def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.ndarray,
+                     grid: GridSpec, kernel: KernelModel, tol: float = 1e-6,
+                     max_iter: int = 200) -> Field:
     """Measure-mild solution of the frozen-coefficient linear equation.
 
     b_hat and Lambda_hat are bounded fields on the grid levels; the fixed
-    point is linear in the unknown and additive in u0.  The same slab
+    point is linear in the unknown and additive in problem.u0.  The same slab
     machinery applies with the z-dependence replaced by field lookups.
     """
     b_hat = np.asarray(b_hat, dtype=float)
@@ -381,12 +345,11 @@ def solve_linearized(b_hat: np.ndarray, Lambda_hat: np.ndarray, u0, grid: GridSp
     shape = (grid.n_t + 1, grid.n_x)
     if b_hat.shape != shape or Lambda_hat.shape != shape:
         raise ValueError(f"frozen coefficient fields must have shape {shape}")
-    if Phi is None:
-        Phi = float(np.sqrt(kernel.variance(0.0, grid.T) / grid.T))
-    frozen = _FrozenProblem(
-        name="frozen", T=grid.T, Phi=Phi, b0=None, u0=u0,
-        b_values=b_hat, Lambda_values=Lambda_hat, dt=grid.dt,
+    level = lambda t: int(round(t / grid.dt))
+    frozen = replace(
+        problem, b=lambda t, x, z: b_hat[level(t)], Lambda=lambda t, x, z: Lambda_hat[level(t)],
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
+        L_b=0.0, L_Lambda=0.0, z_max=float("inf"),
     )
     field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter, kernel=kernel)
     return field_out
@@ -403,9 +366,7 @@ def weak_residual(u: Field, phi_test: SmoothTestFunction, t: float, problem: Pro
     k = grid.time_index(t)
     x = grid.x_nodes()
     wx = trapezoid_weights(grid.n_x, grid.dx)
-    a = problem.a_fn()
-    b0 = problem.b0 if problem.b0 is not None else 0.0
-    gen_phi = 0.5 * a * phi_test.d2f(x) + b0 * phi_test.df(x)
+    gen_phi = 0.5 * problem.Phi**2 * phi_test.d2f(x) + problem.b0 * phi_test.df(x)
 
     lhs = float(np.dot(wx, phi_test.f(x) * u.values[k]))
     rhs = float(np.dot(wx, phi_test.f(x) * problem.u0.pdf(x)))

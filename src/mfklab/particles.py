@@ -102,12 +102,11 @@ def _march(problem: ProblemSpec, N: int, dt: float, seed: int, n_steps: int,
     logw = np.zeros((n_steps + 1, N))
     positions[0] = y
     times = np.linspace(0.0, problem.T, n_steps + 1)
-    b0 = problem.b0 if problem.b0 is not None else 0.0
     sq = np.sqrt(dt)
     for k in range(n_steps):
         t = times[k]
         z = feedback(t, y, logw[k]) if feedback is not None else np.zeros(N)
-        drift = np.asarray(problem.b(t, y, z)) + b0
+        drift = np.asarray(problem.b(t, y, z)) + problem.b0
         lam = np.asarray(problem.Lambda(t, y, z))
         logw[k + 1] = logw[k] + lam * dt
         y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt

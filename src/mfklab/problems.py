@@ -2,7 +2,7 @@
 
 A ProblemSpec fixes one instance of the coupled system
 
-    dY = Phi(t) dW + [b0(t) + b(t, Y, u(t, Y))] dt,   Y_0 ~ u0,
+    dY = Phi dW + [b0 + b(t, Y, u(t, Y))] dt,   Y_0 ~ u0,
     d/dt u = L* u - div(b(t, x, u) u) + Lambda(t, x, u) u,
 
 through callables plus declared constants: uniform bounds M_b, M_Lambda and
@@ -97,20 +97,8 @@ class ProblemSpec:
     L_b: float
     L_Lambda: float
     z_max: float
-    b0: float | None = None  # space-independent base drift, None means 0
+    b0: float = 0.0  # constant base drift
     params: dict = field(default_factory=dict)
-
-    def a_fn(self):
-        return self.Phi**2
-
-    def b0_fn(self):
-        return self.b0
-
-    def drift(self, t, x, z):
-        out = self.b(t, x, z)
-        if self.b0 is not None:
-            out = out + self.b0
-        return out
 
 
 def _clamp(z, z_max):
@@ -213,8 +201,7 @@ def apply_generator(problem: ProblemSpec, phi, t: float, x: float,
     phi is a SmoothTestFunction (analytic derivatives) or a plain callable, in which
     case a centered stencil of width h_fd supplies the derivatives.
     """
-    a = problem.a_fn()
-    b0 = problem.b0 if problem.b0 is not None else 0.0
+    a, b0 = problem.Phi**2, problem.b0
     if isinstance(phi, SmoothTestFunction):
         return float(0.5 * a * phi.d2f(x) + b0 * phi.df(x))
     lo, mid, hi = (float(phi(x + step)) for step in (-h_fd, 0.0, h_fd))

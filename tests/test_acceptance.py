@@ -165,8 +165,7 @@ def test_criterion_9_linearized_uniqueness(burgers_setup):
                                 ("problem", "kernel", "grid", "u"))
     tol = burgers_setup["tol"]
     b_hat, lam_hat = freeze_coefficients(problem, u)
-    lin = solve_linearized(b_hat, lam_hat, problem.u0, grid, kernel, tol=tol,
-                           Phi=problem.Phi)
+    lin = solve_linearized(problem, b_hat, lam_hat, grid, kernel, tol=tol)
     dist = slab_l1(u.values - lin.values, grid.dx, grid.dt)
     _criterion(9, "linearized solve reproduces the frozen solution",
                dist <= 2 * tol, f"global l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")

@@ -85,13 +85,6 @@ def test_verify_bounds_derived_constants(a):
     assert worst_g <= 1.0
 
 
-def test_verify_bounds_time_dependent_diffusion():
-    k = KernelModel(lambda t: 1.0 + t, T=1.0)
-    worst_p, worst_g = k.verify_bounds(10_000, seed=12)
-    assert worst_p <= 1.0
-    assert worst_g <= 1.0
-
-
 def test_stale_constants_fail_after_scaling():
     base = KernelModel(1.0, T=1.0)
     stale = KernelModel(4.0, T=1.0, constants=(base.C_u, base.c_u))
@@ -111,11 +104,6 @@ def test_grad_ratio_degenerate_at_mode(unit_kernel):
 def test_chapman_kolmogorov_constant(unit_kernel):
     assert unit_kernel.chapman_kolmogorov_residual(0.0, 0.5, 1.0, 0.0, 0.0, 256) <= 1e-8
     assert unit_kernel.chapman_kolmogorov_residual(0.0, 0.5, 1.0, 0.0, 2.0, 256) <= 1e-8
-
-
-def test_chapman_kolmogorov_time_dependent():
-    k = KernelModel(lambda t: 1.0 + t, T=1.0)
-    assert k.chapman_kolmogorov_residual(0.0, 0.3, 0.9, 0.0, 0.0, 256) <= 1e-7
 
 
 def test_chapman_kolmogorov_rejects_unordered(unit_kernel):
@@ -309,12 +297,3 @@ def test_kernel_domination_property(s, frac, x0, x):
     p = k.eval_p(s, x0, t, x)
     assert p >= 0.0
     assert p <= k.C_u * k.q_density(s, x0, t, x) * (1.0 + 1e-9)
-
-
-def test_nonpositive_accumulated_covariance_rejected():
-    # defensive guard on the accumulated covariance (coefficients are checked
-    # pointwise at construction, the integral path re-validates)
-    k = KernelModel(lambda t: 1.0, a_integral=lambda s, t: -(t - s),
-                    constants=(1.5, 0.25))
-    with pytest.raises(ValueError, match="positive definite"):
-        k.eval_p(0.0, 0.0, 0.5, 0.0)

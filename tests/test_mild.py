@@ -6,7 +6,7 @@ import scipy.fft
 from scipy.optimize import brentq
 
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import KernelModel, apply_mean_smooth, kernel_for
+from mfklab.kernel import apply_mean_smooth, kernel_for
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -104,7 +104,7 @@ class TestSolveSlab:
         kern = kernel_for(prob)
         grid = _small_grid(prob, kernel=kern)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, state = solve_slab(0.0, grid.tau, phi, prob, kern, grid, tol=1e-10)
+        u_slab, state = solve_slab(0.0, phi, prob, kern, grid, tol=1e-10)
         assert state.iterations == 1
         assert np.array_equal(u_slab, state.u0hat)
 
@@ -113,7 +113,7 @@ class TestSolveSlab:
         kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=256, T=0.25, tau=0.25)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, _ = solve_slab(0.0, 0.25, phi, prob, kern, grid, tol=1e-10)
+        u_slab, _ = solve_slab(0.0, phi, prob, kern, grid, tol=1e-10)
         mass_end = u_slab[-1].sum() * grid.dx
         assert mass_end == pytest.approx(math.exp(0.125), abs=1e-4)
 
@@ -122,7 +122,7 @@ class TestSolveSlab:
         kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=1024, T=1.0, tau=1.0 / 256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        _, state = solve_slab(0.0, grid.tau, phi, prob, kern, grid, tol=1e-12, max_iter=60)
+        _, state = solve_slab(0.0, phi, prob, kern, grid, tol=1e-12, max_iter=60)
         hist = state.residual_history
         assert hist[-1] <= 1e-3 * hist[0]
         # geometric trend from the second iterate on
@@ -134,7 +134,7 @@ class TestSolveSlab:
         grid = GridSpec(R=7.0, n_x=129, n_t=1024, T=1.0, tau=1.0 / 256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         with pytest.raises(RuntimeError, match="slab 3"):
-            solve_slab(0.0, grid.tau, phi, prob, kern, grid, tol=1e-14, max_iter=2,
+            solve_slab(0.0, phi, prob, kern, grid, tol=1e-14, max_iter=2,
                        slab_index=3)
 
 
@@ -226,7 +226,7 @@ class TestSolveLinearized:
         kern = kernel_for(prob)
         grid = _small_grid(prob, kernel=kern)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
-        out = solve_linearized(zeros, zeros, prob.u0, grid, kern, Phi=prob.Phi)
+        out = solve_linearized(prob, zeros, zeros, grid, kern)
         ref, _ = solve(prob, grid, kernel=kern)
         assert np.abs(out.values - ref.values).max() <= 1e-12
 
@@ -237,8 +237,7 @@ class TestSolveLinearized:
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.5, tau=0.25)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
         lam_field = np.full_like(zeros, lam)
-        out = solve_linearized(zeros, lam_field, prob.u0, grid, kern, tol=1e-10,
-                               Phi=prob.Phi)
+        out = solve_linearized(prob, zeros, lam_field, grid, kern, tol=1e-10)
         x = grid.x_nodes()
         for k in (grid.n_t // 2, grid.n_t):
             t = grid.times()[k]
@@ -253,8 +252,7 @@ class TestSolveLinearized:
         tol = 1e-9
         u, _ = solve(prob, grid, tol=tol, kernel=kern)
         b_hat, lam_hat = freeze_coefficients(prob, u)
-        lin = solve_linearized(b_hat, lam_hat, prob.u0, grid, kern, tol=tol,
-                               Phi=prob.Phi)
+        lin = solve_linearized(prob, b_hat, lam_hat, grid, kern, tol=tol)
         assert slab_l1(u.values - lin.values, grid.dx, grid.dt) <= 2 * tol
 
 
@@ -291,12 +289,12 @@ def test_ball_radius_envelope():
 def test_stencils_cache_shape():
     grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, tau=0.25)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
-    st = build_slab_stencils(kernel_for(prob), grid, 0.0, prob)
+    st = build_slab_stencils(kernel_for(prob), grid, prob)
     assert st.S.shape == (2, 2 * 65 - 1)
     assert st.A is None  # Burgers has no growth term
     assert st.B.shape == (2, 2 * 65)
     growth = preset("exponential_growth", lam=0.5)
-    st = build_slab_stencils(kernel_for(growth), grid, 0.0, growth)
+    st = build_slab_stencils(kernel_for(growth), grid, growth)
     assert st.A.shape == (2, 2 * 65 - 1)
     assert st.B is None  # no state-dependent drift
 
@@ -333,20 +331,6 @@ def test_slab_operator_matches_per_level_sums():
     out = picard_map(state, prob)
     assert np.all(out[0] == 0.0)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-def test_per_slab_stencils_match_shared():
-    # a callable diffusion makes the kernel time-inhomogeneous, so every slab
-    # builds its own stencils at its start r; the kernel is the same one
-    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
-    kern = kernel_for(prob)
-    per_slab = KernelModel(lambda t: 1.0, T=prob.T,
-                           constants=(kern.C_u, kern.c_u))
-    assert kern.time_homogeneous and not per_slab.time_homogeneous
-    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=0.125, tau=1.0 / 256)
-    u_shared, _ = solve(prob, grid, tol=1e-9, kernel=kern)
-    u_slab, _ = solve(prob, grid, tol=1e-9, kernel=per_slab)
-    assert np.abs(u_shared.values - u_slab.values).max() <= 1e-12
 
 
 def test_solve_identical_across_fft_workers():
