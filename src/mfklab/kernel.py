@@ -57,7 +57,11 @@ def _second_antiderivative(z, sigma):
 
 def _triangle_smoothed(c, sigma, dx):
     """F(c) = J(c+dx) - 2 J(c) + J(c-dx): the Gaussian CDF integrated over a
-    width-dx target cell and a width-dx source cell at center offset c."""
+    width-dx target cell and a width-dx source cell at center offset c.
+
+    F is even (psi(u) = u + psi(-u)), so it is evaluated at -|c|, where each
+    J is a tail value and the second difference cancels no large terms."""
+    c = -np.abs(c)
     return (
         _second_antiderivative(c + dx, sigma)
         - 2.0 * _second_antiderivative(c, sigma)
@@ -106,6 +110,8 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     c = m_ext * dx - beta
 
     def k1int(cc):
+        # even in cc (psi2(u) = (u^2 + 1)/2 - psi2(-u)), evaluated on the tail side
+        cc = -np.abs(cc)
         return (
             -h * (_second_antiderivative(cc - h, sigma) + _second_antiderivative(cc + h, sigma))
             + _third_antiderivative(cc + h, sigma)
