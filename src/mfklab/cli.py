@@ -2,8 +2,8 @@
 
 Subcommands mirror the experiment kinds: solve-mild, simulate-frozen,
 simulate-mckean, validate, sweep.  A config file supplies every parameter;
---out, --seed and --threads override it.  The default thread count comes from
-the MFKLAB_THREADS environment variable (the flag wins).
+--out and --seed override it, and --threads sets the FFT worker count
+(default 1).
 """
 
 from __future__ import annotations
@@ -24,12 +24,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="config file path")
         p.add_argument("--out", type=Path, default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker thread count")
+        p.add_argument("--threads", type=int, default=1, help="FFT worker thread count")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     try:
         config = RunConfig.from_file(args.config)
     except FileNotFoundError:
@@ -45,10 +48,8 @@ def main(argv=None) -> int:
         config.out_dir = args.out
     if args.seed is not None:
         config.seed = args.seed
-    if args.threads is not None:
-        config.threads = args.threads
     try:
-        return run(config)
+        return run(config, args.threads)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

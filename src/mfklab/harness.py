@@ -10,7 +10,6 @@ config are byte-identical.  The exit status is the conjunction of the checks.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -52,15 +51,11 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _get(raw: dict, key: str, cast, default=None, required=False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+def _parse(key: str, text: str, cast):
     try:
-        return cast(raw[key])
+        return cast(text)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r}: {exc}") from None
+        raise ConfigError(f"key {key!r}: cannot parse {text!r}: {exc}") from None
 
 
 def _float_list(s: str) -> list[float]:
@@ -72,6 +67,35 @@ def _int_list(s: str) -> list[int]:
 
 
 EXPERIMENT_KINDS = ("solve-mild", "simulate-frozen", "simulate-mckean", "validate", "sweep")
+
+_PROBLEM_KEYS = ("nu", "T", "lam", "u0_mean", "u0_var", "z_max")  # problem.<key>, floats
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+# config key -> (RunConfig field, parser, default as config text or None,
+# (rule, requirement) checked on every value but None)
+_RUN_KEYS = {
+    "grid.R": ("R", float, "8.0", _POSITIVE),
+    "grid.n_x": ("n_x", int, "256", (lambda v: v >= 2, "must be at least 2")),
+    "grid.n_t": ("n_t", int, "128", _AT_LEAST_1),
+    "grid.tau": ("tau", float, None, _POSITIVE),
+    "grid.min_slabs": ("min_slabs", int, "1", _AT_LEAST_1),
+    "solver.tol": ("tol", float, "1e-6", _POSITIVE),
+    "solver.max_iter": ("max_iter", int, "200", _AT_LEAST_1),
+    "particles.N": ("N", int, "10000", _AT_LEAST_1),
+    "particles.dt": ("dt", float, "0.00390625", _POSITIVE),
+    "particles.seed": ("seed", int, "1234", (lambda v: v >= 0, "must be nonnegative")),
+    "particles.seeds": ("seed_count", int, "5", _AT_LEAST_1),
+    "sweep.N": ("sweep_N", _int_list, "1000, 10000, 100000",
+                (lambda v: v and min(v) >= 1, "must list at least one count, each at least 1")),
+    "compare.l1": ("compare_l1", float, None, _POSITIVE),
+    "compare.times": ("compare_times", _float_list, "", None),
+    "compare.z": ("compare_z", float, "3.0", _POSITIVE),
+    "compare.fraction": ("compare_fraction", float, "0.95",
+                         (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
+    "out": ("out_dir", Path, "runs/out", None),
+}
 
 
 @dataclass
@@ -98,61 +122,33 @@ class RunConfig:
     compare_z: float
     compare_fraction: float
     out_dir: Path
-    threads: int
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         raw = parse_config_text(text)
-        kind = _get(raw, "experiment", str, required=True)
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-        name = _get(raw, "problem.preset", str, required=True)
-        if name not in PRESET_NAMES:
-            raise ConfigError(f"problem.preset must be one of {PRESET_NAMES}, got {name!r}")
-        params = {}
-        for key in ("nu", "T", "lam", "u0_mean", "u0_var", "z_max"):
-            if f"problem.{key}" in raw:
-                params[key] = _get(raw, f"problem.{key}", float)
-        cfg = cls(
-            kind=kind,
-            preset_name=name,
-            problem_params=params,
-            R=_get(raw, "grid.R", float, 8.0),
-            n_x=_get(raw, "grid.n_x", int, 256),
-            n_t=_get(raw, "grid.n_t", int, 128),
-            tau=_get(raw, "grid.tau", float, None),
-            min_slabs=_get(raw, "grid.min_slabs", int, 1),
-            tol=_get(raw, "solver.tol", float, 1e-6),
-            max_iter=_get(raw, "solver.max_iter", int, 200),
-            N=_get(raw, "particles.N", int, 10_000),
-            dt=_get(raw, "particles.dt", float, 1.0 / 256),
-            seed=_get(raw, "particles.seed", int, 1234),
-            seed_count=_get(raw, "particles.seeds", int, 5),
-            sweep_N=_get(raw, "sweep.N", _int_list, [1000, 10_000, 100_000]),
-            compare_l1=_get(raw, "compare.l1", float, None),
-            compare_times=_get(raw, "compare.times", _float_list, []),
-            compare_z=_get(raw, "compare.z", float, 3.0),
-            compare_fraction=_get(raw, "compare.fraction", float, 0.95),
-            out_dir=Path(_get(raw, "out", str, "runs/out")),
-            threads=_get(raw, "threads", int, 0),
-        )
-        known = {"experiment", "out", "threads"}
-        known |= {f"problem.{k}" for k in ("preset", "nu", "T", "lam", "u0_mean", "u0_var", "z_max")}
-        known |= {f"grid.{k}" for k in ("R", "n_x", "n_t", "tau", "min_slabs")}
-        known |= {f"solver.{k}" for k in ("tol", "max_iter")}
-        known |= {f"particles.{k}" for k in ("N", "dt", "seed", "seeds")}
-        known |= {"sweep.N"}
-        known |= {f"compare.{k}" for k in ("l1", "times", "z", "fraction")}
+        known = {"experiment", "problem.preset", *_RUN_KEYS}
+        known |= {f"problem.{k}" for k in _PROBLEM_KEYS}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown keys: {sorted(unknown)}")
-        for label, value in (("grid.R", cfg.R), ("solver.tol", cfg.tol),
-                             ("particles.dt", cfg.dt)):
-            if value <= 0:
-                raise ConfigError(f"{label} must be positive")
-        if cfg.n_x < 2 or cfg.n_t < 1 or cfg.N < 1:
-            raise ConfigError("grid.n_x, grid.n_t and particles.N must be positive")
-        return cfg
+        for key in ("experiment", "problem.preset"):
+            if key not in raw:
+                raise ConfigError(f"missing required key {key!r}")
+        kind, name = raw["experiment"], raw["problem.preset"]
+        if kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+        if name not in PRESET_NAMES:
+            raise ConfigError(f"problem.preset must be one of {PRESET_NAMES}, got {name!r}")
+        params = {k: _parse(f"problem.{k}", raw[f"problem.{k}"], float)
+                  for k in _PROBLEM_KEYS if f"problem.{k}" in raw}
+        values = {}
+        for key, (attr, cast, default, rule) in _RUN_KEYS.items():
+            text = raw.get(key, default)
+            value = None if text is None else _parse(key, text, cast)
+            if value is not None and rule is not None and not rule[0](value):
+                raise ConfigError(f"{key} {rule[1]}, got {text!r}")
+            values[attr] = value
+        return cls(kind=kind, preset_name=name, problem_params=params, **values)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -225,10 +221,10 @@ def _select_times(grid: GridSpec, wanted: list) -> list:
     return [grid.time_index(t) for t in wanted]
 
 
-def run(config: RunConfig) -> int:
-    """Execute one experiment; returns 0 iff every declared tolerance passed."""
-    threads = config.threads or int(os.environ.get("MFKLAB_THREADS", "1"))
-    with scipy.fft.set_workers(max(1, threads)):
+def run(config: RunConfig, threads: int = 1) -> int:
+    """Execute one experiment with `threads` FFT workers; returns 0 iff every
+    declared tolerance passed."""
+    with scipy.fft.set_workers(threads):
         return _run_inner(config)
 
 
@@ -329,7 +325,7 @@ def _run_inner(config: RunConfig) -> int:
         checks.append(_check("largest rise of the median l1 between successive N",
                              rise, 0.0, rise <= 0.0))
 
-    echo = {k: v for k, v in asdict(config).items() if k not in ("out_dir", "threads")}
+    echo = {k: v for k, v in asdict(config).items() if k != "out_dir"}
     record = {
         "config": echo,
         "versions": {"mfklab": __version__, "numpy": np.__version__,

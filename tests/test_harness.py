@@ -11,6 +11,7 @@ import mfklab
 from mfklab.cli import main as cli_main
 from mfklab.grids import Field, GridSpec
 from mfklab.harness import (
+    EXPERIMENT_KINDS,
     ComparisonReport,
     ConfigError,
     RunConfig,
@@ -54,9 +55,41 @@ def test_config_unknown_key_named():
 
 def test_config_rejects_removed_keys():
     for key in ("particles.h = 0.1", "solver.n_w = 33", "sweep.slack = 1.1",
-                "grid.min_levels_per_slab = 4"):
+                "grid.min_levels_per_slab = 4", "threads = 2"):
         with pytest.raises(ConfigError, match="unknown keys"):
             RunConfig.from_text(HEAT_CFG + "\n" + key)
+
+
+@pytest.mark.parametrize("line", [
+    "particles.seeds = 0", "sweep.N = ,", "sweep.N = 1000, 0", "compare.fraction = 7",
+    "compare.fraction = 0", "compare.z = 0", "solver.max_iter = 0", "grid.min_slabs = -3",
+    "grid.n_x = 1", "grid.tau = -0.5", "particles.seed = -1", "compare.l1 = -1",
+    "solver.tol = nan",
+])
+def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"experiment = simulate-frozen\nproblem.preset = heat\n"
+                    f"out = {tmp_path}/out\n{line}\n")
+    assert cli_main(["simulate-frozen", "--config", str(path)]) == 2
+    assert f"config error: {line.split(' = ')[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_nonpositive_threads(tmp_path):
+    path = tmp_path / "heat.cfg"
+    path.write_text(HEAT_CFG)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["validate", "--config", str(path), "--threads", "0"])
+    assert exc.value.code == 2
+
+
+def test_shipped_configs_parse():
+    root = Path(__file__).resolve().parents[1]
+    for folder in (root / "configs", root / "perfbench" / "workloads"):
+        paths = sorted(folder.glob("*.cfg"))
+        assert paths, folder
+        for path in paths:
+            assert RunConfig.from_file(path).kind in EXPERIMENT_KINDS, path
 
 
 def test_config_requires_known_experiment():
@@ -263,10 +296,10 @@ def test_engaged_clamp_fails_the_run(tmp_path, capsys):
 
 
 def test_burgers_validate_identical_across_threads(tmp_path):
-    cfgs = [RunConfig.from_text(_burgers_cfg("validate", 257, 256,
-                                             f"out = {tmp_path}/t{n}\nthreads = {n}"))
-            for n in (1, 2)]
-    assert [run(cfg) for cfg in cfgs] == [0, 0]
+    for n in (1, 2):
+        path = tmp_path / f"t{n}.cfg"
+        path.write_text(_burgers_cfg("validate", 257, 256, f"out = {tmp_path}/t{n}"))
+        assert cli_main(["validate", "--config", str(path), "--threads", str(n)]) == 0
     clamp, _ = _read_record(tmp_path / "t1", 0)["checks"]
     assert clamp["name"] == "max |w| within z_max"
     assert 0.0 < clamp["value"] <= clamp["tol"]
