@@ -51,13 +51,6 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _parse(key: str, text: str, cast):
-    try:
-        return cast(text)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {text!r}: {exc}") from None
-
-
 def _float_list(s: str) -> list[float]:
     return [float(tok) for tok in s.split(",") if tok.strip()]
 
@@ -68,10 +61,12 @@ def _int_list(s: str) -> list[int]:
 
 EXPERIMENT_KINDS = ("solve-mild", "simulate-frozen", "simulate-mckean", "validate", "sweep")
 
-_PROBLEM_KEYS = ("nu", "T", "lam", "u0_mean", "u0_var", "z_max")  # problem.<key>, floats
-
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+
+# problem.<key> -> (rule, requirement) or None; each is a float preset parameter
+_PROBLEM_KEYS = {"nu": _POSITIVE, "T": _POSITIVE, "lam": None, "u0_mean": None,
+                 "u0_var": _POSITIVE, "z_max": _POSITIVE}
 
 # config key -> (RunConfig field, parser, default as config text or None,
 # (rule, requirement) checked on every value but None)
@@ -96,6 +91,20 @@ _RUN_KEYS = {
                          (lambda v: 0 < v <= 1, "must lie in (0, 1]")),
     "out": ("out_dir", Path, "runs/out", None),
 }
+
+
+def _value(raw: dict, key: str, cast, default, rule):
+    """raw[key], else the default text, parsed and checked against its rule."""
+    text = raw.get(key, default)
+    if text is None:
+        return None
+    try:
+        value = cast(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: cannot parse {text!r}: {exc}") from None
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{key} {rule[1]}, got {text!r}")
+    return value
 
 
 @dataclass
@@ -139,15 +148,10 @@ class RunConfig:
             raise ConfigError(f"experiment must be one of {EXPERIMENT_KINDS}, got {kind!r}")
         if name not in PRESET_NAMES:
             raise ConfigError(f"problem.preset must be one of {PRESET_NAMES}, got {name!r}")
-        params = {k: _parse(f"problem.{k}", raw[f"problem.{k}"], float)
-                  for k in _PROBLEM_KEYS if f"problem.{k}" in raw}
-        values = {}
-        for key, (attr, cast, default, rule) in _RUN_KEYS.items():
-            text = raw.get(key, default)
-            value = None if text is None else _parse(key, text, cast)
-            if value is not None and rule is not None and not rule[0](value):
-                raise ConfigError(f"{key} {rule[1]}, got {text!r}")
-            values[attr] = value
+        params = {k: _value(raw, f"problem.{k}", float, None, rule)
+                  for k, rule in _PROBLEM_KEYS.items() if f"problem.{k}" in raw}
+        values = {attr: _value(raw, key, cast, default, rule)
+                  for key, (attr, cast, default, rule) in _RUN_KEYS.items()}
         return cls(kind=kind, preset_name=name, problem_params=params, **values)
 
     @classmethod

@@ -64,7 +64,7 @@ def test_config_rejects_removed_keys():
     "particles.seeds = 0", "sweep.N = ,", "sweep.N = 1000, 0", "compare.fraction = 7",
     "compare.fraction = 0", "compare.z = 0", "solver.max_iter = 0", "grid.min_slabs = -3",
     "grid.n_x = 1", "grid.tau = -0.5", "particles.seed = -1", "compare.l1 = -1",
-    "solver.tol = nan",
+    "solver.tol = nan", "problem.nu = 0", "problem.u0_var = -1",
 ])
 def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"
