@@ -2,8 +2,9 @@
 
 Subcommands mirror the experiment kinds: solve-mild, simulate-frozen,
 simulate-mckean, validate, sweep.  A config file supplies every parameter;
---out and --seed override it, and --threads sets the FFT worker count
-(default 1).
+the subcommand, --out and --seed override its experiment, out and
+particles.seed (checked as config values), and --threads sets the FFT worker
+count (default 1).
 """
 
 from __future__ import annotations
@@ -33,23 +34,24 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
+    overrides = {"experiment": args.command}
+    if args.out is not None:
+        overrides["out"] = str(args.out)
+    if args.seed is not None:
+        overrides["particles.seed"] = str(args.seed)
     try:
-        config = RunConfig.from_file(args.config)
+        config = RunConfig.from_file(args.config, overrides)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if config.kind != args.command:
-        # the subcommand is authoritative; configs may omit or restate it
-        config.kind = args.command
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.seed is not None:
-        config.seed = args.seed
     try:
         return run(config, args.threads)
+    except ConfigError as exc:  # a value checked against the problem or the planned grid
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

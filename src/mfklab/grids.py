@@ -109,17 +109,6 @@ class Field:
         """Integral over the box at time level k (exact for cell averages)."""
         return float(self.values[k].sum() * self.grid.dx)
 
-    def l1(self, k: int) -> float:
-        return float(np.abs(self.values[k]).sum() * self.grid.dx)
-
-    def sup(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def slab_l1(self, k_lo: int = 0, k_hi: int | None = None) -> float:
-        """Time-integrated spatial L1 norm over levels [k_lo, k_hi] (trapezoid in t)."""
-        return slab_l1(self.values[k_lo : (self.grid.n_t if k_hi is None else k_hi) + 1],
-                       self.grid.dx, self.grid.dt)
-
     def lookup(self, t: float, x: np.ndarray) -> np.ndarray:
         """Pointwise values at one time t (a scalar or one-element array) and points x:
         left level in time, nearest node in space, 0 outside."""

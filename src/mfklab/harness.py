@@ -18,12 +18,11 @@ import scipy
 import scipy.fft
 
 from . import __version__
-from .grids import Field, GridSpec
-from .kernel import kernel_for
+from .grids import Field, GridSpec, cell_means_from_cdf
 from .mild import plan_grid, solve
-from .oracles import burgers_fd_reference, exp_mass_oracle, heat_oracle
+from .oracles import burgers_fd_reference, exp_mass_oracle
 from .particles import simulate_frozen, solve_selfconsistent, weighted_functional
-from .problems import PRESET_NAMES, preset, smooth_test_functions
+from .problems import PRESET_NAMES, GaussianDensity, preset, smooth_test_functions
 from .quadrature import trapezoid_weights
 
 _FMT = "%.17g"
@@ -74,7 +73,6 @@ _RUN_KEYS = {
     "grid.R": ("R", float, "8.0", _POSITIVE),
     "grid.n_x": ("n_x", int, "256", (lambda v: v >= 2, "must be at least 2")),
     "grid.n_t": ("n_t", int, "128", _AT_LEAST_1),
-    "grid.tau": ("tau", float, None, _POSITIVE),
     "grid.min_slabs": ("min_slabs", int, "1", _AT_LEAST_1),
     "solver.tol": ("tol", float, "1e-6", _POSITIVE),
     "solver.max_iter": ("max_iter", int, "200", _AT_LEAST_1),
@@ -117,7 +115,6 @@ class RunConfig:
     R: float
     n_x: int
     n_t: int
-    tau: float | None
     min_slabs: int
     tol: float
     max_iter: int
@@ -133,8 +130,10 @@ class RunConfig:
     out_dir: Path
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        raw = parse_config_text(text)
+    def from_text(cls, text: str, overrides: dict | None = None) -> "RunConfig":
+        """Parse and check config text; overrides ({key: value text}, as the
+        command line gives them) replace its values before any check."""
+        raw = {**parse_config_text(text), **(overrides or {})}
         known = {"experiment", "problem.preset", *_RUN_KEYS}
         known |= {f"problem.{k}" for k in _PROBLEM_KEYS}
         unknown = set(raw) - known
@@ -155,8 +154,8 @@ class RunConfig:
         return cls(kind=kind, preset_name=name, problem_params=params, **values)
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls.from_text(Path(path).read_text())
+    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
+        return cls.from_text(Path(path).read_text(), overrides)
 
 
 @dataclass
@@ -204,25 +203,17 @@ VALIDATE_REFERENCES = ("heat", "exponential_growth", "burgers")
 
 
 def _oracle_field(problem, grid: GridSpec) -> Field:
-    """Closed-form reference for the zero-drift presets on the grid."""
-    x = grid.x_nodes()
+    """Closed-form reference for the zero-drift presets on the grid, as the
+    exact cell averages the solver's fields hold."""
     vals = np.empty((grid.n_t + 1, grid.n_x))
     nu = problem.Phi**2
     lam = problem.params.get("lam", 0.5) if problem.name == "exponential_growth" else 0.0
     for k, t in enumerate(grid.times()):
-        if t == 0.0:
-            vals[k] = problem.u0.pdf(x)
-        else:
-            vals[k] = heat_oracle(problem.u0.mean, problem.u0.var, nu, t, x)
+        density = GaussianDensity(problem.u0.mean, problem.u0.var + nu * t)
+        vals[k] = cell_means_from_cdf(density.cdf, grid)
         if lam:
             vals[k] *= exp_mass_oracle(lam, t)
     return Field(grid, vals)
-
-
-def _select_times(grid: GridSpec, wanted: list) -> list:
-    if not wanted:
-        return list(range(1, grid.n_t + 1))
-    return [grid.time_index(t) for t in wanted]
 
 
 def run(config: RunConfig, threads: int = 1) -> int:
@@ -240,22 +231,16 @@ def _run_inner(config: RunConfig) -> int:
     if config.kind == "validate" and config.preset_name not in VALIDATE_REFERENCES:
         raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
                           f"presets with one: {', '.join(VALIDATE_REFERENCES)}")
+    problem = preset(config.preset_name, **config.problem_params)
+    grid = plan_grid(problem, config.R, config.n_x, config.n_t, min_slabs=config.min_slabs)
+    try:
+        compare_levels = [grid.time_index(t) for t in config.compare_times]
+    except ValueError as exc:
+        raise ConfigError(f"compare.times: {exc}") from None
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    problem = preset(config.preset_name, **config.problem_params)
-    kernel = kernel_for(problem)
-    if config.tau is not None:
-        try:
-            grid = GridSpec(R=config.R, n_x=config.n_x, n_t=config.n_t,
-                            T=problem.T, tau=config.tau)
-        except ValueError as exc:
-            raise ConfigError(f"grid.tau: {exc}") from None
-    else:
-        grid = plan_grid(problem, config.R, config.n_x, config.n_t, kernel=kernel,
-                         min_slabs=config.min_slabs)
 
-    u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter,
-                      kernel=kernel)
+    u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
     write_field_csv(out / "field.csv", u)
     checks = []
     if problem.L_b > 0 or problem.L_Lambda > 0:
@@ -267,14 +252,13 @@ def _run_inner(config: RunConfig) -> int:
         tol = config.compare_l1 if config.compare_l1 is not None else 1e-3
         if problem.name == "burgers":
             ref = burgers_fd_reference(problem.u0, problem.Phi**2, grid)
-            default_times = [grid.T / 4, grid.T / 2, grid.T]
+            default_levels = [grid.time_index(t) for t in (grid.T / 4, grid.T / 2, grid.T)]
             tol = config.compare_l1 if config.compare_l1 is not None else 1e-2
         else:
             ref = _oracle_field(problem, grid)
-            default_times = []
+            default_levels = range(1, grid.n_t + 1)
         rep = compare_fields(u, ref)
-        idx = _select_times(grid, config.compare_times or default_times)
-        worst = max(rep.l1[i] for i in idx)
+        worst = max(rep.l1[i] for i in compare_levels or default_levels)
         write_comparison_csv(out / "comparison.csv", rep)
         checks.append(_check("worst per-time l1 to reference", worst, tol, worst <= tol))
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (KernelModel, Spectrum, convolve_full, kernel_for, slope_kernel_weights,
-                     smooth_weights, staggered_slopes, stencil_spectrum)
+from .kernel import (Spectrum, convolve_full, kernel_for, slope_kernel_weights, smooth_weights,
+                     staggered_slopes, stencil_spectrum)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -65,16 +65,22 @@ def estimate_slab_tau(M_b: float, M_Lambda: float, C_u: float,
     return tau_max
 
 
-def ball_radius(problem: ProblemSpec, kernel: KernelModel) -> float:
+def ball_radius(problem: ProblemSpec) -> float:
     """Envelope M = max(1, ||u0||_inf C_u, ||u0||_1) e^{M_Lambda T}-inflated."""
     grow = np.exp(problem.M_Lambda * problem.T)
-    return max(1.0, problem.u0.max_value * kernel.C_u * grow, 1.0 * grow)
+    return max(1.0, problem.u0.max_value * kernel_for(problem).C_u * grow, 1.0 * grow)
 
 
-def contraction_constant(problem, kernel, M: float, tau: float) -> float:
+def contraction_constant(problem: ProblemSpec, M: float, tau: float) -> float:
     """Constant C with ||Pi(v1)(t) - Pi(v2)(t)|| <= C int (t-s)^{-1/2} ||v1-v2|| ds."""
     return (2.0 * problem.L_Lambda * M + problem.M_Lambda) * np.sqrt(tau) + \
-        kernel.C_u * (2.0 * problem.L_b * M + problem.M_b)
+        kernel_for(problem).C_u * (2.0 * problem.L_b * M + problem.M_b)
+
+
+def _tau_max(problem: ProblemSpec) -> float:
+    """Certified slab width of the problem on its horizon."""
+    return estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel_for(problem).C_u,
+                             horizon=problem.T)
 
 
 # Simpson nodes per source interval in the w = sqrt(t - s) variable (odd).
@@ -99,18 +105,18 @@ class SlabStencils:
     B_hat: Spectrum | None  # for the (m, n_x + 1) staggered drift slopes
 
 
-def build_slab_stencils(kernel: KernelModel, grid: GridSpec,
-                        problem: ProblemSpec) -> SlabStencils:
+def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
     """Build the initial-data smoothing and the interval-integrated kernels.
 
-    The kernel is time-homogeneous, so the weights depend on the level gap
-    only and one set, built for the slab at r = 0, serves every slab.  For the
-    target level t = g dt at gap g, the source interval is
+    The problem's kernel is time-homogeneous, so the weights depend on the
+    level gap only and one set, built for the slab at r = 0, serves every
+    slab.  For the target level t = g dt at gap g, the source interval is
     [t - g dt, t - (g-1) dt]; the integral runs in w = sqrt(t - s) with
     composite Simpson weights carrying the 2w Jacobian, so the w = 0 endpoint
     (kernel degenerating to the identity) has zero weight and is skipped.
     A is built iff M_Lambda > 0 and B iff M_b > 0.
     """
+    kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
     S = np.empty((m, 2 * n - 1))
     A = np.zeros((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
@@ -140,31 +146,28 @@ def build_slab_stencils(kernel: KernelModel, grid: GridSpec,
 class PicardState:
     """State of the fixed-point iteration on one slab."""
 
-    slab_index: int
     r: float
     grid: GridSpec
     u0hat: np.ndarray  # (m + 1, n_x) kernel-evolved slab initial condition
     v: np.ndarray  # (m + 1, n_x) current iterate, v[0] = 0
     stencils: SlabStencils
     residual_history: list = field(default_factory=list)
-    iterations: int = 0
     max_abs_w: float = 0.0  # largest |w| fed to the coefficients, to compare with z_max
 
 
-def prepare_slab(slab_index: int, r: float, phi: np.ndarray, problem: ProblemSpec,
-                 kernel: KernelModel, grid: GridSpec, stencils: SlabStencils | None = None,
-                 perturb: float = 0.0) -> PicardState:
+def prepare_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
+                 stencils: SlabStencils | None = None, perturb: float = 0.0) -> PicardState:
     """Assemble u0_hat and the stencils for the slab starting at r with data phi.
 
     The iteration starts from v = perturb * u0_hat (v = 0 by default).
     """
     if stencils is None:
-        stencils = build_slab_stencils(kernel, grid, problem)
+        stencils = build_slab_stencils(problem, grid)
     n = grid.n_x
     u0hat = np.empty((grid.levels_per_slab + 1, n))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
     u0hat[1:] = convolve_full(phi[None, :], stencils.S_hat)[:, n - 1 : 2 * n - 1]
-    return PicardState(slab_index, r, grid, u0hat, perturb * u0hat, stencils)
+    return PicardState(r, grid, u0hat, perturb * u0hat, stencils)
 
 
 def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
@@ -194,24 +197,21 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     return out
 
 
-def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec,
-               kernel: KernelModel, grid: GridSpec, tol: float = 1e-6,
-               max_iter: int = 200, stencils: SlabStencils | None = None,
+def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
+               tol: float = 1e-6, max_iter: int = 200, stencils: SlabStencils | None = None,
                perturb: float = 0.0, slab_index: int = 0):
     """Iterate the slab map from v = perturb * u0_hat until the successive L1
     distance <= tol.
 
     Returns (u_slab, state) where u_slab = u0_hat + v_fixed on the slab levels
-    and state carries the residual history and iteration count.  Raises
+    and state carries the residual history, one entry per sweep.  Raises
     RuntimeError on non-convergence within max_iter, reporting the history.
     """
-    state = prepare_slab(slab_index, r, phi, problem, kernel, grid,
-                         stencils=stencils, perturb=perturb)
-    for it in range(1, max_iter + 1):
+    state = prepare_slab(r, phi, problem, grid, stencils=stencils, perturb=perturb)
+    for _ in range(max_iter):
         v_new = picard_map(state, problem)
         res = slab_l1(v_new - state.v, grid.dx, grid.dt)
         state.v = v_new
-        state.iterations = it
         state.residual_history.append(res)
         if res <= tol:
             return state.u0hat + state.v, state
@@ -227,22 +227,18 @@ class SolveReport:
     """Convergence diagnostics of one mild solve (non-convergence raises)."""
 
     tol: float
-    slab_iterations: list
-    slab_residuals: list
-    residual_histories: list
+    residual_histories: list  # per slab, the L1 residual of each sweep
     C_u: float
     c_u: float
     M: float
     tau: float
     tau_max: float
-    n_slabs: int
     contraction_C: float
     pi_C2_tau: float
     contraction_monitor_ok: bool | None  # None when pi_C2_tau >= 1: nothing to check
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     max_abs_w: float
-    cbar_observed: float
     grid: GridSpec
 
     def ball_ok(self) -> bool:
@@ -251,8 +247,7 @@ class SolveReport:
 
 
 def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
-          max_iter: int = 200, kernel: KernelModel | None = None,
-          perturb_initial: float = 0.0):
+          max_iter: int = 200, perturb_initial: float = 0.0):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
     The per-slab stopping threshold is tol * tau / T so that tol bounds the
@@ -262,11 +257,9 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     """
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError("grid horizon must match the problem horizon")
-    if kernel is None:
-        kernel = kernel_for(problem)
-    M = ball_radius(problem, kernel)
-    tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                horizon=problem.T)
+    kernel = kernel_for(problem)
+    M = ball_radius(problem)
+    tau_max = _tau_max(problem)
     if grid.tau > tau_max * (1.0 + 1e-9):
         raise ValueError(f"slab width tau={grid.tau:.6g} exceeds tau_max={tau_max:.6g}")
 
@@ -276,12 +269,12 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     u = np.empty((grid.n_t + 1, grid.n_x))
     u[0] = cell_means_from_cdf(problem.u0.cdf, grid)
 
-    stencils = build_slab_stencils(kernel, grid, problem)
-    iters, residuals, histories = [], [], []
+    stencils = build_slab_stencils(problem, grid)
+    histories = []
     max_l1 = 0.0
     max_sup = 0.0
     max_abs_w = 0.0
-    C = contraction_constant(problem, kernel, M, grid.tau)
+    C = contraction_constant(problem, M, grid.tau)
     rho2 = float(np.pi * C * C * grid.tau)
     # the two-sweep residual recursion only bounds anything when rho2 < 1
     monitor_ok = True if rho2 < 1.0 else None
@@ -289,12 +282,9 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     for k in range(N):
         r = times[k * m]
         phi = u[k * m]
-        u_slab, state = solve_slab(r, phi, problem, kernel, grid,
-                                   tol=tol_slab, max_iter=max_iter, stencils=stencils,
-                                   perturb=perturb_initial, slab_index=k)
+        u_slab, state = solve_slab(r, phi, problem, grid, tol=tol_slab, max_iter=max_iter,
+                                   stencils=stencils, perturb=perturb_initial, slab_index=k)
         u[k * m : (k + 1) * m + 1] = u_slab
-        iters.append(state.iterations)
-        residuals.append(state.residual_history[-1])
         histories.append(state.residual_history)
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
         max_l1 = max(max_l1, per_time_l1)
@@ -306,15 +296,12 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
                 if h[i + 2] > rho2 * max(h[: i + 1]) * (1.0 + 1e-9):
                     monitor_ok = False
 
-    # empirical sup-norm slab constant: ||Pi(v)||_inf <= Cbar sqrt(tau)
-    cbar = max_sup / np.sqrt(grid.tau) if max_sup > 0 else 0.0
     report = SolveReport(
-        tol=tol, slab_iterations=iters, slab_residuals=residuals,
-        residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
-        tau=grid.tau, tau_max=float(tau_max), n_slabs=N, contraction_C=float(C),
+        tol=tol, residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
+        tau=grid.tau, tau_max=float(tau_max), contraction_C=float(C),
         pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok,
         max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
-        max_abs_w=max_abs_w, cbar_observed=float(cbar), grid=grid,
+        max_abs_w=max_abs_w, grid=grid,
     )
     return Field(grid, u), report
 
@@ -332,8 +319,7 @@ def freeze_coefficients(problem: ProblemSpec, u: Field):
 
 
 def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.ndarray,
-                     grid: GridSpec, kernel: KernelModel, tol: float = 1e-6,
-                     max_iter: int = 200) -> Field:
+                     grid: GridSpec, tol: float = 1e-6, max_iter: int = 200) -> Field:
     """Measure-mild solution of the frozen-coefficient linear equation.
 
     b_hat and Lambda_hat are bounded fields on the grid levels; the fixed
@@ -351,7 +337,7 @@ def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.nda
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
         L_b=0.0, L_Lambda=0.0, z_max=float("inf"),
     )
-    field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter, kernel=kernel)
+    field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter)
     return field_out
 
 
@@ -385,20 +371,20 @@ def weak_residual(u: Field, phi_test: SmoothTestFunction, t: float, problem: Pro
     return abs(lhs - rhs)
 
 
+# planned slabs hold at least this many levels, and the level count is a
+# multiple of _ALIGN so that quarter-horizon comparison times land on levels
+_LEVELS_PER_SLAB_MIN = 2
+_ALIGN = 4
+
+
 def plan_grid(problem: ProblemSpec, R: float, n_x: int, n_t_min: int,
-              kernel: KernelModel | None = None, levels_per_slab_min: int = 2,
-              min_slabs: int = 1, align: int = 4) -> GridSpec:
-    """Pick a slab decomposition: the fewest slabs with tau under the bound,
-    then the smallest multiple of that count reaching n_t_min levels with the
-    total level count a multiple of align (so quarter-horizon comparison
-    times land on levels)."""
-    if kernel is None:
-        kernel = kernel_for(problem)
-    tau_max = estimate_slab_tau(problem.M_b, problem.M_Lambda, kernel.C_u,
-                                horizon=problem.T)
-    N0 = max(min_slabs, int(np.ceil(problem.T / tau_max - 1e-12)))
-    for N in range(N0, 4 * N0 + align + 1):
-        m = max(levels_per_slab_min, int(np.ceil(n_t_min / N)))
-        if (N * m) % align == 0:
+              min_slabs: int = 1) -> GridSpec:
+    """Pick a slab decomposition: the fewest slabs (at least min_slabs) with
+    tau under the bound, then the smallest count from there reaching n_t_min
+    levels with the total level count a multiple of _ALIGN."""
+    N0 = max(min_slabs, int(np.ceil(problem.T / _tau_max(problem) - 1e-12)))
+    for N in range(N0, 4 * N0 + _ALIGN + 1):
+        m = max(_LEVELS_PER_SLAB_MIN, int(np.ceil(n_t_min / N)))
+        if (N * m) % _ALIGN == 0:
             return GridSpec(R=R, n_x=n_x, n_t=N * m, T=problem.T, tau=problem.T / N)
     raise ValueError("no aligned slab decomposition found")

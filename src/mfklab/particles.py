@@ -51,9 +51,6 @@ class ParticleEnsemble:
             raise ValueError(f"t={t} outside the simulated range")
         return k
 
-    def weights(self, t: float) -> np.ndarray:
-        return np.exp(self.logw[self.time_index(t)])
-
 
 @dataclass
 class DensityEstimate:

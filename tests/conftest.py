@@ -1,6 +1,5 @@
 import pytest
 
-from mfklab.kernel import kernel_for
 from mfklab.mild import plan_grid, solve
 from mfklab.oracles import burgers_fd_reference
 from mfklab.problems import preset
@@ -12,14 +11,13 @@ ACCEPTANCE_TOL = 1e-8
 def burgers_setup():
     """Converged Burgers mild solve shared by the solver-side criteria."""
     problem = preset("burgers", nu=1.0, u0_var=0.04)
-    kernel = kernel_for(problem)
-    grid = plan_grid(problem, R=8.0, n_x=512, n_t_min=1024, kernel=kernel)
+    grid = plan_grid(problem, R=8.0, n_x=512, n_t_min=1024)
     import time
 
     t0 = time.perf_counter()
-    u, report = solve(problem, grid, tol=ACCEPTANCE_TOL, kernel=kernel)
+    u, report = solve(problem, grid, tol=ACCEPTANCE_TOL)
     wall = time.perf_counter() - t0
-    return {"problem": problem, "kernel": kernel, "grid": grid, "u": u,
+    return {"problem": problem, "grid": grid, "u": u,
             "report": report, "wall": wall, "tol": ACCEPTANCE_TOL}
 
 

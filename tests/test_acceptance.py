@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mfklab.grids import Field, GridSpec, slab_l1
-from mfklab.kernel import KernelModel, kernel_for
+from mfklab.kernel import KernelModel
 from mfklab.mild import (
     freeze_coefficients,
     plan_grid,
@@ -33,10 +33,9 @@ def _criterion(num, name, ok, detail):
 
 def test_criterion_1_heat_exactness():
     problem = preset("heat", nu=1.0, u0_var=0.04)
-    kernel = kernel_for(problem)
     grid = GridSpec(R=7.0, n_x=512, n_t=64, T=1.0, tau=1.0)
     t0 = time.perf_counter()
-    u, _ = solve(problem, grid, tol=1e-8, kernel=kernel)
+    u, _ = solve(problem, grid, tol=1e-8)
     wall = time.perf_counter() - t0
     x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
@@ -54,9 +53,8 @@ def test_criterion_2_mass_laws(burgers_setup):
     worst_cons = max(abs(u.mass(k) - 1.0) for k in range(grid.n_t + 1))
 
     growth = preset("exponential_growth", lam=0.5, nu=1.0, u0_var=0.04)
-    kern = kernel_for(growth)
-    ggrid = plan_grid(growth, R=7.0, n_x=512, n_t_min=512, kernel=kern, min_slabs=8)
-    ug, _ = solve(growth, ggrid, tol=1e-8, kernel=kern)
+    ggrid = plan_grid(growth, R=7.0, n_x=512, n_t_min=512, min_slabs=8)
+    ug, _ = solve(growth, ggrid, tol=1e-8)
     err_growth = abs(ug.mass(ggrid.n_t) - math.exp(0.5))
     _criterion(2, "mass laws", worst_cons <= 1e-3 and err_growth <= 1e-3,
                f"|mass-1| {worst_cons:.2e} <= 1e-3 (Lambda=0), "
@@ -80,9 +78,9 @@ def test_criterion_3_burgers_cross_validation(burgers_setup, burgers_reference):
 
 
 def test_criterion_4_fixed_point_uniqueness(burgers_setup):
-    problem, kernel, grid = (burgers_setup[k] for k in ("problem", "kernel", "grid"))
+    problem, grid = burgers_setup["problem"], burgers_setup["grid"]
     tol = burgers_setup["tol"]
-    u2, _ = solve(problem, grid, tol=tol, kernel=kernel, perturb_initial=0.1)
+    u2, _ = solve(problem, grid, tol=tol, perturb_initial=0.1)
     dist = slab_l1(burgers_setup["u"].values - u2.values, grid.dx, grid.dt)
     _criterion(4, "Picard uniqueness under perturbed start", dist <= 2 * tol,
                f"l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")
@@ -93,12 +91,12 @@ def test_criterion_5_slab_gluing(burgers_setup):
     # discretization accuracy; slab junctions re-represent near-grid-scale
     # kernel output, a ~3e-5 floor at 512 nodes that no iteration tolerance
     # removes (see the README's numerical notes)
-    problem, kernel = burgers_setup["problem"], burgers_setup["kernel"]
+    problem = burgers_setup["problem"]
     grid = burgers_setup["grid"]
     tol = 1e-4
     g_half = GridSpec(R=grid.R, n_x=grid.n_x, n_t=grid.n_t, T=grid.T, tau=grid.tau / 2)
-    u1, _ = solve(problem, grid, tol=tol, kernel=kernel)
-    u2, _ = solve(problem, g_half, tol=tol, kernel=kernel)
+    u1, _ = solve(problem, grid, tol=tol)
+    u2, _ = solve(problem, g_half, tol=tol)
     dist = slab_l1(u1.values - u2.values, grid.dx, grid.dt)
     _criterion(5, "slab widths tau vs tau/2 agree", dist <= 2 * tol,
                f"global l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")
@@ -161,11 +159,10 @@ def test_criterion_8_frozen_representation(burgers_setup):
 
 
 def test_criterion_9_linearized_uniqueness(burgers_setup):
-    problem, kernel, grid, u = (burgers_setup[k] for k in
-                                ("problem", "kernel", "grid", "u"))
+    problem, grid, u = (burgers_setup[k] for k in ("problem", "grid", "u"))
     tol = burgers_setup["tol"]
     b_hat, lam_hat = freeze_coefficients(problem, u)
-    lin = solve_linearized(problem, b_hat, lam_hat, grid, kernel, tol=tol)
+    lin = solve_linearized(problem, b_hat, lam_hat, grid, tol=tol)
     dist = slab_l1(u.values - lin.values, grid.dx, grid.dt)
     _criterion(9, "linearized solve reproduces the frozen solution",
                dist <= 2 * tol, f"global l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")

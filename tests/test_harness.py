@@ -55,23 +55,30 @@ def test_config_unknown_key_named():
 
 def test_config_rejects_removed_keys():
     for key in ("particles.h = 0.1", "solver.n_w = 33", "sweep.slack = 1.1",
-                "grid.min_levels_per_slab = 4", "threads = 2"):
+                "grid.min_levels_per_slab = 4", "threads = 2", "grid.tau = 0.5"):
         with pytest.raises(ConfigError, match="unknown keys"):
             RunConfig.from_text(HEAT_CFG + "\n" + key)
+
+
+# command-line overrides are checked as the config keys they replace
+_OVERRIDE_KEYS = {"--seed": "particles.seed"}
 
 
 @pytest.mark.parametrize("line", [
     "particles.seeds = 0", "sweep.N = ,", "sweep.N = 1000, 0", "compare.fraction = 7",
     "compare.fraction = 0", "compare.z = 0", "solver.max_iter = 0", "grid.min_slabs = -3",
-    "grid.n_x = 1", "grid.tau = -0.5", "particles.seed = -1", "compare.l1 = -1",
-    "solver.tol = nan", "problem.nu = 0", "problem.u0_var = -1",
+    "grid.n_x = 1", "particles.seed = -1", "compare.l1 = -1",
+    "solver.tol = nan", "problem.nu = 0", "problem.u0_var = -1", "--seed -5",
 ])
 def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
+    flag, _, value = line.partition(" ")
+    argv = [flag, value] if flag in _OVERRIDE_KEYS else []
     path = tmp_path / "bad.cfg"
     path.write_text(f"experiment = simulate-frozen\nproblem.preset = heat\n"
-                    f"out = {tmp_path}/out\n{line}\n")
-    assert cli_main(["simulate-frozen", "--config", str(path)]) == 2
-    assert f"config error: {line.split(' = ')[0]} " in capsys.readouterr().err
+                    f"out = {tmp_path}/out\n{'' if argv else line}\n")
+    assert cli_main(["simulate-frozen", "--config", str(path), *argv]) == 2
+    key = _OVERRIDE_KEYS.get(flag, line.split(" = ")[0])
+    assert f"config error: {key} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -162,16 +169,6 @@ def test_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_tau_not_dividing_horizon_fails_with_diagnostic(tmp_path, capsys):
-    cfg_text = HEAT_CFG + f"\nout = {tmp_path}/bad\ngrid.tau = 0.3"
-    path = tmp_path / "bad.cfg"
-    path.write_text(cfg_text)
-    code = cli_main(["validate", "--config", str(path)])
-    assert code != 0
-    err = capsys.readouterr().err
-    assert "does not divide" in err
-
-
 def test_cli_validate_heat(tmp_path, capsys):
     path = tmp_path / "heat.cfg"
     path.write_text(HEAT_CFG + f"\nout = {tmp_path}/cli_run")
@@ -185,9 +182,31 @@ def test_cli_validate_without_reference_fails(tmp_path, capsys):
     path = tmp_path / "fkpp.cfg"
     path.write_text("experiment = solve-mild\nproblem.preset = logistic_fkpp\n"
                     f"grid.n_x = 64\ngrid.n_t = 16\nout = {tmp_path}/fkpp\n")
-    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert cli_main(["validate", "--config", str(path)]) == 2
     assert "logistic_fkpp" in capsys.readouterr().err
     assert not (tmp_path / "fkpp").exists()  # refused before the mild solve
+
+
+@pytest.mark.parametrize("times", ["5", "0.25, 0.03125"])
+def test_cli_rejects_compare_time_off_the_grid(tmp_path, capsys, times):
+    # past T, and between two of the 16 levels: refused before the mild solve
+    path = tmp_path / "heat.cfg"
+    path.write_text(HEAT_CFG + f"\ncompare.times = {times}\nout = {tmp_path}/run")
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert "config error: compare.times: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_validate_heat_compares_cell_averages(tmp_path):
+    # the closed form enters as exact cell averages, as the solver's fields are:
+    # on this grid point values of the density stood 5.5e-4 off the solution
+    cfg = RunConfig.from_text(HEAT_CFG.replace("grid.n_x = 128", "grid.n_x = 512")
+                              .replace("grid.n_t = 16", "grid.n_t = 64")
+                              .replace("compare.l1 = 1e-2", "compare.l1 = 1e-4")
+                              + f"\nout = {tmp_path}/run")
+    code = run(cfg)
+    (check,) = _read_record(tmp_path / "run", code)["checks"]
+    assert check["value"] < 1e-4 and code == 0
 
 
 def test_cli_missing_config(tmp_path, capsys):

@@ -65,10 +65,9 @@ def _small_grid(problem, n_x=257, n_t=32, R=7.0, **kw):
 class TestPicardMap:
     def test_zero_nonlinearity_maps_to_zero(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
+        grid = _small_grid(prob)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0, 0.0, phi, prob, kern, grid)
+        state = prepare_slab(0.0, phi, prob, grid)
         out = picard_map(state, prob)
         assert np.all(out == 0.0)
 
@@ -76,10 +75,9 @@ class TestPicardMap:
         # integral of Pi(0)(t) equals lam * (t - r) * mass(phi) for pc-left sources
         lam = 0.5
         prob = preset("exponential_growth", lam=lam)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=16, T=1.0, tau=0.25)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0, 0.0, phi, prob, kern, grid)
+        state = prepare_slab(0.0, phi, prob, grid)
         out = picard_map(state, prob)
         mass_phi = phi.sum() * grid.dx
         for ell in range(1, grid.levels_per_slab + 1):
@@ -88,11 +86,10 @@ class TestPicardMap:
 
     def test_burgers_first_sweep_is_odd(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        kern = kernel_for(prob)
         # odd node count so x -> -x maps the lattice onto itself
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=1.0, tau=1.0 / 256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0, 0.0, phi, prob, kern, grid)
+        state = prepare_slab(0.0, phi, prob, grid)
         out = picard_map(state, prob)
         for ell in range(1, grid.levels_per_slab + 1):
             assert np.abs(out[ell] + out[ell][::-1]).max() <= 1e-12
@@ -101,28 +98,25 @@ class TestPicardMap:
 class TestSolveSlab:
     def test_heat_converges_immediately(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
+        grid = _small_grid(prob)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, state = solve_slab(0.0, phi, prob, kern, grid, tol=1e-10)
-        assert state.iterations == 1
+        u_slab, state = solve_slab(0.0, phi, prob, grid, tol=1e-10)
+        assert len(state.residual_history) == 1
         assert np.array_equal(u_slab, state.u0hat)
 
     def test_growth_slab_mass(self):
         prob = preset("exponential_growth", lam=0.5, T=0.25)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=256, T=0.25, tau=0.25)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, _ = solve_slab(0.0, phi, prob, kern, grid, tol=1e-10)
+        u_slab, _ = solve_slab(0.0, phi, prob, grid, tol=1e-10)
         mass_end = u_slab[-1].sum() * grid.dx
         assert mass_end == pytest.approx(math.exp(0.125), abs=1e-4)
 
     def test_burgers_residuals_decay(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=1024, T=1.0, tau=1.0 / 256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        _, state = solve_slab(0.0, phi, prob, kern, grid, tol=1e-12, max_iter=60)
+        _, state = solve_slab(0.0, phi, prob, grid, tol=1e-12, max_iter=60)
         hist = state.residual_history
         assert hist[-1] <= 1e-3 * hist[0]
         # geometric trend from the second iterate on
@@ -130,20 +124,18 @@ class TestSolveSlab:
 
     def test_nonconvergence_reports_slab(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=129, n_t=1024, T=1.0, tau=1.0 / 256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         with pytest.raises(RuntimeError, match="slab 3"):
-            solve_slab(0.0, phi, prob, kern, grid, tol=1e-14, max_iter=2,
+            solve_slab(0.0, phi, prob, grid, tol=1e-14, max_iter=2,
                        slab_index=3)
 
 
 class TestSolve:
     def test_heat_matches_oracle(self):
         prob = preset("heat", nu=1.0, u0_var=0.04)
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, n_x=257, n_t=32, kernel=kern)
-        u, _ = solve(prob, grid, tol=1e-8, kernel=kern)
+        grid = _small_grid(prob, n_x=257, n_t=32)
+        u, _ = solve(prob, grid, tol=1e-8)
         x = grid.x_nodes()
         for k in (1, grid.n_t // 2, grid.n_t):
             t = grid.times()[k]
@@ -152,9 +144,8 @@ class TestSolve:
 
     def test_mass_conserved_without_growth(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
-        u, _ = solve(prob, grid, kernel=kern)
+        grid = _small_grid(prob)
+        u, _ = solve(prob, grid)
         for k in range(grid.n_t + 1):
             assert abs(u.mass(k) - 1.0) <= 1e-9
 
@@ -172,26 +163,23 @@ class TestSolve:
 
     def test_deterministic(self):
         prob = preset("exponential_growth", lam=0.3, T=0.5)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=129, n_t=32, T=0.5, tau=0.25)
-        u1, _ = solve(prob, grid, kernel=kern)
-        u2, _ = solve(prob, grid, kernel=kern)
+        u1, _ = solve(prob, grid)
+        u2, _ = solve(prob, grid)
         assert np.array_equal(u1.values, u2.values)
 
     def test_perturbed_start_reaches_same_fixed_point(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
         tol = 1e-9
-        u1, _ = solve(prob, grid, tol=tol, kernel=kern)
-        u2, _ = solve(prob, grid, tol=tol, kernel=kern, perturb_initial=0.1)
+        u1, _ = solve(prob, grid, tol=tol)
+        u2, _ = solve(prob, grid, tol=tol, perturb_initial=0.1)
         assert slab_l1(u1.values - u2.values, grid.dx, grid.dt) <= 2 * tol
 
     def test_ball_preserved(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
-        _, report = solve(prob, grid, tol=1e-8, kernel=kern)
+        _, report = solve(prob, grid, tol=1e-8)
         assert report.ball_ok()
         assert report.max_iterate_sup <= report.M
         # two-sweep contraction factor pi C^2 tau is below 1 here, so the
@@ -203,41 +191,37 @@ class TestSolve:
         # logistic_fkpp's Lipschitz constants put pi C^2 tau far above 1, where
         # the residual recursion bounds nothing: the monitor reports None
         prob = preset("logistic_fkpp")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, n_x=65, n_t=16, kernel=kern)
-        _, report = solve(prob, grid, kernel=kern)
+        grid = _small_grid(prob, n_x=65, n_t=16)
+        _, report = solve(prob, grid)
         assert report.pi_C2_tau >= 1.0
         assert report.contraction_monitor_ok is None
 
     def test_slab_refinement_consistency(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        kern = kernel_for(prob)
         tol = 1e-4
         g1 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
         g2 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 512)
-        u1, _ = solve(prob, g1, tol=tol, kernel=kern)
-        u2, _ = solve(prob, g2, tol=tol, kernel=kern)
+        u1, _ = solve(prob, g1, tol=tol)
+        u2, _ = solve(prob, g2, tol=tol)
         assert slab_l1(u1.values - u2.values, g1.dx, g1.dt) <= 2 * tol
 
 
 class TestSolveLinearized:
     def test_zero_coefficients_reduce_to_smoothing(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
+        grid = _small_grid(prob)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
-        out = solve_linearized(prob, zeros, zeros, grid, kern)
-        ref, _ = solve(prob, grid, kernel=kern)
+        out = solve_linearized(prob, zeros, zeros, grid)
+        ref, _ = solve(prob, grid)
         assert np.abs(out.values - ref.values).max() <= 1e-12
 
     def test_constant_growth_semigroup(self):
         lam = 0.3
         prob = preset("heat", T=0.5)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.5, tau=0.25)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
         lam_field = np.full_like(zeros, lam)
-        out = solve_linearized(prob, zeros, lam_field, grid, kern, tol=1e-10)
+        out = solve_linearized(prob, zeros, lam_field, grid, tol=1e-10)
         x = grid.x_nodes()
         for k in (grid.n_t // 2, grid.n_t):
             t = grid.times()[k]
@@ -247,29 +231,26 @@ class TestSolveLinearized:
 
     def test_reproduces_frozen_nonlinear_solution(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        kern = kernel_for(prob)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
         tol = 1e-9
-        u, _ = solve(prob, grid, tol=tol, kernel=kern)
+        u, _ = solve(prob, grid, tol=tol)
         b_hat, lam_hat = freeze_coefficients(prob, u)
-        lin = solve_linearized(prob, b_hat, lam_hat, grid, kern, tol=tol)
+        lin = solve_linearized(prob, b_hat, lam_hat, grid, tol=tol)
         assert slab_l1(u.values - lin.values, grid.dx, grid.dt) <= 2 * tol
 
 
 class TestWeakResidual:
     def test_heat_conservation_residual_small(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
-        u, _ = solve(prob, grid, kernel=kern)
+        grid = _small_grid(prob)
+        u, _ = solve(prob, grid)
         wide = smooth_test_functions()[0]
         assert weak_residual(u, wide, 0.5, prob) <= 1e-3
 
     def test_perturbation_inflates_residual(self):
         prob = preset("heat")
-        kern = kernel_for(prob)
-        grid = _small_grid(prob, kernel=kern)
-        u, _ = solve(prob, grid, kernel=kern)
+        grid = _small_grid(prob)
+        u, _ = solve(prob, grid)
         tf = smooth_test_functions()[0]
         base = weak_residual(u, tf, 0.5, prob)
         values = u.values.copy()
@@ -279,22 +260,21 @@ class TestWeakResidual:
 
 def test_ball_radius_envelope():
     prob = preset("burgers", nu=1.0, u0_var=0.04)
-    kern = kernel_for(prob)
-    M = ball_radius(prob, kern)
-    assert M == pytest.approx(prob.u0.max_value * kern.C_u, rel=1e-9)
+    M = ball_radius(prob)
+    assert M == pytest.approx(prob.u0.max_value * kernel_for(prob).C_u, rel=1e-9)
     prob2 = preset("exponential_growth", lam=0.5)
-    assert ball_radius(prob2, kernel_for(prob2)) >= math.exp(0.5)
+    assert ball_radius(prob2) >= math.exp(0.5)
 
 
 def test_stencils_cache_shape():
     grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, tau=0.25)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
-    st = build_slab_stencils(kernel_for(prob), grid, prob)
+    st = build_slab_stencils(prob, grid)
     assert st.S.shape == (2, 2 * 65 - 1)
     assert st.A is None  # Burgers has no growth term
     assert st.B.shape == (2, 2 * 65)
     growth = preset("exponential_growth", lam=0.5)
-    st = build_slab_stencils(kernel_for(growth), grid, growth)
+    st = build_slab_stencils(growth, grid)
     assert st.A.shape == (2, 2 * 65 - 1)
     assert st.B is None  # no state-dependent drift
 
@@ -307,14 +287,13 @@ def test_slab_operator_matches_per_level_sums():
     prob = ProblemSpec("drift_growth", 1.0, 1.0, drift, growth,
                        GaussianDensity(0.0, 0.04), M_b=1.0, M_Lambda=0.9,
                        L_b=0.5, L_Lambda=0.3, z_max=2.0)
-    kern = kernel_for(prob)
     grid = GridSpec(R=7.0, n_x=65, n_t=20, T=1.0, tau=0.2)
     m, n, dx = grid.levels_per_slab, grid.n_x, grid.dx
     r = grid.tau
     phi = cell_means_from_cdf(prob.u0.cdf, grid)
-    state = prepare_slab(1, r, phi, prob, kern, grid, perturb=0.3)
+    state = prepare_slab(r, phi, prob, grid, perturb=0.3)
     for ell in range(1, m + 1):
-        ref = apply_mean_smooth(phi, *kern.sigma_beta(r, r + ell * grid.dt), dx)
+        ref = apply_mean_smooth(phi, *kernel_for(prob).sigma_beta(r, r + ell * grid.dt), dx)
         assert np.abs(state.u0hat[ell] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     A, B = state.stencils.A, state.stencils.B
@@ -335,12 +314,11 @@ def test_slab_operator_matches_per_level_sums():
 
 def test_solve_identical_across_fft_workers():
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
-    kern = kernel_for(prob)
     grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.125, tau=1.0 / 256)
     fields = []
     for workers in (1, 2):
         with scipy.fft.set_workers(workers):
-            fields.append(solve(prob, grid, tol=1e-9, kernel=kern)[0].values)
+            fields.append(solve(prob, grid, tol=1e-9)[0].values)
     assert np.array_equal(fields[0], fields[1])
 
 
@@ -384,9 +362,8 @@ def test_burgers_mild_matches_closed_form_oracle():
     from mfklab.oracles import burgers_expectation_formula
 
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.5)
-    kern = kernel_for(prob)
-    grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512, kernel=kern)
-    u, _ = solve(prob, grid, tol=1e-8, kernel=kern)
+    grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512)
+    u, _ = solve(prob, grid, tol=1e-8)
     x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
     for t in (0.25, 0.5):
@@ -401,9 +378,8 @@ def test_base_drift_shifts_the_heat_solution():
     prob = ProblemSpec("drifted_heat", 1.0, 1.0, zero, zero,
                        GaussianDensity(0.0, 0.04), M_b=0.0, M_Lambda=0.0,
                        L_b=0.0, L_Lambda=0.0, z_max=3.0, b0=0.5)
-    kern = kernel_for(prob)
-    grid = plan_grid(prob, R=8.0, n_x=512, n_t_min=32, kernel=kern)
-    u, _ = solve(prob, grid, tol=1e-8, kernel=kern)
+    grid = plan_grid(prob, R=8.0, n_x=512, n_t_min=32)
+    u, _ = solve(prob, grid, tol=1e-8)
     x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
     for k, t in enumerate(grid.times()):

@@ -9,7 +9,6 @@ import pytest
 
 import mfklab
 from mfklab.grids import GridSpec
-from mfklab.kernel import kernel_for
 from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
@@ -52,9 +51,8 @@ def test_weight_bound_invariant():
 def test_initial_drift_functional_matches_quadrature():
     # ensemble mean of b(0, Y0, u(0, Y0)) against the density-weighted integral
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-    kern = kernel_for(prob)
-    grid = plan_grid(prob, R=7.0, n_x=513, n_t_min=256, kernel=kern)
-    u, _ = solve(prob, grid, tol=1e-8, kernel=kern)
+    grid = plan_grid(prob, R=7.0, n_x=513, n_t_min=256)
+    u, _ = solve(prob, grid, tol=1e-8)
     N = 200_000
     ens = simulate_frozen(u, prob, N, 1.0 / 256, seed=9)
     y0 = ens.positions[0]
@@ -179,9 +177,8 @@ class TestSelfConsistent:
 
     def test_burgers_tracks_mild_solution(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.5)
-        kern = kernel_for(prob)
-        grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512, kernel=kern)
-        u, _ = solve(prob, grid, tol=1e-7, kernel=kern)
+        grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512)
+        u, _ = solve(prob, grid, tol=1e-7)
         _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 128, 17, grid)
         w = trapezoid_weights(grid.n_x, grid.dx)
         dist = float(np.dot(w, np.abs(rec.values[-1] - u.values[-1])))
