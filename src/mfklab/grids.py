@@ -18,32 +18,31 @@ from .quadrature import trapezoid_weights
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-R, R] x [0, T] with a slab decomposition of [0, T].
+    """Uniform grid on [-R, R] x [0, T] cut into n_slabs equal slabs.
 
     n_x is the node count, n_t the number of time intervals
-    (levels = n_t + 1).  The slab width tau must satisfy N * tau = T for an
-    integer N that divides n_t, so slab boundaries land on time levels.
+    (levels = n_t + 1).  n_slabs must divide n_t, so slab boundaries land on
+    time levels.
     """
 
     R: float
     n_x: int
     n_t: int
     T: float
-    tau: float
+    n_slabs: int = 1
 
     def __post_init__(self):
         if self.n_x < 2:
             raise ValueError("n_x must be at least 2")
         if self.n_t < 1:
             raise ValueError("n_t must be at least 1")
-        if not (self.R > 0 and self.T > 0 and self.tau > 0):
-            raise ValueError("R, T and tau must be positive")
-        N = self.T / self.tau
-        if abs(N - round(N)) > 1e-9 * max(1.0, N):
-            raise ValueError(f"slab width tau={self.tau} does not divide T={self.T}")
-        if self.n_t % round(N) != 0:
+        if self.n_slabs < 1:
+            raise ValueError("n_slabs must be at least 1")
+        if not (self.R > 0 and self.T > 0):
+            raise ValueError("R and T must be positive")
+        if self.n_t % self.n_slabs != 0:
             raise ValueError(
-                f"slab count N={round(N)} must divide the time level count n_t={self.n_t}"
+                f"slab count N={self.n_slabs} must divide the time level count n_t={self.n_t}"
             )
 
     @property
@@ -55,8 +54,8 @@ class GridSpec:
         return self.T / self.n_t
 
     @property
-    def n_slabs(self) -> int:
-        return round(self.T / self.tau)
+    def tau(self) -> float:
+        return self.T / self.n_slabs
 
     @property
     def levels_per_slab(self) -> int:
@@ -109,14 +108,11 @@ class Field:
         """Integral over the box at time level k (exact for cell averages)."""
         return float(self.values[k].sum() * self.grid.dx)
 
-    def lookup(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Pointwise values at one time t (a scalar or one-element array) and points x:
-        left level in time, nearest node in space, 0 outside."""
-        times = self.grid.times()
-        k = np.searchsorted(times, np.asarray(t) + 1e-12 * self.grid.dt, side="right").item() - 1
+    def lookup(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Pointwise values at time level k and points x: nearest node, 0 outside."""
         row = np.empty(self.grid.n_x + 1)  # the level's values behind one zero for outside
         row[0] = 0.0
-        row[1:] = self.values[min(max(k, 0), self.grid.n_t)]
+        row[1:] = self.values[k]
         j = self.grid.nearest_node(x)
         j += 1
         return row.take(j)

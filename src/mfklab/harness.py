@@ -21,7 +21,8 @@ from . import __version__
 from .grids import Field, GridSpec, cell_means_from_cdf
 from .mild import plan_grid, solve
 from .oracles import burgers_fd_reference, exp_mass_oracle
-from .particles import simulate_frozen, solve_selfconsistent, weighted_functional
+from .particles import (particle_grid, simulate_frozen, solve_selfconsistent,
+                        weighted_functional)
 from .problems import PRESET_NAMES, GaussianDensity, preset, smooth_test_functions
 from .quadrature import trapezoid_weights
 
@@ -237,6 +238,15 @@ def _run_inner(config: RunConfig) -> int:
         compare_levels = [grid.time_index(t) for t in config.compare_times]
     except ValueError as exc:
         raise ConfigError(f"compare.times: {exc}") from None
+    battery_times = config.compare_times or [grid.T / 4, grid.T / 2, grid.T]
+    if config.kind in ("simulate-frozen", "simulate-mckean", "sweep"):
+        try:
+            steps = particle_grid(grid, config.dt, frozen=config.kind == "simulate-frozen")
+            if config.kind == "simulate-frozen":  # the battery's times must be particle levels
+                for t in battery_times:
+                    steps.time_index(t)
+        except ValueError as exc:
+            raise ConfigError(f"particles.dt = {config.dt:g}: {exc}") from None
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -264,14 +274,13 @@ def _run_inner(config: RunConfig) -> int:
 
     elif config.kind == "simulate-frozen":
         basket = smooth_test_functions()
-        times = config.compare_times or [grid.T / 4, grid.T / 2, grid.T]
         x = grid.x_nodes()
         wx = trapezoid_weights(grid.n_x, grid.dx)
         rows = []
         hits = 0
         for s in range(config.seed_count):
             ens = simulate_frozen(u, problem, config.N, config.dt, config.seed + s)
-            for t in times:
+            for t in battery_times:
                 k = grid.time_index(t)
                 for tf in basket:
                     est, se = weighted_functional(ens, tf, t)

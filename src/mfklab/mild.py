@@ -331,7 +331,7 @@ def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.nda
     shape = (grid.n_t + 1, grid.n_x)
     if b_hat.shape != shape or Lambda_hat.shape != shape:
         raise ValueError(f"frozen coefficient fields must have shape {shape}")
-    level = lambda t: int(round(t / grid.dt))
+    level = grid.time_index
     frozen = replace(
         problem, b=lambda t, x, z: b_hat[level(t)], Lambda=lambda t, x, z: Lambda_hat[level(t)],
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
@@ -386,5 +386,5 @@ def plan_grid(problem: ProblemSpec, R: float, n_x: int, n_t_min: int,
     for N in range(N0, 4 * N0 + _ALIGN + 1):
         m = max(_LEVELS_PER_SLAB_MIN, int(np.ceil(n_t_min / N)))
         if (N * m) % _ALIGN == 0:
-            return GridSpec(R=R, n_x=n_x, n_t=N * m, T=problem.T, tau=problem.T / N)
+            return GridSpec(R=R, n_x=n_x, n_t=N * m, T=problem.T, n_slabs=N)
     raise ValueError("no aligned slab decomposition found")

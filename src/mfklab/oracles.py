@@ -60,8 +60,7 @@ def burgers_expectation_formula(u0, nu: float, t: float, x,
     return float(out) if out.ndim == 0 else out
 
 
-def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
-                         refine: int = 4, cfl: float = 0.45,
+def burgers_fd_reference(u0, nu: float, grid: GridSpec, refine: int = 4, cfl: float = 0.45,
                          max_steps: int = 20_000_000) -> Field:
     """Conservative finite-volume solve of u_t + d_x(u^2/2 - (nu/2) u_x) = 0.
 
@@ -77,7 +76,6 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
         raise ValueError("nu must be positive")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    T = grid.T if T is None else T
     n_f = refine * (grid.n_x - 1) + 1
     dx = 2.0 * grid.R / (n_f - 1)
     x = np.linspace(-grid.R, grid.R, n_f)
@@ -89,7 +87,7 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, T: float | None = None,
 
     sup_u0 = float(np.abs(u).max())
     umax = max(sup_u0, 1e-12)
-    dt_level = T / grid.n_t
+    dt_level = grid.dt
     dt_stable = cfl * min(dx * dx / nu, dx / umax)
     steps_per_level = max(1, int(np.ceil(dt_level / dt_stable)))
     if steps_per_level * grid.n_t > max_steps:

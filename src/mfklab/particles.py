@@ -8,7 +8,8 @@ through the estimated density level by level.
 
 Randomness comes from a counter-based Philox generator keyed by the master
 seed, drawn in a fixed order, so identical (seed, N, dt) reproduce the
-ensemble bit-for-bit.
+ensemble bit-for-bit.  The particles step on the levels of a GridSpec
+(particle_grid); a time t becomes a level only through GridSpec.time_index.
 """
 
 from __future__ import annotations
@@ -27,29 +28,20 @@ from .problems import ProblemSpec
 class ParticleEnsemble:
     """Trajectories and accumulated Feynman-Kac log-weights.
 
-    positions[k, i] is particle i at time level k; logw[k, i] is the
-    accumulated left-point integral of the growth rate up to t_k, so
-    logw[0] = 0 and |logw[k]| <= M_Lambda * t_k.
+    grid is the particle time axis (see particle_grid); positions[k, i] is
+    particle i at its level k; logw[k, i] is the accumulated left-point
+    integral of the growth rate up to t_k, so logw[0] = 0 and
+    |logw[k]| <= M_Lambda * t_k.
     """
 
-    times: np.ndarray
+    grid: GridSpec
     positions: np.ndarray
     logw: np.ndarray
     seed: int
-    dt: float
 
     @property
     def N(self) -> int:
         return self.positions.shape[1]
-
-    def time_index(self, t: float) -> int:
-        k = t / self.dt
-        if abs(k - round(k)) > 1e-8:
-            raise ValueError(f"t={t} is not a simulated time level")
-        k = round(k)
-        if not 0 <= k < len(self.times):
-            raise ValueError(f"t={t} outside the simulated range")
-        return k
 
 
 @dataclass
@@ -69,58 +61,63 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _check_dt(problem: ProblemSpec, u: Field | None, dt: float):
-    n_steps = problem.T / dt
-    if abs(n_steps - round(n_steps)) > 1e-8:
-        raise ValueError(f"dt={dt} does not divide the horizon T={problem.T}")
-    if u is not None:
-        ratio = u.grid.dt / dt
-        inv = dt / u.grid.dt
-        if abs(ratio - round(ratio)) > 1e-8 and abs(inv - round(inv)) > 1e-8:
-            raise ValueError(
-                f"dt={dt} incompatible with the field time spacing {u.grid.dt}: "
-                "one must divide the other"
-            )
-    return round(n_steps)
+def particle_grid(grid: GridSpec, dt: float, frozen: bool = False) -> GridSpec:
+    """The particle time axis: grid's box and horizon in steps of dt.
 
-
-def _march(problem: ProblemSpec, N: int, dt: float, seed: int, n_steps: int,
-           feedback) -> ParticleEnsemble:
-    """Euler-Maruyama march of the weighted particle system.
-
-    feedback(t, y, logw) returns z = u(t, y) for the positions y and log-weights
-    logw at level t; None freezes the feedback at z = 0.  The growth integral
-    accumulates by the left-point rule, and the Philox draws come in the fixed
-    order (initial sample, then one normal vector per step).
+    dt must divide the horizon.  frozen=True also requires one of the level
+    counts of grid (a frozen field's) and of the steps to divide the other.
     """
+    n = grid.T / dt
+    if abs(n - round(n)) > 1e-8:
+        raise ValueError(f"dt={dt} does not divide the horizon T={grid.T}")
+    steps = GridSpec(grid.R, grid.n_x, round(n), grid.T)
+    if frozen and steps.n_t % grid.n_t != 0 and grid.n_t % steps.n_t != 0:
+        raise ValueError(f"dt={dt} incompatible with the field time spacing {grid.dt}: "
+                         "one must divide the other")
+    return steps
+
+
+def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
+           feedback) -> ParticleEnsemble:
+    """Euler-Maruyama march of the weighted particle system on grid's levels.
+
+    feedback(k, y, logw) returns z = u(t_k, y) for the positions y and
+    log-weights logw at level k.  The growth integral accumulates by the
+    left-point rule, and the Philox draws come in the fixed order (initial
+    sample, then one normal vector per step).
+    """
+    if grid.T != problem.T:
+        raise ValueError(f"particle horizon {grid.T} differs from the problem's {problem.T}")
     rng = _rng(seed)
     y = problem.u0.sample(rng, N)
-    positions = np.empty((n_steps + 1, N))
-    logw = np.zeros((n_steps + 1, N))
+    positions = np.empty((grid.n_t + 1, N))
+    logw = np.zeros((grid.n_t + 1, N))
     positions[0] = y
-    times = np.linspace(0.0, problem.T, n_steps + 1)
+    times = grid.times()
+    dt = grid.dt
     sq = np.sqrt(dt)
-    for k in range(n_steps):
+    for k in range(grid.n_t):
         t = times[k]
-        z = feedback(t, y, logw[k]) if feedback is not None else np.zeros(N)
+        z = feedback(k, y, logw[k])
         drift = np.asarray(problem.b(t, y, z)) + problem.b0
         lam = np.asarray(problem.Lambda(t, y, z))
         logw[k + 1] = logw[k] + lam * dt
         y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
         positions[k + 1] = y
-    return ParticleEnsemble(times, positions, logw, seed, dt)
+    return ParticleEnsemble(grid, positions, logw, seed)
 
 
-def simulate_frozen(u: Field | None, problem: ProblemSpec, N: int, dt: float,
+def simulate_frozen(u: Field, problem: ProblemSpec, N: int, dt: float,
                     seed: int) -> ParticleEnsemble:
     """Euler-Maruyama simulation with the feedback field u frozen.
 
-    The field is read with nearest-node-in-space, left-level-in-time lookups
-    and returns 0 outside the box; u=None freezes the feedback at z = 0.
+    Step k reads u at its left level k * n_f // n_s (n_f field intervals, n_s
+    steps) and the nearest node in space, and 0 outside the box;
+    Field.zeros freezes the feedback at z = 0.
     """
-    n_steps = _check_dt(problem, u, dt)
-    feedback = None if u is None else (lambda t, y, logw: u.lookup(t, y))
-    return _march(problem, N, dt, seed, n_steps, feedback)
+    steps = particle_grid(u.grid, dt, frozen=True)
+    n_f, n_s = u.grid.n_t, steps.n_t
+    return _march(problem, N, steps, seed, lambda k, y, logw: u.lookup(k * n_f // n_s, y))
 
 
 def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
@@ -129,7 +126,7 @@ def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
     Returns (estimate, standard_error) with the plain sample standard error of
     the weighted summand.
     """
-    k = ensemble.time_index(t)
+    k = ensemble.grid.time_index(t)
     vals = np.asarray(phi(ensemble.positions[k])) * np.exp(ensemble.logw[k])
     n = vals.size
     est = float(vals.mean())
@@ -152,7 +149,7 @@ def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray) -> float:
 def density_estimate(ensemble: ParticleEnsemble, t: float, h: float | None,
                      grid: GridSpec) -> DensityEstimate:
     """Exact weighted Gaussian KDE (1/N) sum_i e^{L_i} G_h(x - Y_i) on the grid."""
-    k = ensemble.time_index(t)
+    k = ensemble.grid.time_index(t)
     y = ensemble.positions[k]
     w = np.exp(ensemble.logw[k])
     if h is None:
@@ -202,22 +199,19 @@ def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
     Returns the ensemble and the reconstructed field on the grid nodes at the
     simulation levels.
     """
-    n_steps = _check_dt(problem, None, dt)
-    field_grid = GridSpec(R=grid.R, n_x=grid.n_x, n_t=n_steps, T=problem.T,
-                          tau=problem.T)
-    rec = Field.zeros(field_grid)
+    steps = particle_grid(grid, dt)
+    rec = Field.zeros(steps)
     rec.values[0] = problem.u0.pdf(grid.x_nodes())
 
     def estimate(k: int, y: np.ndarray, logw: np.ndarray):
         w = np.exp(logw)
         rec.values[k] = _binned_kde(y, w, grid, silverman_bandwidth(y, w), N)
 
-    def feedback(t, y, logw):
-        k = field_grid.time_index(t)
+    def feedback(k, y, logw):
         if k > 0:
             estimate(k, y, logw)
-        return rec.lookup(t, y)
+        return rec.lookup(k, y)
 
-    ensemble = _march(problem, N, dt, seed, n_steps, feedback)
-    estimate(n_steps, ensemble.positions[-1], ensemble.logw[-1])
-    return ensemble, Field(field_grid, rec.values)  # validates every estimated level
+    ensemble = _march(problem, N, steps, seed, feedback)
+    estimate(steps.n_t, ensemble.positions[-1], ensemble.logw[-1])
+    return ensemble, Field(steps, rec.values)  # validates every estimated level

@@ -33,7 +33,7 @@ def _criterion(num, name, ok, detail):
 
 def test_criterion_1_heat_exactness():
     problem = preset("heat", nu=1.0, u0_var=0.04)
-    grid = GridSpec(R=7.0, n_x=512, n_t=64, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=512, n_t=64, T=1.0)
     t0 = time.perf_counter()
     u, _ = solve(problem, grid, tol=1e-8)
     wall = time.perf_counter() - t0
@@ -94,7 +94,7 @@ def test_criterion_5_slab_gluing(burgers_setup):
     problem = burgers_setup["problem"]
     grid = burgers_setup["grid"]
     tol = 1e-4
-    g_half = GridSpec(R=grid.R, n_x=grid.n_x, n_t=grid.n_t, T=grid.T, tau=grid.tau / 2)
+    g_half = GridSpec(R=grid.R, n_x=grid.n_x, n_t=grid.n_t, T=grid.T, n_slabs=2 * grid.n_slabs)
     u1, _ = solve(problem, grid, tol=tol)
     u2, _ = solve(problem, g_half, tol=tol)
     dist = slab_l1(u1.values - u2.values, grid.dx, grid.dt)

@@ -111,7 +111,7 @@ def test_config_requires_known_preset():
 
 class TestCompareFields:
     def _pair(self):
-        grid = GridSpec(R=1.0, n_x=201, n_t=2, T=1.0, tau=0.5)
+        grid = GridSpec(R=1.0, n_x=201, n_t=2, T=1.0, n_slabs=2)
         a = Field.zeros(grid)
         return grid, a
 
@@ -130,7 +130,7 @@ class TestCompareFields:
 
     def test_grid_mismatch_rejected(self):
         grid, a = self._pair()
-        other = GridSpec(R=1.0, n_x=101, n_t=2, T=1.0, tau=0.5)
+        other = GridSpec(R=1.0, n_x=101, n_t=2, T=1.0, n_slabs=2)
         with pytest.raises(ValueError, match="grids"):
             compare_fields(a, Field.zeros(other))
 
@@ -197,6 +197,20 @@ def test_cli_rejects_compare_time_off_the_grid(tmp_path, capsys, times):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("simulate-frozen", "particles.dt = 0.1"),  # 10 steps against 16 field levels
+    ("simulate-mckean", "particles.dt = 0.3"),  # does not divide T = 1
+    ("simulate-frozen", "particles.dt = 0.125\ncompare.times = 0.0625"),  # not a step level
+], ids=["frozen-dt-0.1", "mckean-dt-0.3", "frozen-time-between-steps"])
+def test_cli_rejects_particle_step_before_the_solve(tmp_path, capsys, kind, extra):
+    path = tmp_path / "heat.cfg"
+    path.write_text(HEAT_CFG.replace("grid.n_x = 128", "grid.n_x = 64")
+                    + f"\n{extra}\nout = {tmp_path}/run")
+    assert cli_main([kind, "--config", str(path)]) == 2
+    assert "config error: particles.dt = " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_heat_compares_cell_averages(tmp_path):
     # the closed form enters as exact cell averages, as the solver's fields are:
     # on this grid point values of the density stood 5.5e-4 off the solution
@@ -224,7 +238,7 @@ def test_cli_import_leaves_out_slow_scipy_modules():
 
 
 def test_field_csv_schema(tmp_path):
-    grid = GridSpec(R=1.0, n_x=3, n_t=1, T=1.0, tau=1.0)
+    grid = GridSpec(R=1.0, n_x=3, n_t=1, T=1.0)
     f = Field(grid, np.arange(6, dtype=float).reshape(2, 3))
     path = tmp_path / "f.csv"
     write_field_csv(path, f)
@@ -235,7 +249,7 @@ def test_field_csv_schema(tmp_path):
 
 
 def test_field_csv_matches_per_value_format(tmp_path):
-    grid = GridSpec(R=1.5, n_x=2, n_t=3, T=0.3, tau=0.3)
+    grid = GridSpec(R=1.5, n_x=2, n_t=3, T=0.3)
     values = np.array([[-0.0, 5e-324], [1e-320, 1e300], [3.0, -7.0], [0.1, -2.5e-17]])
     path = tmp_path / "f.csv"
     write_field_csv(path, Field(grid, values))

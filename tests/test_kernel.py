@@ -271,21 +271,21 @@ def test_convolve_full_rejects_mismatched_operands():
 
 
 def test_convolve_initial_gaussian_closed_form(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0)
     out = unit_kernel.convolve_initial(GaussianDensity(0.0, 0.04), 0.0, 1.0, grid)
     mid = np.argmin(np.abs(grid.x_nodes()))
     assert out[mid] == pytest.approx(0.391213, abs=1e-4)  # cell mean vs point value
 
 
 def test_convolve_initial_preserves_indicator_mass(unit_kernel):
-    grid = GridSpec(R=8.0, n_x=801, n_t=1, T=1.0, tau=1.0)
+    grid = GridSpec(R=8.0, n_x=801, n_t=1, T=1.0)
     out = unit_kernel.convolve_initial(UniformDensity(-1.0, 1.0), 0.0, 0.5, grid)
     assert np.abs(out).sum() * grid.dx == pytest.approx(1.0, abs=1e-3)
     assert out.sum() * grid.dx == pytest.approx(1.0, abs=1e-9)
 
 
 def test_convolve_initial_norm_bounds(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0)
     phi = GaussianDensity(0.3, 0.09)
     out = unit_kernel.convolve_initial(phi, 0.1, 0.6, grid)
     assert np.abs(out).sum() * grid.dx <= 1.0 + 1e-9
@@ -293,7 +293,7 @@ def test_convolve_initial_norm_bounds(unit_kernel):
 
 
 def test_convolve_initial_rejects_degenerate_times(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=64, n_t=1, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=64, n_t=1, T=1.0)
     with pytest.raises(ValueError):
         unit_kernel.convolve_initial(GaussianDensity(), 0.5, 0.5, grid)
 

@@ -42,16 +42,23 @@ class TestSlabTau:
 
 
 class TestGridSpec:
-    def test_tau_must_divide_horizon(self):
-        with pytest.raises(ValueError, match="does not divide"):
-            GridSpec(R=1.0, n_x=4, n_t=10, T=1.0, tau=0.3)
+    @pytest.mark.parametrize("n_slabs, match", [
+        (0, "n_slabs must be at least 1"), (-2, "n_slabs must be at least 1"),
+        (3, "divide the time level count"), (20, "divide the time level count")])
+    def test_bad_slab_count_rejected(self, n_slabs, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(R=1.0, n_x=4, n_t=10, T=1.0, n_slabs=n_slabs)
 
     def test_slab_count_must_divide_levels(self):
         with pytest.raises(ValueError, match="divide the time level count"):
-            GridSpec(R=1.0, n_x=4, n_t=10, T=1.0, tau=0.25)
+            GridSpec(R=1.0, n_x=4, n_t=10, T=1.0, n_slabs=4)
+
+    def test_slab_width_is_horizon_over_count(self):
+        grid = GridSpec(R=1.0, n_x=4, n_t=10, T=0.5, n_slabs=5)
+        assert (grid.tau, grid.levels_per_slab) == (0.5 / 5, 2)
 
     def test_field_rejects_nonfinite(self):
-        grid = GridSpec(R=1.0, n_x=4, n_t=2, T=1.0, tau=0.5)
+        grid = GridSpec(R=1.0, n_x=4, n_t=2, T=1.0, n_slabs=2)
         bad = np.zeros((3, 4))
         bad[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
@@ -75,7 +82,7 @@ class TestPicardMap:
         # integral of Pi(0)(t) equals lam * (t - r) * mass(phi) for pc-left sources
         lam = 0.5
         prob = preset("exponential_growth", lam=lam)
-        grid = GridSpec(R=7.0, n_x=257, n_t=16, T=1.0, tau=0.25)
+        grid = GridSpec(R=7.0, n_x=257, n_t=16, T=1.0, n_slabs=4)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         state = prepare_slab(0.0, phi, prob, grid)
         out = picard_map(state, prob)
@@ -87,7 +94,7 @@ class TestPicardMap:
     def test_burgers_first_sweep_is_odd(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
         # odd node count so x -> -x maps the lattice onto itself
-        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=1.0, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         state = prepare_slab(0.0, phi, prob, grid)
         out = picard_map(state, prob)
@@ -106,7 +113,7 @@ class TestSolveSlab:
 
     def test_growth_slab_mass(self):
         prob = preset("exponential_growth", lam=0.5, T=0.25)
-        grid = GridSpec(R=7.0, n_x=257, n_t=256, T=0.25, tau=0.25)
+        grid = GridSpec(R=7.0, n_x=257, n_t=256, T=0.25)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         u_slab, _ = solve_slab(0.0, phi, prob, grid, tol=1e-10)
         mass_end = u_slab[-1].sum() * grid.dx
@@ -114,7 +121,7 @@ class TestSolveSlab:
 
     def test_burgers_residuals_decay(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        grid = GridSpec(R=7.0, n_x=257, n_t=1024, T=1.0, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=257, n_t=1024, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         _, state = solve_slab(0.0, phi, prob, grid, tol=1e-12, max_iter=60)
         hist = state.residual_history
@@ -124,7 +131,7 @@ class TestSolveSlab:
 
     def test_nonconvergence_reports_slab(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        grid = GridSpec(R=7.0, n_x=129, n_t=1024, T=1.0, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=129, n_t=1024, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         with pytest.raises(RuntimeError, match="slab 3"):
             solve_slab(0.0, phi, prob, grid, tol=1e-14, max_iter=2,
@@ -151,26 +158,26 @@ class TestSolve:
 
     def test_rejects_oversized_slab(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        grid = GridSpec(R=7.0, n_x=65, n_t=16, T=1.0, tau=0.25)
+        grid = GridSpec(R=7.0, n_x=65, n_t=16, T=1.0, n_slabs=4)
         with pytest.raises(ValueError, match="tau"):
             solve(prob, grid)
 
     def test_rejects_horizon_mismatch(self):
         prob = preset("heat", T=2.0)
-        grid = GridSpec(R=7.0, n_x=65, n_t=16, T=1.0, tau=1.0)
+        grid = GridSpec(R=7.0, n_x=65, n_t=16, T=1.0)
         with pytest.raises(ValueError, match="horizon"):
             solve(prob, grid)
 
     def test_deterministic(self):
         prob = preset("exponential_growth", lam=0.3, T=0.5)
-        grid = GridSpec(R=7.0, n_x=129, n_t=32, T=0.5, tau=0.25)
+        grid = GridSpec(R=7.0, n_x=129, n_t=32, T=0.5, n_slabs=2)
         u1, _ = solve(prob, grid)
         u2, _ = solve(prob, grid)
         assert np.array_equal(u1.values, u2.values)
 
     def test_perturbed_start_reaches_same_fixed_point(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         tol = 1e-9
         u1, _ = solve(prob, grid, tol=tol)
         u2, _ = solve(prob, grid, tol=tol, perturb_initial=0.1)
@@ -178,7 +185,7 @@ class TestSolve:
 
     def test_ball_preserved(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         _, report = solve(prob, grid, tol=1e-8)
         assert report.ball_ok()
         assert report.max_iterate_sup <= report.M
@@ -199,8 +206,8 @@ class TestSolve:
     def test_slab_refinement_consistency(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         tol = 1e-4
-        g1 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
-        g2 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 512)
+        g1 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
+        g2 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=128)
         u1, _ = solve(prob, g1, tol=tol)
         u2, _ = solve(prob, g2, tol=tol)
         assert slab_l1(u1.values - u2.values, g1.dx, g1.dt) <= 2 * tol
@@ -218,7 +225,7 @@ class TestSolveLinearized:
     def test_constant_growth_semigroup(self):
         lam = 0.3
         prob = preset("heat", T=0.5)
-        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.5, tau=0.25)
+        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.5, n_slabs=2)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
         lam_field = np.full_like(zeros, lam)
         out = solve_linearized(prob, zeros, lam_field, grid, tol=1e-10)
@@ -231,7 +238,7 @@ class TestSolveLinearized:
 
     def test_reproduces_frozen_nonlinear_solution(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, tau=1.0 / 256)
+        grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         tol = 1e-9
         u, _ = solve(prob, grid, tol=tol)
         b_hat, lam_hat = freeze_coefficients(prob, u)
@@ -267,7 +274,7 @@ def test_ball_radius_envelope():
 
 
 def test_stencils_cache_shape():
-    grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, tau=0.25)
+    grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, n_slabs=4)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     st = build_slab_stencils(prob, grid)
     assert st.S.shape == (2, 2 * 65 - 1)
@@ -287,7 +294,7 @@ def test_slab_operator_matches_per_level_sums():
     prob = ProblemSpec("drift_growth", 1.0, 1.0, drift, growth,
                        GaussianDensity(0.0, 0.04), M_b=1.0, M_Lambda=0.9,
                        L_b=0.5, L_Lambda=0.3, z_max=2.0)
-    grid = GridSpec(R=7.0, n_x=65, n_t=20, T=1.0, tau=0.2)
+    grid = GridSpec(R=7.0, n_x=65, n_t=20, T=1.0, n_slabs=5)
     m, n, dx = grid.levels_per_slab, grid.n_x, grid.dx
     r = grid.tau
     phi = cell_means_from_cdf(prob.u0.cdf, grid)
@@ -314,7 +321,7 @@ def test_slab_operator_matches_per_level_sums():
 
 def test_solve_identical_across_fft_workers():
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
-    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.125, tau=1.0 / 256)
+    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.125, n_slabs=32)
     fields = []
     for workers in (1, 2):
         with scipy.fft.set_workers(workers):
@@ -323,18 +330,18 @@ def test_solve_identical_across_fft_workers():
 
 
 def test_field_lookup_conventions():
-    grid = GridSpec(R=1.0, n_x=5, n_t=2, T=1.0, tau=0.5)
+    grid = GridSpec(R=1.0, n_x=5, n_t=2, T=1.0, n_slabs=2)
     vals = np.arange(15, dtype=float).reshape(3, 5)
     f = Field(grid, vals)
-    # nearest node in space, left level in time, zero outside the box
-    assert f.lookup(np.array([0.3]), np.array([0.49]))[0] == vals[0, 3]
-    assert f.lookup(np.array([0.5]), np.array([0.49]))[0] == vals[1, 3]
-    assert f.lookup(np.array([0.5]), np.array([5.0]))[0] == 0.0
+    # nearest node in space at the given level, zero outside the box
+    assert f.lookup(0, np.array([0.49]))[0] == vals[0, 3]
+    assert f.lookup(1, np.array([0.49]))[0] == vals[1, 3]
+    assert f.lookup(1, np.array([5.0]))[0] == 0.0
 
 
 @pytest.mark.parametrize("n_x", [9, 10])
 def test_field_lookup_matches_masked_index(n_x):
-    grid = GridSpec(R=2.0, n_x=n_x, n_t=4, T=1.0, tau=0.25)
+    grid = GridSpec(R=2.0, n_x=n_x, n_t=4, T=1.0, n_slabs=4)
     R, dx = grid.R, grid.dx
     f = Field(grid, np.random.default_rng(3).standard_normal((5, n_x)))
     x = grid.x_nodes()
@@ -343,16 +350,13 @@ def test_field_lookup_matches_masked_index(n_x):
     x = np.concatenate(([-R, R, -R - dx / 2, -R + dx / 2, R - dx / 2, R + dx / 2,
                          -R - dx, R + dx, -100.0, 100.0], x[:-1] + dx / 2, x))
 
-    def masked(t, x):
-        times = grid.times()
-        k = np.searchsorted(times, np.asarray(t) + 1e-12 * grid.dt, side="right") - 1
-        k = np.clip(k, 0, grid.n_t)
+    def masked(k, x):
         j = np.rint((np.asarray(x) + R) / dx).astype(int)
         j = np.where((j < 0) | (j >= grid.n_x), -1, j)
         return np.where(j >= 0, f.values[k, np.where(j >= 0, j, 0)], 0.0)
 
-    for t in (-0.1, 0.0, 0.25, 0.3, 0.5 - 1e-14, 0.999, 1.0, 1.5, np.array([0.75])):
-        assert np.array_equal(f.lookup(t, x), masked(t, x))
+    for k in range(grid.n_t + 1):
+        assert np.array_equal(f.lookup(k, x), masked(k, x))
 
 
 def test_burgers_mild_matches_closed_form_oracle():

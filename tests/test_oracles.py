@@ -81,7 +81,7 @@ class TestBurgersFormula:
         # u_t = (nu/2) u_xx - u u_x, checked away from nu = 1, where the
         # nu-argument / nu^2-exponent spelling would solve another equation
         nu = 2.0
-        grid = GridSpec(R=8.0, n_x=512, n_t=16, T=0.5, tau=0.5)
+        grid = GridSpec(R=8.0, n_x=512, n_t=16, T=0.5)
         ref = burgers_fd_reference(self.u0, nu, grid, refine=4)
         x = grid.x_nodes()
         w = trapezoid_weights(grid.n_x, grid.dx)
@@ -99,7 +99,7 @@ class TestFdReference:
     u0 = GaussianDensity(0.0, 0.04)
 
     def test_mass_conserved_to_machine_level(self):
-        grid = GridSpec(R=8.0, n_x=256, n_t=16, T=0.5, tau=0.5)
+        grid = GridSpec(R=8.0, n_x=256, n_t=16, T=0.5)
         ref = burgers_fd_reference(self.u0, 1.0, grid, refine=4)
         masses = [ref.mass(k) for k in range(grid.n_t + 1)]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-10
@@ -110,7 +110,7 @@ class TestFdReference:
         # shrinking like 1/nu
         errs = {}
         for nu, R in ((5.0, 10.0), (20.0, 16.0)):
-            grid = GridSpec(R=R, n_x=512, n_t=8, T=0.25, tau=0.25)
+            grid = GridSpec(R=R, n_x=512, n_t=8, T=0.25)
             ref = burgers_fd_reference(self.u0, nu, grid, refine=4)
             x = grid.x_nodes()
             w = trapezoid_weights(grid.n_x, grid.dx)
@@ -130,13 +130,13 @@ class TestFdReference:
     def test_mass_conserved_property(self, nu, refine, n_x, n_t):
         # at T = 0.25 the mass outside [-7, 7] is below round-off, so the
         # restriction's truncated boundary windows lose none of it
-        grid = GridSpec(R=8.0, n_x=n_x, n_t=n_t, T=0.25, tau=0.25)
+        grid = GridSpec(R=8.0, n_x=n_x, n_t=n_t, T=0.25)
         ref = burgers_fd_reference(self.u0, nu, grid, refine=refine)
         masses = [ref.mass(k) for k in range(grid.n_t + 1)]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-10
 
     def test_self_convergence_under_refinement(self):
-        grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5, tau=0.5)
+        grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5)
         a = burgers_fd_reference(self.u0, 1.0, grid, refine=4)
         b = burgers_fd_reference(self.u0, 1.0, grid, refine=8)
         w = trapezoid_weights(grid.n_x, grid.dx)
@@ -147,12 +147,12 @@ class TestFdReference:
         assert worst <= 1e-3
 
     def test_step_budget_guard(self):
-        grid = GridSpec(R=8.0, n_x=2048, n_t=64, T=1.0, tau=1.0)
+        grid = GridSpec(R=8.0, n_x=2048, n_t=64, T=1.0)
         with pytest.raises(RuntimeError, match="stability"):
             burgers_fd_reference(self.u0, 1.0, grid, refine=8, max_steps=1000)
 
     def test_unstable_step_breaks_the_maximum_principle(self):
-        grid = GridSpec(R=8.0, n_x=256, n_t=16, T=0.5, tau=0.5)
+        grid = GridSpec(R=8.0, n_x=256, n_t=16, T=0.5)
         with pytest.raises(FloatingPointError, match=r"maximum principle at level 1 .*cfl \(now 1.2\)"):
             burgers_fd_reference(self.u0, 1.0, grid, refine=4, cfl=1.2)
 
@@ -162,7 +162,7 @@ class TestFdReference:
             def cdf(x):
                 return 1e200 * np.clip(np.asarray(x) + 0.5, 0.0, 1.0)
 
-        grid = GridSpec(R=8.0, n_x=64, n_t=4, T=0.5, tau=0.5)
+        grid = GridSpec(R=8.0, n_x=64, n_t=4, T=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"at level 1 .*u in \[nan, nan\]"):
                 burgers_fd_reference(Spike(), 1.0, grid, refine=2, cfl=1e300)
@@ -173,7 +173,7 @@ class TestFdReference:
             "from mfklab.grids import GridSpec\n"
             "from mfklab.oracles import burgers_fd_reference\n"
             "from mfklab.problems import GaussianDensity\n"
-            "grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5, tau=0.5)\n"
+            "grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5)\n"
             "ref = burgers_fd_reference(GaussianDensity(0.0, 0.04), 1.0, grid, refine=4)\n"
             "sys.stdout.buffer.write(ref.values.tobytes())\n"
         )

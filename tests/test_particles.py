@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mfklab
-from mfklab.grids import GridSpec
+from mfklab.grids import Field, GridSpec
 from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
@@ -19,13 +19,18 @@ from mfklab.particles import (
     solve_selfconsistent,
     weighted_functional,
 )
-from mfklab.problems import GaussianDensity, preset
+from mfklab.problems import GaussianDensity, ProblemSpec, preset
 from mfklab.quadrature import trapezoid_weights
+
+
+def _zero_field(prob):
+    """z = 0 at every particle: one time interval divides any step count."""
+    return Field.zeros(GridSpec(R=1.0, n_x=2, n_t=1, T=prob.T))
 
 
 def test_frozen_heat_brownian_variance():
     prob = preset("heat", nu=1.0, u0_var=1e-6)
-    ens = simulate_frozen(None, prob, 100_000, 1.0 / 128, seed=42)
+    ens = simulate_frozen(_zero_field(prob), prob, 100_000, 1.0 / 128, seed=42)
     v = ens.positions[-1].var(ddof=1)
     se = math.sqrt(2.0 / (100_000 - 1))  # var of the sample variance of N(0,1)
     assert abs(v - 1.0) <= 3 * se
@@ -33,18 +38,18 @@ def test_frozen_heat_brownian_variance():
 
 def test_constant_growth_weights_exact():
     prob = preset("exponential_growth", lam=0.5)
-    ens = simulate_frozen(None, prob, 500, 1.0 / 64, seed=1)
+    ens = simulate_frozen(_zero_field(prob), prob, 500, 1.0 / 64, seed=1)
     for t in (0.25, 0.5, 1.0):
-        k = ens.time_index(t)
+        k = ens.grid.time_index(t)
         assert np.abs(ens.logw[k] - 0.5 * t).max() == 0.0
 
 
 def test_weight_bound_invariant():
     prob = preset("logistic_fkpp", lam=0.4, z_max=2.0)
-    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0)
     _, rec = solve_selfconsistent(prob, 2000, 1.0 / 64, 3, grid)
     ens = simulate_frozen(rec, prob, 2000, 1.0 / 64, seed=3)
-    for k, t in enumerate(ens.times):
+    for k, t in enumerate(ens.grid.times()):
         assert np.abs(ens.logw[k]).max() <= prob.M_Lambda * t + 1e-12
 
 
@@ -56,7 +61,7 @@ def test_initial_drift_functional_matches_quadrature():
     N = 200_000
     ens = simulate_frozen(u, prob, N, 1.0 / 256, seed=9)
     y0 = ens.positions[0]
-    z0 = u.lookup(0.0, y0)
+    z0 = u.lookup(0, y0)
     vals = np.asarray(prob.b(0.0, y0, z0))
     est, se = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(N))
     x = grid.x_nodes()
@@ -67,7 +72,7 @@ def test_initial_drift_functional_matches_quadrature():
 
 def test_functional_unit_weights():
     prob = preset("heat")
-    ens = simulate_frozen(None, prob, 1000, 1.0 / 32, seed=5)
+    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, seed=5)
     est, se = weighted_functional(ens, lambda x: np.ones_like(x), 0.5)
     assert est == 1.0
     assert se == 0.0
@@ -75,7 +80,7 @@ def test_functional_unit_weights():
 
 def test_functional_constant_growth():
     prob = preset("exponential_growth", lam=0.5)
-    ens = simulate_frozen(None, prob, 1000, 1.0 / 32, seed=6)
+    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, seed=6)
     est, se = weighted_functional(ens, lambda x: np.ones_like(x), 1.0)
     assert est == pytest.approx(math.exp(0.5), rel=1e-12)
     assert se <= 1e-12
@@ -83,7 +88,7 @@ def test_functional_constant_growth():
 
 def test_functional_rejects_off_level_time():
     prob = preset("heat")
-    ens = simulate_frozen(None, prob, 100, 1.0 / 32, seed=7)
+    ens = simulate_frozen(_zero_field(prob), prob, 100, 1.0 / 32, seed=7)
     with pytest.raises(ValueError):
         weighted_functional(ens, lambda x: x, 0.123)
 
@@ -91,16 +96,38 @@ def test_functional_rejects_off_level_time():
 def test_dt_must_divide_horizon_and_grid():
     prob = preset("heat")
     with pytest.raises(ValueError, match="divide"):
-        simulate_frozen(None, prob, 10, 0.3, seed=0)
-    grid = GridSpec(R=7.0, n_x=65, n_t=96, T=1.0, tau=1.0)
+        simulate_frozen(_zero_field(prob), prob, 10, 0.3, seed=0)
+    grid = GridSpec(R=7.0, n_x=65, n_t=96, T=1.0)
     u, _ = solve(prob, grid)
     with pytest.raises(ValueError, match="incompatible"):
         simulate_frozen(u, prob, 10, 1.0 / 64, seed=0)
 
 
+@pytest.mark.parametrize("n_f, dt", [(12, 0.25), (3, 1.0 / 12), (10, 0.1)])
+def test_frozen_steps_read_the_left_field_level(n_f, dt):
+    # level k of the field holds k and Lambda = z, so the log-weights show
+    # which level each step read; the field is finer, coarser, and equal
+    zero = lambda t, x, z: np.zeros_like(z)
+    prob = ProblemSpec("level_probe", 1.0, 1.0, zero, lambda t, x, z: np.asarray(z),
+                       GaussianDensity(0.0, 0.04), M_b=0.0, M_Lambda=float(n_f),
+                       L_b=0.0, L_Lambda=1.0, z_max=float("inf"))
+    field_grid = GridSpec(R=100.0, n_x=2, n_t=n_f, T=1.0)
+    u = Field(field_grid, np.repeat(np.arange(n_f + 1.0)[:, None], 2, axis=1))
+    ens = simulate_frozen(u, prob, 50, dt, seed=4)
+    # the rule the float-time lookup used: left level, up to a 1e-12 dt nudge
+    expected = np.zeros(ens.grid.n_t + 1)
+    read = []
+    for k, t in enumerate(ens.grid.times()[:-1]):
+        level = np.searchsorted(field_grid.times(), t + 1e-12 * field_grid.dt, side="right") - 1
+        read.append(min(level, n_f))
+        expected[k + 1] = expected[k] + read[-1] * ens.grid.dt
+    assert len(set(read)) == min(n_f, ens.grid.n_t)
+    assert np.array_equal(ens.logw, np.repeat(expected[:, None], 50, axis=1))
+
+
 def test_seed_determinism_bit_identical():
     prob = preset("burgers", nu=1.0, u0_var=0.04)
-    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0, tau=1.0)
+    grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0)
     u, _ = solve(preset("heat"), grid)  # any frozen field exercises the lookups
     a = simulate_frozen(u, prob, 2000, 1.0 / 64, seed=77)
     b = simulate_frozen(u, prob, 2000, 1.0 / 64, seed=77)
@@ -113,10 +140,10 @@ def test_seed_determinism_bit_identical():
 class TestDensityEstimate:
     def test_single_particle_is_the_kernel(self):
         prob = preset("heat")
-        ens = simulate_frozen(None, prob, 1, 1.0 / 4, seed=3)
+        ens = simulate_frozen(_zero_field(prob), prob, 1, 1.0 / 4, seed=3)
         ens.positions[:] = 0.0
         ens.logw[:] = 0.0
-        grid = GridSpec(R=3.0, n_x=301, n_t=4, T=1.0, tau=1.0)
+        grid = GridSpec(R=3.0, n_x=301, n_t=4, T=1.0)
         de = density_estimate(ens, 1.0, 0.2, grid)
         x = grid.x_nodes()
         expected = np.exp(-0.5 * (x / 0.2) ** 2) / (0.2 * math.sqrt(2 * math.pi))
@@ -124,8 +151,8 @@ class TestDensityEstimate:
 
     def test_constant_weights_scale_estimate(self):
         prob = preset("exponential_growth", lam=0.5)
-        ens = simulate_frozen(None, prob, 400, 1.0 / 16, seed=8)
-        grid = GridSpec(R=8.0, n_x=257, n_t=16, T=1.0, tau=1.0)
+        ens = simulate_frozen(_zero_field(prob), prob, 400, 1.0 / 16, seed=8)
+        grid = GridSpec(R=8.0, n_x=257, n_t=16, T=1.0)
         de1 = density_estimate(ens, 1.0, 0.3, grid)
         unweighted = ens.logw.copy()
         ens.logw[:] = 0.0
@@ -135,22 +162,22 @@ class TestDensityEstimate:
 
     def test_kde_mass_matches_mean_weight(self):
         prob = preset("exponential_growth", lam=0.5)
-        ens = simulate_frozen(None, prob, 5000, 1.0 / 32, seed=9)
-        grid = GridSpec(R=10.0, n_x=801, n_t=16, T=1.0, tau=1.0)
+        ens = simulate_frozen(_zero_field(prob), prob, 5000, 1.0 / 32, seed=9)
+        grid = GridSpec(R=10.0, n_x=801, n_t=16, T=1.0)
         de = density_estimate(ens, 1.0, None, grid)
         mean_w = float(np.exp(ens.logw[-1]).mean())
         assert de.mass() == pytest.approx(mean_w, abs=2e-4)
 
     def test_heat_kde_error_shrinks_with_n(self):
         prob = preset("heat", nu=1.0, u0_var=0.04)
-        grid = GridSpec(R=7.0, n_x=257, n_t=8, T=1.0, tau=1.0)
+        grid = GridSpec(R=7.0, n_x=257, n_t=8, T=1.0)
         x = grid.x_nodes()
         target = heat_oracle(0.0, 0.04, 1.0, 1.0, x)
         errs = []
         for n in (500, 5_000, 50_000):
             dists = []
             for s in range(3):
-                ens = simulate_frozen(None, prob, n, 1.0 / 8, seed=100 + s)
+                ens = simulate_frozen(_zero_field(prob), prob, n, 1.0 / 8, seed=100 + s)
                 de = density_estimate(ens, 1.0, None, grid)
                 dists.append(float(np.abs(de.values - target).sum() * grid.dx))
             errs.append(np.median(dists))
@@ -160,8 +187,8 @@ class TestDensityEstimate:
 class TestSelfConsistent:
     def test_heat_closure_is_inert(self):
         prob = preset("heat")
-        grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0, tau=1.0)
-        ens_free = simulate_frozen(None, prob, 3000, 1.0 / 32, seed=21)
+        grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0)
+        ens_free = simulate_frozen(_zero_field(prob), prob, 3000, 1.0 / 32, seed=21)
         ens_sc, rec = solve_selfconsistent(prob, 3000, 1.0 / 32, 21, grid)
         assert np.array_equal(ens_free.positions, ens_sc.positions)
         assert np.array_equal(ens_free.logw, ens_sc.logw)
@@ -169,7 +196,7 @@ class TestSelfConsistent:
 
     def test_growth_mass_recovered(self):
         prob = preset("exponential_growth", lam=0.5)
-        grid = GridSpec(R=9.0, n_x=257, n_t=32, T=1.0, tau=1.0)
+        grid = GridSpec(R=9.0, n_x=257, n_t=32, T=1.0)
         _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 64, 31, grid)
         mass = float(np.trapezoid(rec.values[-1], grid.x_nodes()))
         # weights are deterministic e^{lam t}; the residual error is KDE truncation
@@ -193,7 +220,7 @@ class TestSelfConsistent:
             "from mfklab.particles import solve_selfconsistent\n"
             "from mfklab.problems import preset\n"
             "prob = preset('burgers', nu=1.0, u0_var=0.04)\n"
-            "grid = GridSpec(R=8.0, n_x=129, n_t=16, T=prob.T, tau=prob.T)\n"
+            "grid = GridSpec(R=8.0, n_x=129, n_t=16, T=prob.T)\n"
             "_, rec = solve_selfconsistent(prob, 100_000, prob.T / 16, 7000, grid)\n"
             "sys.stdout.buffer.write(rec.values.tobytes())\n"
         )
@@ -233,7 +260,7 @@ def _binned_kde_masked(y, w, grid, h, n_total):
 
 @pytest.mark.parametrize("spread", [0.5, 3.0, 9.0])
 def test_binned_kde_pad_bins_match_masks(spread):
-    grid = GridSpec(R=8.0, n_x=512, n_t=4, T=1.0, tau=1.0)
+    grid = GridSpec(R=8.0, n_x=512, n_t=4, T=1.0)
     R, dx = grid.R, grid.dx
     rng = np.random.Generator(np.random.Philox(key=int(10 * spread)))
     edges = np.array([R, R + dx / 2, R - dx / 2, R + dx, R - dx, 100.0])
