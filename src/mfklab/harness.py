@@ -228,6 +228,10 @@ def _check(name: str, value: float, tol, passed) -> dict:
     return {"name": name, "value": float(value), "tol": tol, "passed": bool(passed)}
 
 
+def _particle_record(ens) -> dict:
+    return {"seed": ens.seed, "N": ens.N, "max_abs_z": ens.max_abs_z, "levels": ens.health()}
+
+
 def _run_inner(config: RunConfig) -> int:
     if config.kind == "validate" and config.preset_name not in VALIDATE_REFERENCES:
         raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
@@ -253,10 +257,12 @@ def _run_inner(config: RunConfig) -> int:
     u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
     write_field_csv(out / "field.csv", u)
     checks = []
-    if problem.L_b > 0 or problem.L_Lambda > 0:
+    coupled = problem.L_b > 0 or problem.L_Lambda > 0
+    if coupled:
         # the coefficients clamp z at z_max; the theory needs the clamp inactive
         checks.append(_check("max |w| within z_max", report.max_abs_w, problem.z_max,
                              report.max_abs_w <= problem.z_max))
+    particles = []  # one record per ensemble, taken before the next one is built
 
     if config.kind == "validate":
         tol = config.compare_l1 if config.compare_l1 is not None else 1e-3
@@ -279,7 +285,9 @@ def _run_inner(config: RunConfig) -> int:
         rows = []
         hits = 0
         for s in range(config.seed_count):
-            ens = simulate_frozen(u, problem, config.N, config.dt, config.seed + s)
+            ens = simulate_frozen(u, problem, config.N, config.dt, config.seed + s,
+                                  battery_times)
+            particles.append(_particle_record(ens))
             for t in battery_times:
                 k = grid.time_index(t)
                 for tf in basket:
@@ -298,7 +306,8 @@ def _run_inner(config: RunConfig) -> int:
                              frac, config.compare_fraction, frac >= config.compare_fraction))
 
     elif config.kind == "simulate-mckean":
-        _, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
+        ens, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
+        particles.append(_particle_record(ens))
         write_field_csv(out / "mckean_field.csv", rec)
         dist = _l1_at_final(rec, u)
         tol = config.compare_l1
@@ -312,8 +321,9 @@ def _run_inner(config: RunConfig) -> int:
             for n_particles in config.sweep_N:
                 dists = []
                 for s in range(config.seed_count):
-                    _, rec = solve_selfconsistent(problem, n_particles, config.dt,
-                                                  config.seed + s, grid)
+                    ens, rec = solve_selfconsistent(problem, n_particles, config.dt,
+                                                    config.seed + s, grid)
+                    particles.append(_particle_record(ens))
                     dists.append(_l1_at_final(rec, u))
                 med = float(np.median(dists))
                 medians.append(med)
@@ -322,12 +332,18 @@ def _run_inner(config: RunConfig) -> int:
         checks.append(_check("largest rise of the median l1 between successive N",
                              rise, 0.0, rise <= 0.0))
 
+    if coupled and particles:
+        max_z = max(p["max_abs_z"] for p in particles)
+        checks.append(_check("max particle |z| within z_max", max_z, problem.z_max,
+                             max_z <= problem.z_max))
+
     echo = {k: v for k, v in asdict(config).items() if k != "out_dir"}
     record = {
         "config": echo,
         "versions": {"mfklab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "solve": {**asdict(report), "ball_ok": bool(report.ball_ok())},
+        "particles": particles,
         "checks": checks,
     }
     (out / "run.json").write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")

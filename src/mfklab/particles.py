@@ -10,6 +10,8 @@ Randomness comes from a counter-based Philox generator keyed by the master
 seed, drawn in a fixed order, so identical (seed, N, dt) reproduce the
 ensemble bit-for-bit.  The particles step on the levels of a GridSpec
 (particle_grid); a time t becomes a level only through GridSpec.time_index.
+The march streams: it holds the current step only and keeps the levels its
+caller will read, so an ensemble takes O(N * kept levels) memory.
 """
 
 from __future__ import annotations
@@ -26,22 +28,48 @@ from .problems import ProblemSpec
 
 @dataclass
 class ParticleEnsemble:
-    """Trajectories and accumulated Feynman-Kac log-weights.
+    """Kept levels of the trajectories and their Feynman-Kac log-weights.
 
-    grid is the particle time axis (see particle_grid); positions[k, i] is
-    particle i at its level k; logw[k, i] is the accumulated left-point
-    integral of the growth rate up to t_k, so logw[0] = 0 and
-    |logw[k]| <= M_Lambda * t_k.
+    grid is the particle time axis (see particle_grid) and levels the kept
+    levels of it, ascending; positions[r, i] is particle i at level
+    levels[r]; logw[r, i] is the accumulated left-point integral of the growth
+    rate up to that level's time t, so logw is 0 at level 0 and
+    |logw| <= M_Lambda * t.  max_abs_z is the largest |z| the march fed to
+    the drift and growth coefficients.
     """
 
     grid: GridSpec
+    levels: tuple
     positions: np.ndarray
     logw: np.ndarray
     seed: int
+    max_abs_z: float
 
     @property
     def N(self) -> int:
         return self.positions.shape[1]
+
+    def row(self, t: float) -> int:
+        """The row of positions and logw that holds time t."""
+        k = self.grid.time_index(t)
+        if k not in self.levels:
+            kept = ", ".join(f"{s:g}" for s in self.grid.times()[list(self.levels)])
+            raise ValueError(f"t={t:g} is not a kept level; kept times: {kept}")
+        return self.levels.index(k)
+
+    def health(self) -> list:
+        """Per kept level: ESS/N, Silverman's bandwidth and the share of weight
+        outside [-R, R], which the KDE and Field.lookup drop."""
+        out = []
+        times = self.grid.times()
+        for k, y, logw in zip(self.levels, self.positions, self.logw):
+            w = np.exp(logw)
+            wsum = w.sum()
+            out.append({"t": float(times[k]),
+                        "ess_frac": float(wsum**2 / np.square(w).sum() / self.N),
+                        "bandwidth": silverman_bandwidth(y, w),
+                        "outside_box": float(w[np.abs(y) > self.grid.R].sum() / wsum)})
+        return out
 
 
 @dataclass
@@ -78,8 +106,9 @@ def particle_grid(grid: GridSpec, dt: float, frozen: bool = False) -> GridSpec:
 
 
 def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
-           feedback) -> ParticleEnsemble:
-    """Euler-Maruyama march of the weighted particle system on grid's levels.
+           feedback, levels) -> ParticleEnsemble:
+    """Euler-Maruyama march of the weighted particle system on grid's levels,
+    keeping the given levels of it (any order, repeats allowed).
 
     feedback(k, y, logw) returns z = u(t_k, y) for the positions y and
     log-weights logw at level k.  The growth integral accumulates by the
@@ -88,28 +117,38 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     """
     if grid.T != problem.T:
         raise ValueError(f"particle horizon {grid.T} differs from the problem's {problem.T}")
+    kept = tuple(sorted(set(levels)))
+    rows = {k: r for r, k in enumerate(kept)}
+    positions = np.empty((len(kept), N))
+    logw_kept = np.zeros((len(kept), N))
     rng = _rng(seed)
     y = problem.u0.sample(rng, N)
-    positions = np.empty((grid.n_t + 1, N))
-    logw = np.zeros((grid.n_t + 1, N))
-    positions[0] = y
+    logw = np.zeros(N)
+    if 0 in rows:
+        positions[0] = y
     times = grid.times()
     dt = grid.dt
     sq = np.sqrt(dt)
+    max_abs_z = 0.0
     for k in range(grid.n_t):
         t = times[k]
-        z = feedback(k, y, logw[k])
+        z = feedback(k, y, logw)
+        max_abs_z = max(max_abs_z, float(np.abs(z).max()))
         drift = np.asarray(problem.b(t, y, z)) + problem.b0
         lam = np.asarray(problem.Lambda(t, y, z))
-        logw[k + 1] = logw[k] + lam * dt
+        logw = logw + lam * dt
         y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
-        positions[k + 1] = y
-    return ParticleEnsemble(grid, positions, logw, seed)
+        r = rows.get(k + 1)
+        if r is not None:
+            positions[r] = y
+            logw_kept[r] = logw
+    return ParticleEnsemble(grid, kept, positions, logw_kept, seed, max_abs_z)
 
 
 def simulate_frozen(u: Field, problem: ProblemSpec, N: int, dt: float,
-                    seed: int) -> ParticleEnsemble:
-    """Euler-Maruyama simulation with the feedback field u frozen.
+                    seed: int, times) -> ParticleEnsemble:
+    """Euler-Maruyama simulation with the feedback field u frozen, keeping the
+    levels of the given times, the only ones the ensemble can be read at.
 
     Step k reads u at its left level k * n_f // n_s (n_f field intervals, n_s
     steps) and the nearest node in space, and 0 outside the box;
@@ -117,7 +156,8 @@ def simulate_frozen(u: Field, problem: ProblemSpec, N: int, dt: float,
     """
     steps = particle_grid(u.grid, dt, frozen=True)
     n_f, n_s = u.grid.n_t, steps.n_t
-    return _march(problem, N, steps, seed, lambda k, y, logw: u.lookup(k * n_f // n_s, y))
+    return _march(problem, N, steps, seed, lambda k, y, logw: u.lookup(k * n_f // n_s, y),
+                  [steps.time_index(t) for t in times])
 
 
 def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
@@ -126,8 +166,8 @@ def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
     Returns (estimate, standard_error) with the plain sample standard error of
     the weighted summand.
     """
-    k = ensemble.grid.time_index(t)
-    vals = np.asarray(phi(ensemble.positions[k])) * np.exp(ensemble.logw[k])
+    r = ensemble.row(t)
+    vals = np.asarray(phi(ensemble.positions[r])) * np.exp(ensemble.logw[r])
     n = vals.size
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -149,9 +189,9 @@ def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray) -> float:
 def density_estimate(ensemble: ParticleEnsemble, t: float, h: float | None,
                      grid: GridSpec) -> DensityEstimate:
     """Exact weighted Gaussian KDE (1/N) sum_i e^{L_i} G_h(x - Y_i) on the grid."""
-    k = ensemble.grid.time_index(t)
-    y = ensemble.positions[k]
-    w = np.exp(ensemble.logw[k])
+    r = ensemble.row(t)
+    y = ensemble.positions[r]
+    w = np.exp(ensemble.logw[r])
     if h is None:
         h = silverman_bandwidth(y, w)
     if h <= 0:
@@ -196,8 +236,8 @@ def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
     At each level the weighted KDE of the current ensemble, with Silverman's
     bandwidth, defines u(t_k, .), which feeds the drift and growth
     coefficients for the step to k+1; u(0, .) is the initial density itself.
-    Returns the ensemble and the reconstructed field on the grid nodes at the
-    simulation levels.
+    Returns the ensemble, which keeps level T only, and the reconstructed
+    field on the grid nodes at the simulation levels.
     """
     steps = particle_grid(grid, dt)
     rec = Field.zeros(steps)
@@ -212,6 +252,6 @@ def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
             estimate(k, y, logw)
         return rec.lookup(k, y)
 
-    ensemble = _march(problem, N, steps, seed, feedback)
-    estimate(steps.n_t, ensemble.positions[-1], ensemble.logw[-1])
+    ensemble = _march(problem, N, steps, seed, feedback, [steps.n_t])
+    estimate(steps.n_t, ensemble.positions[0], ensemble.logw[0])
     return ensemble, Field(steps, rec.values)  # validates every estimated level

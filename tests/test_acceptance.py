@@ -142,9 +142,10 @@ def test_criterion_8_frozen_representation(burgers_setup):
     basket = smooth_test_functions()
     t0 = time.perf_counter()
     hits = total = 0
+    times = (0.25, 0.5, 1.0)
     for s in range(20):
-        ens = simulate_frozen(u, problem, 100_000, 1.0 / 256, seed=1000 + s)
-        for t in (0.25, 0.5, 1.0):
+        ens = simulate_frozen(u, problem, 100_000, 1.0 / 256, 1000 + s, times)
+        for t in times:
             k = grid.time_index(t)
             for tf in basket:
                 est, se = weighted_functional(ens, tf, t)

@@ -169,6 +169,31 @@ def test_runs_are_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_frozen_runs_are_byte_identical(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        path = tmp_path / f"{out.name}.cfg"
+        path.write_text(_burgers_cfg("simulate-frozen", 64, 32,
+                                     "particles.N = 2000\nparticles.dt = 0.03125\n"
+                                     f"particles.seeds = 2\nout = {out}"))
+        _read_record(out, cli_main(["simulate-frozen", "--config", str(path)]))
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == ["field.csv", "functionals.csv", "run.json"]
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    record = json.loads((runs[0] / "run.json").read_text())
+    assert [(p["seed"], p["N"]) for p in record["particles"]] == [(1234, 2000), (1235, 2000)]
+    for p in record["particles"]:
+        assert [lv["t"] for lv in p["levels"]] == [0.25, 0.5, 1.0]
+        for lv in p["levels"]:
+            assert 0.0 < lv["ess_frac"] <= 1.0 and lv["bandwidth"] > 0.0
+            assert 0.0 <= lv["outside_box"] <= 1.0
+    clamp = record["checks"][-1]
+    assert clamp["name"] == "max particle |z| within z_max"
+    assert clamp["value"] == max(p["max_abs_z"] for p in record["particles"])
+    assert 0.0 < clamp["value"] <= clamp["tol"] and clamp["passed"]
+
+
 def test_cli_validate_heat(tmp_path, capsys):
     path = tmp_path / "heat.cfg"
     path.write_text(HEAT_CFG + f"\nout = {tmp_path}/cli_run")
@@ -326,6 +351,24 @@ def test_engaged_clamp_fails_the_run(tmp_path, capsys):
     (check,) = record["checks"]
     assert check["name"] == "max |w| within z_max"
     assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
+
+
+def test_engaged_particle_clamp_fails_the_run(tmp_path, capsys):
+    path = tmp_path / "clamp.cfg"
+    path.write_text(_burgers_cfg("simulate-mckean", 128, 64,
+                                 "particles.N = 2000\nparticles.dt = 0.015625\n"
+                                 f"problem.z_max = 1.0\nout = {tmp_path}/clamp"))
+    code = cli_main(["simulate-mckean", "--config", str(path)])
+    assert code == 1
+    assert "max particle |z| within z_max: " in capsys.readouterr().out
+    record = _read_record(tmp_path / "clamp", code)
+    names = [c["name"] for c in record["checks"]]
+    assert names == ["max |w| within z_max", "l1 distance to mild at T",
+                     "max particle |z| within z_max"]
+    check = record["checks"][-1]
+    assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
+    (particles,) = record["particles"]
+    assert [lv["t"] for lv in particles["levels"]] == [1.0]
 
 
 def test_burgers_validate_identical_across_threads(tmp_path):

@@ -13,7 +13,9 @@ from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
     _binned_kde,
+    _march,
     density_estimate,
+    particle_grid,
     silverman_bandwidth,
     simulate_frozen,
     solve_selfconsistent,
@@ -30,7 +32,7 @@ def _zero_field(prob):
 
 def test_frozen_heat_brownian_variance():
     prob = preset("heat", nu=1.0, u0_var=1e-6)
-    ens = simulate_frozen(_zero_field(prob), prob, 100_000, 1.0 / 128, seed=42)
+    ens = simulate_frozen(_zero_field(prob), prob, 100_000, 1.0 / 128, 42, [1.0])
     v = ens.positions[-1].var(ddof=1)
     se = math.sqrt(2.0 / (100_000 - 1))  # var of the sample variance of N(0,1)
     assert abs(v - 1.0) <= 3 * se
@@ -38,7 +40,8 @@ def test_frozen_heat_brownian_variance():
 
 def test_constant_growth_weights_exact():
     prob = preset("exponential_growth", lam=0.5)
-    ens = simulate_frozen(_zero_field(prob), prob, 500, 1.0 / 64, seed=1)
+    zero = _zero_field(prob)
+    ens = simulate_frozen(zero, prob, 500, 1.0 / 64, 1, particle_grid(zero.grid, 1.0 / 64).times())
     for t in (0.25, 0.5, 1.0):
         k = ens.grid.time_index(t)
         assert np.abs(ens.logw[k] - 0.5 * t).max() == 0.0
@@ -48,7 +51,7 @@ def test_weight_bound_invariant():
     prob = preset("logistic_fkpp", lam=0.4, z_max=2.0)
     grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0)
     _, rec = solve_selfconsistent(prob, 2000, 1.0 / 64, 3, grid)
-    ens = simulate_frozen(rec, prob, 2000, 1.0 / 64, seed=3)
+    ens = simulate_frozen(rec, prob, 2000, 1.0 / 64, 3, particle_grid(grid, 1.0 / 64).times())
     for k, t in enumerate(ens.grid.times()):
         assert np.abs(ens.logw[k]).max() <= prob.M_Lambda * t + 1e-12
 
@@ -59,7 +62,7 @@ def test_initial_drift_functional_matches_quadrature():
     grid = plan_grid(prob, R=7.0, n_x=513, n_t_min=256)
     u, _ = solve(prob, grid, tol=1e-8)
     N = 200_000
-    ens = simulate_frozen(u, prob, N, 1.0 / 256, seed=9)
+    ens = simulate_frozen(u, prob, N, 1.0 / 256, 9, [0.0])
     y0 = ens.positions[0]
     z0 = u.lookup(0, y0)
     vals = np.asarray(prob.b(0.0, y0, z0))
@@ -72,7 +75,7 @@ def test_initial_drift_functional_matches_quadrature():
 
 def test_functional_unit_weights():
     prob = preset("heat")
-    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, seed=5)
+    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, 5, [0.5])
     est, se = weighted_functional(ens, lambda x: np.ones_like(x), 0.5)
     assert est == 1.0
     assert se == 0.0
@@ -80,7 +83,7 @@ def test_functional_unit_weights():
 
 def test_functional_constant_growth():
     prob = preset("exponential_growth", lam=0.5)
-    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, seed=6)
+    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, 6, [1.0])
     est, se = weighted_functional(ens, lambda x: np.ones_like(x), 1.0)
     assert est == pytest.approx(math.exp(0.5), rel=1e-12)
     assert se <= 1e-12
@@ -88,7 +91,7 @@ def test_functional_constant_growth():
 
 def test_functional_rejects_off_level_time():
     prob = preset("heat")
-    ens = simulate_frozen(_zero_field(prob), prob, 100, 1.0 / 32, seed=7)
+    ens = simulate_frozen(_zero_field(prob), prob, 100, 1.0 / 32, 7, [0.5])
     with pytest.raises(ValueError):
         weighted_functional(ens, lambda x: x, 0.123)
 
@@ -96,11 +99,11 @@ def test_functional_rejects_off_level_time():
 def test_dt_must_divide_horizon_and_grid():
     prob = preset("heat")
     with pytest.raises(ValueError, match="divide"):
-        simulate_frozen(_zero_field(prob), prob, 10, 0.3, seed=0)
+        simulate_frozen(_zero_field(prob), prob, 10, 0.3, 0, [1.0])
     grid = GridSpec(R=7.0, n_x=65, n_t=96, T=1.0)
     u, _ = solve(prob, grid)
     with pytest.raises(ValueError, match="incompatible"):
-        simulate_frozen(u, prob, 10, 1.0 / 64, seed=0)
+        simulate_frozen(u, prob, 10, 1.0 / 64, 0, [1.0])
 
 
 @pytest.mark.parametrize("n_f, dt", [(12, 0.25), (3, 1.0 / 12), (10, 0.1)])
@@ -113,7 +116,7 @@ def test_frozen_steps_read_the_left_field_level(n_f, dt):
                        L_b=0.0, L_Lambda=1.0, z_max=float("inf"))
     field_grid = GridSpec(R=100.0, n_x=2, n_t=n_f, T=1.0)
     u = Field(field_grid, np.repeat(np.arange(n_f + 1.0)[:, None], 2, axis=1))
-    ens = simulate_frozen(u, prob, 50, dt, seed=4)
+    ens = simulate_frozen(u, prob, 50, dt, 4, particle_grid(field_grid, dt).times())
     # the rule the float-time lookup used: left level, up to a 1e-12 dt nudge
     expected = np.zeros(ens.grid.n_t + 1)
     read = []
@@ -125,22 +128,139 @@ def test_frozen_steps_read_the_left_field_level(n_f, dt):
     assert np.array_equal(ens.logw, np.repeat(expected[:, None], 50, axis=1))
 
 
+def _march_every_level(problem, N, grid, seed, feedback):
+    """The full-trajectory loop that the streaming march replaced: its oracle."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    y = problem.u0.sample(rng, N)
+    positions = np.empty((grid.n_t + 1, N))
+    logw = np.zeros((grid.n_t + 1, N))
+    positions[0] = y
+    times = grid.times()
+    dt = grid.dt
+    sq = np.sqrt(dt)
+    for k in range(grid.n_t):
+        t = times[k]
+        z = feedback(k, y, logw[k])
+        drift = np.asarray(problem.b(t, y, z)) + problem.b0
+        lam = np.asarray(problem.Lambda(t, y, z))
+        logw[k + 1] = logw[k] + lam * dt
+        y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
+        positions[k + 1] = y
+    return positions, logw
+
+
+def _closure_feedback(problem, grid, steps, N):
+    """solve_selfconsistent's feedback: level k's binned KDE, looked up at y."""
+    rec = Field.zeros(steps)
+    rec.values[0] = problem.u0.pdf(grid.x_nodes())
+
+    def feedback(k, y, logw):
+        if k > 0:
+            w = np.exp(logw)
+            rec.values[k] = _binned_kde(y, w, grid, silverman_bandwidth(y, w), N)
+        return rec.lookup(k, y)
+    return feedback
+
+
+def _recording(feedback, seen):
+    """feedback that also appends max |z| of each step to seen."""
+    def wrapped(k, y, logw):
+        z = feedback(k, y, logw)
+        seen.append(float(np.abs(z).max()))
+        return z
+    return wrapped
+
+
+# out of order, with a repeat and level 0
+KEPT_TIMES = (1.0, 0.25, 0.5, 0.25, 0.0)
+
+
+def test_frozen_stream_keeps_the_oracle_rows():
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0)
+    u, _ = solve(preset("heat"), grid)
+    N, dt = 3000, 1.0 / 64
+    ens = simulate_frozen(u, prob, N, dt, 5, KEPT_TIMES)
+    assert ens.levels == (0, 16, 32, 64)
+    assert ens.positions.shape == ens.logw.shape == (len(ens.levels), N)
+    seen = []
+    feedback = _recording(lambda k, y, logw: u.lookup(k * 32 // 64, y), seen)
+    positions, logw = _march_every_level(prob, N, ens.grid, 5, feedback)
+    assert np.array_equal(ens.positions, positions[list(ens.levels)])
+    assert np.array_equal(ens.logw, logw[list(ens.levels)])
+    assert ens.max_abs_z == max(seen)
+    phi = lambda x: np.cos(x)
+    for t in KEPT_TIMES:
+        k = ens.grid.time_index(t)
+        vals = phi(positions[k]) * np.exp(logw[k])
+        assert weighted_functional(ens, phi, t)[0] == float(vals.mean())
+
+
+def test_closure_stream_keeps_the_oracle_rows():
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    grid = GridSpec(R=8.0, n_x=129, n_t=16, T=prob.T)
+    N, dt = 3000, prob.T / 32
+    steps = particle_grid(grid, dt)
+    seen = []
+    feedback = _recording(_closure_feedback(prob, grid, steps, N), seen)
+    positions, logw = _march_every_level(prob, N, steps, 8, feedback)
+    ens, _ = solve_selfconsistent(prob, N, dt, 8, grid)
+    assert ens.levels == (steps.n_t,)
+    assert ens.positions.shape == (1, N)
+    assert np.array_equal(ens.positions[0], positions[-1])
+    assert np.array_equal(ens.logw[0], logw[-1])
+    assert ens.max_abs_z == max(seen)
+    levels = [steps.time_index(t * prob.T) for t in KEPT_TIMES]
+    kept = _march(prob, N, steps, 8, _closure_feedback(prob, grid, steps, N), levels)
+    assert kept.levels == (0, 8, 16, 32)
+    assert np.array_equal(kept.positions, positions[list(kept.levels)])
+    assert np.array_equal(kept.logw, logw[list(kept.levels)])
+
+
+def test_unkept_time_is_refused():
+    prob = preset("heat")
+    ens = simulate_frozen(_zero_field(prob), prob, 100, 1.0 / 32, 7, [0.5, 1.0])
+    grid = GridSpec(R=3.0, n_x=31, n_t=4, T=1.0)
+    with pytest.raises(ValueError, match="kept times: 0.5, 1"):
+        weighted_functional(ens, lambda x: x, 0.25)
+    with pytest.raises(ValueError, match="kept times: 0.5, 1"):
+        density_estimate(ens, 0.0, 0.2, grid)
+
+
+def test_health_of_the_kept_levels():
+    prob = preset("exponential_growth", lam=0.5)
+    ens = simulate_frozen(_zero_field(prob), prob, 1000, 1.0 / 32, 11, [1.0, 0.5])
+    R = ens.grid.R
+    ens.positions[0] = 0.5 * R
+    ens.positions[1] = 0.0
+    ens.positions[1, :250] = 2.0 * R  # half of level T outside [-R, R]
+    ens.positions[1, 250:500] = -2.0 * R
+    early, final = ens.health()
+    assert (early["t"], final["t"]) == (0.5, 1.0)
+    # equal weights: the ESS is N, and the share outside counts particles
+    assert early["ess_frac"] == pytest.approx(1.0, rel=1e-12)
+    assert early["outside_box"] == 0.0
+    assert final["outside_box"] == 0.5
+    assert final["bandwidth"] == silverman_bandwidth(ens.positions[1], np.exp(ens.logw[1]))
+
+
 def test_seed_determinism_bit_identical():
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     grid = GridSpec(R=7.0, n_x=129, n_t=64, T=1.0)
     u, _ = solve(preset("heat"), grid)  # any frozen field exercises the lookups
-    a = simulate_frozen(u, prob, 2000, 1.0 / 64, seed=77)
-    b = simulate_frozen(u, prob, 2000, 1.0 / 64, seed=77)
+    every = particle_grid(grid, 1.0 / 64).times()
+    a = simulate_frozen(u, prob, 2000, 1.0 / 64, 77, every)
+    b = simulate_frozen(u, prob, 2000, 1.0 / 64, 77, every)
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.logw, b.logw)
-    c = simulate_frozen(u, prob, 2000, 1.0 / 64, seed=78)
+    c = simulate_frozen(u, prob, 2000, 1.0 / 64, 78, every)
     assert not np.array_equal(a.positions, c.positions)
 
 
 class TestDensityEstimate:
     def test_single_particle_is_the_kernel(self):
         prob = preset("heat")
-        ens = simulate_frozen(_zero_field(prob), prob, 1, 1.0 / 4, seed=3)
+        ens = simulate_frozen(_zero_field(prob), prob, 1, 1.0 / 4, 3, [1.0])
         ens.positions[:] = 0.0
         ens.logw[:] = 0.0
         grid = GridSpec(R=3.0, n_x=301, n_t=4, T=1.0)
@@ -151,7 +271,7 @@ class TestDensityEstimate:
 
     def test_constant_weights_scale_estimate(self):
         prob = preset("exponential_growth", lam=0.5)
-        ens = simulate_frozen(_zero_field(prob), prob, 400, 1.0 / 16, seed=8)
+        ens = simulate_frozen(_zero_field(prob), prob, 400, 1.0 / 16, 8, [1.0])
         grid = GridSpec(R=8.0, n_x=257, n_t=16, T=1.0)
         de1 = density_estimate(ens, 1.0, 0.3, grid)
         unweighted = ens.logw.copy()
@@ -162,7 +282,7 @@ class TestDensityEstimate:
 
     def test_kde_mass_matches_mean_weight(self):
         prob = preset("exponential_growth", lam=0.5)
-        ens = simulate_frozen(_zero_field(prob), prob, 5000, 1.0 / 32, seed=9)
+        ens = simulate_frozen(_zero_field(prob), prob, 5000, 1.0 / 32, 9, [1.0])
         grid = GridSpec(R=10.0, n_x=801, n_t=16, T=1.0)
         de = density_estimate(ens, 1.0, None, grid)
         mean_w = float(np.exp(ens.logw[-1]).mean())
@@ -177,7 +297,7 @@ class TestDensityEstimate:
         for n in (500, 5_000, 50_000):
             dists = []
             for s in range(3):
-                ens = simulate_frozen(_zero_field(prob), prob, n, 1.0 / 8, seed=100 + s)
+                ens = simulate_frozen(_zero_field(prob), prob, n, 1.0 / 8, 100 + s, [1.0])
                 de = density_estimate(ens, 1.0, None, grid)
                 dists.append(float(np.abs(de.values - target).sum() * grid.dx))
             errs.append(np.median(dists))
@@ -188,7 +308,7 @@ class TestSelfConsistent:
     def test_heat_closure_is_inert(self):
         prob = preset("heat")
         grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0)
-        ens_free = simulate_frozen(_zero_field(prob), prob, 3000, 1.0 / 32, seed=21)
+        ens_free = simulate_frozen(_zero_field(prob), prob, 3000, 1.0 / 32, 21, [1.0])
         ens_sc, rec = solve_selfconsistent(prob, 3000, 1.0 / 32, 21, grid)
         assert np.array_equal(ens_free.positions, ens_sc.positions)
         assert np.array_equal(ens_free.logw, ens_sc.logw)
