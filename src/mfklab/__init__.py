@@ -17,7 +17,7 @@ from .mild import (
     solve_slab,
     weak_residual,
 )
-from .oracles import burgers_fd_reference, burgers_expectation_formula, exp_mass_oracle, heat_oracle
+from .oracles import burgers_cell_means, burgers_fd_reference, exp_mass_oracle, heat_oracle
 from .particles import (
     DensityEstimate,
     ParticleEnsemble,
@@ -48,8 +48,8 @@ __all__ = [
     "solve_linearized",
     "solve_slab",
     "weak_residual",
+    "burgers_cell_means",
     "burgers_fd_reference",
-    "burgers_expectation_formula",
     "exp_mass_oracle",
     "heat_oracle",
     "DensityEstimate",

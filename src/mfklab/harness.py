@@ -18,12 +18,12 @@ import scipy
 import scipy.fft
 
 from . import __version__
-from .grids import Field, GridSpec, cell_means_from_cdf
+from .grids import Field
 from .mild import plan_grid, solve
-from .oracles import burgers_fd_reference, exp_mass_oracle
+from .oracles import exact_cell_means
 from .particles import (particle_grid, simulate_frozen, solve_selfconsistent,
                         weighted_functional)
-from .problems import PRESET_NAMES, GaussianDensity, preset, smooth_test_functions
+from .problems import PRESET_NAMES, preset, smooth_test_functions
 from .quadrature import trapezoid_weights
 
 _FMT = "%.17g"
@@ -161,22 +161,21 @@ class RunConfig:
 
 @dataclass
 class ComparisonReport:
-    """Per-time-level L1 and sup distances between two fields."""
+    """Per-time-level L1 and sup distances of a field to reference rows."""
 
     times: np.ndarray
     l1: np.ndarray
     linf: np.ndarray
 
 
-def compare_fields(a: Field, b: Field) -> ComparisonReport:
-    """Per-time-level trapezoid L1 and sup distances; grids must coincide."""
-    ga, gb = a.grid, b.grid
-    if (ga.n_x, ga.n_t, ga.R, ga.T) != (gb.n_x, gb.n_t, gb.R, gb.T):
-        raise ValueError("fields live on different grids")
-    diff = np.abs(a.values - b.values)
-    l1 = diff @ trapezoid_weights(ga.n_x, ga.dx)
-    linf = diff.max(axis=1)
-    return ComparisonReport(ga.times(), l1, linf)
+def compare_fields(field_obj: Field, levels, ref: np.ndarray) -> ComparisonReport:
+    """Trapezoid L1 and sup distances of the field at `levels` to the rows of `ref`."""
+    grid = field_obj.grid
+    if np.shape(ref) != (len(levels), grid.n_x):
+        raise ValueError(f"reference rows {np.shape(ref)}, want ({len(levels)}, {grid.n_x})")
+    diff = np.abs(field_obj.values[levels] - ref)
+    l1 = diff @ trapezoid_weights(grid.n_x, grid.dx)
+    return ComparisonReport(grid.times()[levels], l1, diff.max(axis=1))
 
 
 def write_field_csv(path, field_obj: Field):
@@ -198,23 +197,9 @@ def write_comparison_csv(path, report: ComparisonReport):
             fh.write(f"{_FMT % t},{_FMT % a},{_FMT % b}\n")
 
 
-# presets with an independent reference field for `validate`: the closed forms
-# of _oracle_field, and the finite-volume solver for burgers
-VALIDATE_REFERENCES = ("heat", "exponential_growth", "burgers")
-
-
-def _oracle_field(problem, grid: GridSpec) -> Field:
-    """Closed-form reference for the zero-drift presets on the grid, as the
-    exact cell averages the solver's fields hold."""
-    vals = np.empty((grid.n_t + 1, grid.n_x))
-    nu = problem.Phi**2
-    lam = problem.params.get("lam", 0.5) if problem.name == "exponential_growth" else 0.0
-    for k, t in enumerate(grid.times()):
-        density = GaussianDensity(problem.u0.mean, problem.u0.var + nu * t)
-        vals[k] = cell_means_from_cdf(density.cdf, grid)
-        if lam:
-            vals[k] *= exp_mass_oracle(lam, t)
-    return Field(grid, vals)
+# validate's presets -> (default compared times / T, None for every level > 0; compare.l1)
+VALIDATE_DEFAULTS = {"heat": (None, 1e-3), "exponential_growth": (None, 1e-3),
+                     "burgers": ((0.25, 0.5, 1.0), 1e-2)}
 
 
 def run(config: RunConfig, threads: int = 1) -> int:
@@ -233,9 +218,9 @@ def _particle_record(ens) -> dict:
 
 
 def _run_inner(config: RunConfig) -> int:
-    if config.kind == "validate" and config.preset_name not in VALIDATE_REFERENCES:
+    if config.kind == "validate" and config.preset_name not in VALIDATE_DEFAULTS:
         raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
-                          f"presets with one: {', '.join(VALIDATE_REFERENCES)}")
+                          f"presets with one: {', '.join(VALIDATE_DEFAULTS)}")
     problem = preset(config.preset_name, **config.problem_params)
     grid = plan_grid(problem, config.R, config.n_x, config.n_t, min_slabs=config.min_slabs)
     try:
@@ -243,6 +228,14 @@ def _run_inner(config: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(f"compare.times: {exc}") from None
     battery_times = config.compare_times or [grid.T / 4, grid.T / 2, grid.T]
+    if config.kind == "validate":  # the exact reference is cheap: checked before the solve
+        fractions, default_tol = VALIDATE_DEFAULTS[problem.name]
+        try:
+            levels = compare_levels or ([grid.time_index(f * grid.T) for f in fractions]
+                                        if fractions else list(range(1, grid.n_t + 1)))
+            exact = exact_cell_means(problem, grid, levels)
+        except ValueError as exc:
+            raise ConfigError(f"validate reference: {exc}") from None
     if config.kind in ("simulate-frozen", "simulate-mckean", "sweep"):
         try:
             steps = particle_grid(grid, config.dt, frozen=config.kind == "simulate-frozen")
@@ -265,16 +258,9 @@ def _run_inner(config: RunConfig) -> int:
     particles = []  # one record per ensemble, taken before the next one is built
 
     if config.kind == "validate":
-        tol = config.compare_l1 if config.compare_l1 is not None else 1e-3
-        if problem.name == "burgers":
-            ref = burgers_fd_reference(problem.u0, problem.Phi**2, grid)
-            default_levels = [grid.time_index(t) for t in (grid.T / 4, grid.T / 2, grid.T)]
-            tol = config.compare_l1 if config.compare_l1 is not None else 1e-2
-        else:
-            ref = _oracle_field(problem, grid)
-            default_levels = range(1, grid.n_t + 1)
-        rep = compare_fields(u, ref)
-        worst = max(rep.l1[i] for i in compare_levels or default_levels)
+        tol = config.compare_l1 if config.compare_l1 is not None else default_tol
+        rep = compare_fields(u, levels, exact)
+        worst = float(rep.l1.max())
         write_comparison_csv(out / "comparison.csv", rep)
         checks.append(_check("worst per-time l1 to reference", worst, tol, worst <= tol))
 

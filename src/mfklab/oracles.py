@@ -1,12 +1,9 @@
 """Independent reference solutions for cross-validation.
 
-Closed forms for the heat and constant-growth presets, the explicit
-(Cole-Hopf) Burgers expectation formula evaluated by Gauss-Hermite quadrature,
-and a conservative finite-volume reference solver for viscous Burgers.  The
-finite-volume solver is the arbiter for Burgers acceptance: it is
-independently checkable through exact mass conservation and grid
-self-convergence, and the test suite checks the expectation formula against
-it.
+Exact cell averages of the heat, constant-growth and viscous Burgers
+(Cole-Hopf) presets, which `validate` compares against, and a conservative
+finite-volume Burgers solver, tested against them and cross-checking the mild
+solver in the acceptance suite.
 """
 
 from __future__ import annotations
@@ -15,10 +12,16 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import ndtr
 
-from .grids import Field, GridSpec
+from .grids import Field, GridSpec, cell_means_from_cdf
+from .problems import GaussianDensity
 
-GH_NODES_DEFAULT = 200
+# burgers_cell_means' rule: _CH_PANELS panels of _CH_ORDER nodes on [-_CH_L, 0] and [0, _CH_L]
+_CH_L = 3.0
+_CH_PANELS = 120
+_CH_ORDER = 16
+_CH_BLOCK = 64  # cell edges per block of Gaussian weights
 
 
 def heat_oracle(u0_mean: float, u0_var: float, nu: float, t: float, x) -> np.ndarray | float:
@@ -36,28 +39,50 @@ def exp_mass_oracle(lam: float, t: float) -> float:
     return math.exp(lam * t)
 
 
-def burgers_expectation_formula(u0, nu: float, t: float, x,
-                                quad_nodes: int = GH_NODES_DEFAULT) -> np.ndarray | float:
-    """Explicit (Cole-Hopf) solution of u_t = (nu/2) u_xx - u u_x.
+def burgers_cell_means(u0, nu: float, t: float, grid: GridSpec) -> np.ndarray:
+    """Exact cell averages on the grid of u_t = (nu/2) u_xx - u u_x at time t.
 
-    Evaluates E[u0(x + sqrt(nu) B_t) e^{-U0(x + sqrt(nu) B_t)/nu}] over
-    E[e^{-U0(x + sqrt(nu) B_t)/nu}], U0 being the CDF of u0.  u0 must expose
-    pdf and cdf; t must be positive.
+    Cole-Hopf: a cell average is -nu times the difference of log theta at the
+    cell edges over dx, theta the heat flow (variance nu t) of exp(-U0/nu), U0
+    the CDF of u0.  Of exp(-U0/nu) = e^{-1/nu} + (1 - e^{-1/nu}) H(-y) + r(y),
+    the first two terms flow in closed form; r, smooth on either side of 0, is
+    integrated by composite Gauss-Legendre on [-L, 0] and [0, L], which needs
+    u0's mass inside [-L, L] and sqrt(nu t) at least a fifth of a panel.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    xg, wg = np.polynomial.hermite.hermgauss(quad_nodes)
-    shift = math.sqrt(nu) * math.sqrt(2.0 * t) * xg  # nodes of N(0, nu t)
-    x = np.asarray(x, dtype=float)
-    args = x[..., None] + shift
-    expo = -u0.cdf(args) / nu
-    expo -= expo.max(axis=-1, keepdims=True)  # guard the exponent range
-    weights = wg * np.exp(expo)
-    den = weights.sum(axis=-1)
-    if np.any(den <= 0) or not np.all(np.isfinite(den)):
-        raise FloatingPointError("denominator underflow in the Burgers formula")
-    out = (weights * u0.pdf(args)).sum(axis=-1) / den
-    return float(out) if out.ndim == 0 else out
+    h = _CH_L / _CH_PANELS
+    s = math.sqrt(nu * t) if nu > 0 and t > 0 else 0.0
+    if s < 0.2 * h:
+        raise ValueError(f"sqrt(nu t) = {s:g} is below a fifth of a panel, {0.2 * h:g}")
+    c = math.exp(-1.0 / nu)
+    remainder = lambda y: np.exp(-u0.cdf(y) / nu) - c - (1.0 - c) * (y < 0)
+    if np.abs(remainder(np.array([-_CH_L, _CH_L]))).max() > 1e-15:
+        raise ValueError(f"u0 carries mass outside [{-_CH_L:g}, {_CH_L:g}]")
+    nodes, weights = np.polynomial.legendre.leggauss(_CH_ORDER)
+    y = (h * (np.arange(2 * _CH_PANELS)[:, None] + 0.5 * (nodes + 1.0)) - _CH_L).ravel()
+    wr = np.tile(0.5 * h * weights, 2 * _CH_PANELS) * remainder(y) / (s * math.sqrt(2.0 * math.pi))
+    edges = np.append(grid.x_nodes() - 0.5 * grid.dx, grid.R + 0.5 * grid.dx)
+    theta = c + (1.0 - c) * ndtr(-edges / s)
+    for i in range(0, len(edges), _CH_BLOCK):
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        gauss = np.exp(-0.5 * np.square((edges[i : i + _CH_BLOCK, None] - y) / s))
+        theta[i : i + _CH_BLOCK] += np.einsum("ij,j->i", gauss, wr)
+    return -nu * np.diff(np.log(theta)) / grid.dx
+
+
+def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
+    """Exact cell averages of the heat, exponential_growth or burgers preset at `levels`."""
+    if problem.name not in ("heat", "exponential_growth", "burgers"):
+        raise ValueError(f"no exact solution for {problem.name!r}")
+    nu = problem.Phi**2
+    lam = problem.params.get("lam", 0.5) if problem.name == "exponential_growth" else 0.0
+    rows = np.empty((len(levels), grid.n_x))
+    for row, t in zip(rows, grid.times()[levels]):
+        if problem.name == "burgers" and t > 0:
+            row[:] = burgers_cell_means(problem.u0, nu, t, grid)
+        else:
+            heat = GaussianDensity(problem.u0.mean, problem.u0.var + nu * t)
+            row[:] = cell_means_from_cdf(heat.cdf, grid) * exp_mass_oracle(lam, t)
+    return rows
 
 
 def burgers_fd_reference(u0, nu: float, grid: GridSpec, refine: int = 4, cfl: float = 0.45,

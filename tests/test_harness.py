@@ -117,22 +117,24 @@ class TestCompareFields:
 
     def test_identical_fields(self):
         grid, a = self._pair()
-        rep = compare_fields(a, a)
+        rep = compare_fields(a, [0, 1, 2], a.values)
         assert np.all(rep.l1 == 0.0) and np.all(rep.linf == 0.0)
 
     def test_constant_offset_arithmetic(self):
         # offset 0.01 on a width-2 box: l1 = 0.02 per level, sup = 0.01
         grid, a = self._pair()
-        b = Field(grid, a.values + 0.01)
-        rep = compare_fields(a, b)
+        rep = compare_fields(a, [2, 1], a.values[[2, 1]] + 0.01)
+        assert np.array_equal(rep.times, [1.0, 0.5])
         assert np.allclose(rep.l1, 0.02, atol=1e-12)
         assert np.allclose(rep.linf, 0.01, atol=1e-15)
 
     def test_grid_mismatch_rejected(self):
         grid, a = self._pair()
         other = GridSpec(R=1.0, n_x=101, n_t=2, T=1.0, n_slabs=2)
-        with pytest.raises(ValueError, match="grids"):
-            compare_fields(a, Field.zeros(other))
+        with pytest.raises(ValueError, match="reference rows"):
+            compare_fields(a, [0, 1, 2], Field.zeros(other).values)
+        with pytest.raises(ValueError, match="reference rows"):
+            compare_fields(a, [1], a.values)
 
 
 def _read_record(out, code):
@@ -149,8 +151,9 @@ def test_validate_heat_passes(tmp_path):
     assert code == 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
         "comparison.csv", "field.csv", "run.json"]
-    header = (tmp_path / "run" / "comparison.csv").read_text().splitlines()[0]
-    assert header == "t,l1,linf"
+    lines = (tmp_path / "run" / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "t,l1,linf"
+    assert [r.split(",")[0] for r in lines[1:]] == ["%.17g" % (k / 16) for k in range(1, 17)]
     record = _read_record(tmp_path / "run", code)
     assert [c["name"] for c in record["checks"]] == ["worst per-time l1 to reference"]
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
@@ -210,6 +213,14 @@ def test_cli_validate_without_reference_fails(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(path)]) == 2
     assert "logistic_fkpp" in capsys.readouterr().err
     assert not (tmp_path / "fkpp").exists()  # refused before the mild solve
+
+
+def test_cli_validate_rejects_burgers_outside_the_exact_rule(tmp_path, capsys):
+    path = tmp_path / "burgers.cfg"
+    path.write_text(_burgers_cfg("validate", 64, 16, f"problem.u0_mean = 2.5\nout = {tmp_path}/run"))
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert "config error: validate reference: u0 carries mass outside" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before the mild solve
 
 
 @pytest.mark.parametrize("times", ["5", "0.25, 0.03125"])
@@ -381,6 +392,8 @@ def test_burgers_validate_identical_across_threads(tmp_path):
     assert 0.0 < clamp["value"] <= clamp["tol"]
     names = sorted(p.name for p in (tmp_path / "t1").iterdir())
     assert names == ["comparison.csv", "field.csv", "run.json"]
+    rows = (tmp_path / "t1" / "comparison.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.25", "0.5", "1"]
     assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())
     for name in names:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()

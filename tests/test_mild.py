@@ -361,18 +361,17 @@ def test_field_lookup_matches_masked_index(n_x):
 
 def test_burgers_mild_matches_closed_form_oracle():
     # triangular cross-validation: the Picard solution, the finite-volume
-    # reference and the closed-form expectation formula are three independent
+    # reference and the exact Cole-Hopf cell averages are three independent
     # routes to the same object
-    from mfklab.oracles import burgers_expectation_formula
+    from mfklab.oracles import burgers_cell_means
 
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.5)
     grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512)
     u, _ = solve(prob, grid, tol=1e-8)
-    x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
     for t in (0.25, 0.5):
         k = grid.time_index(t)
-        cf = burgers_expectation_formula(prob.u0, 1.0, t, x)
+        cf = burgers_cell_means(prob.u0, 1.0, t, grid)
         assert float(np.dot(w, np.abs(u.values[k] - cf))) <= 2e-3
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfklab
-from mfklab.grids import GridSpec
+from mfklab import oracles
+from mfklab.grids import GridSpec, cell_means_from_cdf
 from mfklab.oracles import (
     _restrict,
     _restriction_stencil,
+    burgers_cell_means,
     burgers_fd_reference,
-    burgers_expectation_formula,
     exp_mass_oracle,
     heat_oracle,
 )
@@ -46,35 +47,36 @@ def test_exp_mass_values():
 
 class TestBurgersFormula:
     u0 = GaussianDensity(0.0, 0.04)
+    grid = GridSpec(R=8.0, n_x=512, n_t=1024, T=1.0, n_slabs=256)
 
     def test_short_time_limit_returns_initial_density(self):
-        x = np.linspace(-1, 1, 9)
-        vals = burgers_expectation_formula(self.u0, 1.0, 1e-10, x)
-        assert np.abs(vals - self.u0.pdf(x)).max() <= 1e-6
-
-    def test_node_flip_consistency_at_origin(self):
-        # for symmetric u0 the two expectations are invariant under flipping
-        # the sign of every Gaussian quadrature node
-        xg, wg = np.polynomial.hermite.hermgauss(200)
-        t, nu = 0.5, 1.0
-        for sgn in (1.0, -1.0):
-            shift = sgn * math.sqrt(2 * t) * xg
-            expo = -self.u0.cdf(shift) / nu
-            expo -= expo.max()
-            wts = wg * np.exp(expo)
-            val = float((wts * self.u0.pdf(shift)).sum() / wts.sum())
-            if sgn > 0:
-                ref = val
-        assert val == pytest.approx(ref, rel=1e-12)
-        direct = burgers_expectation_formula(self.u0, nu, t, 0.0)
-        assert direct == pytest.approx(ref, rel=1e-12)
+        # the distance to u0's cell means is t times the L1 norm of u_t: 12.8 t
+        w = trapezoid_weights(self.grid.n_x, self.grid.dx)
+        initial = cell_means_from_cdf(self.u0.cdf, self.grid)
+        for t in (3e-5, 1e-4, 1e-3):
+            cells = burgers_cell_means(self.u0, 1.0, t, self.grid)
+            assert float(np.dot(w, np.abs(cells - initial))) <= 13.0 * t
 
     def test_translation_consistency(self):
-        shifted = GaussianDensity(0.7, 0.04)
-        x = np.linspace(-0.5, 0.5, 5)
-        base = burgers_expectation_formula(self.u0, 1.0, 0.3, x)
-        moved = burgers_expectation_formula(shifted, 1.0, 0.3, x + 0.7)
-        assert np.abs(base - moved).max() <= 1e-10
+        # a shift by 7 cells moves the cells by 7 places, though the split of
+        # exp(-U0/nu) stays at 0
+        grid = GridSpec(R=3.5, n_x=71, n_t=1, T=1.0)
+        base = burgers_cell_means(self.u0, 1.0, 0.3, grid)
+        moved = burgers_cell_means(GaussianDensity(0.7, 0.04), 1.0, 0.3, grid)
+        assert np.abs(base[:-7] - moved[7:]).max() <= 1e-12
+
+    def test_mass_is_one_up_to_box_tails(self):
+        for t in (0.25, 1.0):
+            cells = burgers_cell_means(self.u0, 1.0, t, self.grid)
+            assert abs(cells.sum() * self.grid.dx - 1.0) <= 1e-13
+
+    def test_two_resolutions_agree(self, monkeypatch):
+        coarse = [burgers_cell_means(self.u0, 1.0, t, self.grid) for t in (0.25, 0.5, 1.0)]
+        monkeypatch.setattr(oracles, "_CH_L", 4.0)
+        monkeypatch.setattr(oracles, "_CH_PANELS", 240)
+        for t, cells in zip((0.25, 0.5, 1.0), coarse):
+            fine = burgers_cell_means(self.u0, 1.0, t, self.grid)
+            assert np.abs(fine - cells).max() <= 1e-13
 
     def test_finite_volume_arbitrates_the_scaling(self):
         # the sqrt(nu)-argument / nu-exponent (Cole-Hopf) scaling solves
@@ -83,16 +85,17 @@ class TestBurgersFormula:
         nu = 2.0
         grid = GridSpec(R=8.0, n_x=512, n_t=16, T=0.5)
         ref = burgers_fd_reference(self.u0, nu, grid, refine=4)
-        x = grid.x_nodes()
         w = trapezoid_weights(grid.n_x, grid.dx)
         k = grid.time_index(0.5)
-        ch = burgers_expectation_formula(self.u0, nu, 0.5, x)
+        ch = burgers_cell_means(self.u0, nu, 0.5, grid)
         err_ch = float(np.dot(w, np.abs(ch - ref.values[k])))
         assert err_ch <= 5e-3
 
     def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            burgers_expectation_formula(self.u0, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="sqrt"):
+            burgers_cell_means(self.u0, 1.0, 0.0, self.grid)
+        with pytest.raises(ValueError, match="sqrt"):  # the rule would not resolve the kernel
+            burgers_cell_means(self.u0, 1.0, 1e-6, self.grid)
 
 
 class TestFdReference:
@@ -135,6 +138,15 @@ class TestFdReference:
         masses = [ref.mass(k) for k in range(grid.n_t + 1)]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-10
 
+    def test_matches_exact_cells(self, burgers_reference):
+        # measured 2.81e-5, 1.53e-5 and 8.23e-6 at refine 4 on 512x1024
+        ref = burgers_reference["ref"]
+        grid = ref.grid
+        w = trapezoid_weights(grid.n_x, grid.dx)
+        for t in (0.25, 0.5, 1.0):
+            exact = burgers_cell_means(self.u0, 1.0, t, grid)
+            assert float(np.dot(w, np.abs(ref.values[grid.time_index(t)] - exact))) <= 3e-5
+
     def test_self_convergence_under_refinement(self):
         grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5)
         a = burgers_fd_reference(self.u0, 1.0, grid, refine=4)
@@ -171,11 +183,13 @@ class TestFdReference:
         script = (
             "import sys\n"
             "from mfklab.grids import GridSpec\n"
-            "from mfklab.oracles import burgers_fd_reference\n"
+            "from mfklab.oracles import burgers_cell_means, burgers_fd_reference\n"
             "from mfklab.problems import GaussianDensity\n"
             "grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5)\n"
-            "ref = burgers_fd_reference(GaussianDensity(0.0, 0.04), 1.0, grid, refine=4)\n"
+            "u0 = GaussianDensity(0.0, 0.04)\n"
+            "ref = burgers_fd_reference(u0, 1.0, grid, refine=4)\n"
             "sys.stdout.buffer.write(ref.values.tobytes())\n"
+            "sys.stdout.buffer.write(burgers_cell_means(u0, 1.0, 0.5, grid).tobytes())\n"
         )
         src = str(Path(mfklab.__file__).resolve().parents[1])
         fields = []
@@ -184,7 +198,7 @@ class TestFdReference:
             proc = subprocess.run([sys.executable, "-c", script], env=env,
                                   capture_output=True, check=True, timeout=300)
             fields.append(proc.stdout)
-        assert len(fields[0]) == 9 * 256 * 8
+        assert len(fields[0]) == 10 * 256 * 8
         assert fields[0] == fields[1]
 
 

@@ -80,6 +80,15 @@ def test_declared_constants_hold_under_sampling(name):
     assert result["violations"] == {}
 
 
+def test_declared_bound_checked_over_the_whole_horizon():
+    # |b| = 2 > M_b = 1 only in the second half of [0, T]
+    zero = lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float))
+    late = lambda t, x, z: np.full_like(np.asarray(z, dtype=float), 2.0 if t > 0.5 else 0.5)
+    prob = ProblemSpec("late_drift", 1.0, 1.0, late, zero, GaussianDensity(), M_b=1.0,
+                       M_Lambda=0.0, L_b=0.0, L_Lambda=0.0, z_max=1.0)
+    assert check_constants(prob, n_samples=1000)["violations"] == {"M_b": 2.0}
+
+
 def test_gaussian_density_consistency():
     g = GaussianDensity(0.3, 0.25)
     x = np.linspace(-3, 3, 2001)
