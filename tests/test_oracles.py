@@ -17,10 +17,11 @@ from mfklab.oracles import (
     _restriction_stencil,
     burgers_cell_means,
     burgers_fd_reference,
+    exact_cell_means,
     exp_mass_oracle,
     heat_oracle,
 )
-from mfklab.problems import GaussianDensity
+from mfklab.problems import GaussianDensity, preset
 from mfklab.quadrature import trapezoid_weights
 
 
@@ -43,6 +44,18 @@ def test_exp_mass_values():
     assert exp_mass_oracle(0.5, 1.0) == pytest.approx(1.648721, abs=1e-6)
     assert exp_mass_oracle(0.0, 3.7) == 1.0
     assert exp_mass_oracle(-0.5, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+def test_exact_cell_means_per_preset():
+    grid = GridSpec(R=8.0, n_x=257, n_t=4, T=1.0)
+    growth = exact_cell_means(preset("exponential_growth", lam=0.5), grid, [4, 0])
+    assert growth.sum(axis=1) * grid.dx == pytest.approx([math.exp(0.5), 1.0], rel=1e-12)
+    burgers = preset("burgers")
+    rows = exact_cell_means(burgers, grid, [0, 2])
+    assert np.array_equal(rows[0], cell_means_from_cdf(burgers.u0.cdf, grid))
+    assert np.array_equal(rows[1], burgers_cell_means(burgers.u0, 1.0, 0.5, grid))
+    with pytest.raises(ValueError, match="logistic_fkpp"):
+        exact_cell_means(preset("logistic_fkpp"), grid, [1])
 
 
 class TestBurgersFormula:
