@@ -1,13 +1,14 @@
 """Record a BENCH_<label>.json: the benchmark run on a parent and a change commit.
 
-    python3 scripts/bench_record.py --label NAME [--pairs 10] [--parent REV] [--change REV]
+    python3 scripts/bench_record.py --label NAME [--parent REV] [--change REV]
 
 Both commits are exported with `git archive` into fresh temporary directories
 (the benchmark builds what it runs from the source in its checkout), so
 uncommitted edits are never measured and the repository is left untouched.
 For every workload of BENCHMARK.json, the script runs `perfbench/run.py
---trace 0` once per side and pair, with BENCHMARK.json's run length, one
-process at a time; the side that runs first alternates by pair.  Each run's
+--trace 0` once per side in each of PAIRS = 10 pairs, with BENCHMARK.json's
+run length, one process at a time; the side that runs first alternates by
+pair.  Each run's
 metric is run.py's median over its repetitions; the file holds, per side, the
 median, quartiles (inclusive method) and runs of `wall_s`, `setup_s` and
 `peak_rss_mb`, the distinct `err_ref` values (17 digits), the distinct CSV
@@ -52,6 +53,7 @@ import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
 TIMED = ("wall_s", "setup_s", "peak_rss_mb")
+PAIRS = 10  # the fewest pairs that can support a claimed gain
 # one line per repetition of perfbench/run.py (see its `report`)
 REP_LINE = re.compile(r" rep=\d+ trace=0 ok=\S+ .* err_ref=(\S+) max_du=(\S+) digests=(.*)$")
 
@@ -106,12 +108,9 @@ def summary(runs: list) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default=None, help="parent commit (default: change~1)")
     parser.add_argument("--change", default="HEAD", help="change commit (default: HEAD)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs)")
     change = git("rev-parse", args.change)
     parent = git("rev-parse", args.parent or f"{change}~1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -139,15 +138,15 @@ def main(argv=None) -> int:
         export(parent, trees["parent"])
         export(change, trees["change"])
         for w_index, workload in enumerate(wl["name"] for wl in bench["workloads"]):
-            seeds = [100 * (w_index + 1) + 1 + p for p in range(args.pairs)]
+            seeds = [100 * (w_index + 1) + 1 + p for p in range(PAIRS)]
             runs = {"parent": [], "change": []}
             for p, seed in enumerate(seeds):
                 for side in (("parent", "change") if p % 2 == 0 else ("change", "parent")):
                     runs[side].append(run_once(trees[side], command, workload, seed, seconds))
-                print(f"{workload} pair {p + 1}/{args.pairs}: wall_s parent "
+                print(f"{workload} pair {p + 1}/{PAIRS}: wall_s parent "
                       f"{runs['parent'][-1]['metrics']['wall_s']['value']:.4f} change "
                       f"{runs['change'][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
-            entry = {"seeds": seeds, "pairs": args.pairs,
+            entry = {"seeds": seeds, "pairs": PAIRS,
                      "parent": summary(runs["parent"]), "change": summary(runs["change"])}
             entry["wins"] = {name: sum(c["metrics"][name]["value"] < q["metrics"][name]["value"]
                                        for q, c in zip(runs["parent"], runs["change"]))

@@ -20,7 +20,7 @@ import scipy.fft
 from . import __version__
 from .grids import Field
 from .mild import plan_grid, solve
-from .oracles import exact_cell_means
+from .oracles import VALIDATE_DEFAULTS, exact_cell_means
 from .particles import (particle_grid, simulate_frozen, solve_selfconsistent,
                         weighted_functional)
 from .problems import PRESET_NAMES, preset, smooth_test_functions
@@ -195,11 +195,6 @@ def write_comparison_csv(path, report: ComparisonReport):
         fh.write("t,l1,linf\n")
         for t, a, b in zip(report.times, report.l1, report.linf):
             fh.write(f"{_FMT % t},{_FMT % a},{_FMT % b}\n")
-
-
-# validate's presets -> (default compared times / T, None for every level > 0; compare.l1)
-VALIDATE_DEFAULTS = {"heat": (None, 1e-3), "exponential_growth": (None, 1e-3),
-                     "burgers": ((0.25, 0.5, 1.0), 1e-2)}
 
 
 def run(config: RunConfig, threads: int = 1) -> int:

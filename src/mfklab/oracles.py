@@ -17,11 +17,15 @@ from scipy.special import ndtr
 from .grids import Field, GridSpec, cell_means_from_cdf
 from .problems import GaussianDensity
 
-# burgers_cell_means' rule: _CH_PANELS panels of _CH_ORDER nodes on [-_CH_L, 0] and [0, _CH_L]
-_CH_L = 3.0
-_CH_PANELS = 120
+# burgers_cell_means' rule: panels of _CH_PANEL with _CH_ORDER nodes each
+_CH_PANEL = 0.025
 _CH_ORDER = 16
 _CH_BLOCK = 64  # cell edges per block of Gaussian weights
+_CH_ROUNDING = 1e-6  # largest rounding bound accepted in a cell average
+
+# presets with exact cells, validate's -> (default times / T, None for all levels > 0; compare.l1)
+VALIDATE_DEFAULTS = {"heat": (None, 1e-3), "exponential_growth": (None, 1e-3),
+                     "burgers": ((0.25, 0.5, 1.0), 1e-2)}
 
 
 def heat_oracle(u0_mean: float, u0_var: float, nu: float, t: float, x) -> np.ndarray | float:
@@ -46,32 +50,43 @@ def burgers_cell_means(u0, nu: float, t: float, grid: GridSpec) -> np.ndarray:
     cell edges over dx, theta the heat flow (variance nu t) of exp(-U0/nu), U0
     the CDF of u0.  Of exp(-U0/nu) = e^{-1/nu} + (1 - e^{-1/nu}) H(-y) + r(y),
     the first two terms flow in closed form; r, smooth on either side of 0, is
-    integrated by composite Gauss-Legendre on [-L, 0] and [0, L], which needs
-    u0's mass inside [-L, L] and sqrt(nu t) at least a fifth of a panel.
+    integrated by composite Gauss-Legendre on [-L, 0] and [0, L], L the fewest
+    whole panels past which r vanishes.  Raises ValueError when u0 has mass
+    outside the grid box, sqrt(nu t) is below a fifth of a panel, or nu is so
+    small that theta's rounding may reach _CH_ROUNDING in a cell average.
     """
-    h = _CH_L / _CH_PANELS
+    h = _CH_PANEL
     s = math.sqrt(nu * t) if nu > 0 and t > 0 else 0.0
     if s < 0.2 * h:
         raise ValueError(f"sqrt(nu t) = {s:g} is below a fifth of a panel, {0.2 * h:g}")
     c = math.exp(-1.0 / nu)
     remainder = lambda y: np.exp(-u0.cdf(y) / nu) - c - (1.0 - c) * (y < 0)
-    if np.abs(remainder(np.array([-_CH_L, _CH_L]))).max() > 1e-15:
-        raise ValueError(f"u0 carries mass outside [{-_CH_L:g}, {_CH_L:g}]")
+    ends = h * np.arange(1, math.ceil(grid.R / h) + 1)  # |r| falls off either side of 0
+    panels = 1 + int(np.sum(np.maximum(abs(remainder(-ends)), abs(remainder(ends))) > 1e-15))
+    if panels > len(ends):
+        raise ValueError(f"u0 carries mass outside the grid box [{-grid.R:g}, {grid.R:g}]")
     nodes, weights = np.polynomial.legendre.leggauss(_CH_ORDER)
-    y = (h * (np.arange(2 * _CH_PANELS)[:, None] + 0.5 * (nodes + 1.0)) - _CH_L).ravel()
-    wr = np.tile(0.5 * h * weights, 2 * _CH_PANELS) * remainder(y) / (s * math.sqrt(2.0 * math.pi))
+    y = (h * (np.arange(-panels, panels)[:, None] + 0.5 * (nodes + 1.0))).ravel()
+    wr = np.tile(0.5 * h * weights, 2 * panels) * remainder(y) / (s * math.sqrt(2.0 * math.pi))
+    wr = np.stack((wr, np.abs(wr)), axis=1)  # columns: theta's terms, their magnitudes
     edges = np.append(grid.x_nodes() - 0.5 * grid.dx, grid.R + 0.5 * grid.dx)
-    theta = c + (1.0 - c) * ndtr(-edges / s)
+    theta = np.repeat(c + (1.0 - c) * ndtr(-edges / s)[:, None], 2, axis=1)
     for i in range(0, len(edges), _CH_BLOCK):
         # einsum, not BLAS: the sums must not depend on the BLAS thread count
         gauss = np.exp(-0.5 * np.square((edges[i : i + _CH_BLOCK, None] - y) / s))
-        theta[i : i + _CH_BLOCK] += np.einsum("ij,j->i", gauss, wr)
+        theta[i : i + _CH_BLOCK] += np.einsum("ij,jk->ik", gauss, wr)
+    theta, size = theta.T
+    slack = np.divide(size, theta, out=np.full_like(theta, np.inf), where=theta > 0)
+    # a cell average's rounding: len(y) summed terms, each exp within a few eps of its weight
+    rounding = (len(y) + 8) * np.finfo(float).eps * nu * np.max(slack[:-1] + slack[1:]) / grid.dx
+    if not rounding <= _CH_ROUNDING:
+        raise ValueError(f"nu = {nu:g} is too small for the exact rule (rounding {rounding:g})")
     return -nu * np.diff(np.log(theta)) / grid.dx
 
 
 def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
     """Exact cell averages of the heat, exponential_growth or burgers preset at `levels`."""
-    if problem.name not in ("heat", "exponential_growth", "burgers"):
+    if problem.name not in VALIDATE_DEFAULTS:
         raise ValueError(f"no exact solution for {problem.name!r}")
     nu = problem.Phi**2
     lam = problem.params.get("lam", 0.5) if problem.name == "exponential_growth" else 0.0

@@ -215,11 +215,16 @@ def test_cli_validate_without_reference_fails(tmp_path, capsys):
     assert not (tmp_path / "fkpp").exists()  # refused before the mild solve
 
 
-def test_cli_validate_rejects_burgers_outside_the_exact_rule(tmp_path, capsys):
+@pytest.mark.parametrize("nu, mean, message", [
+    (1.0, 7.5, "u0 carries mass outside the grid box"),
+    (0.001, 0.0, "nu = 0.001 is too small for the exact rule"),
+], ids=["mass-outside-box", "nu-0.001"])
+def test_cli_validate_rejects_burgers_outside_the_exact_rule(tmp_path, capsys, nu, mean, message):
     path = tmp_path / "burgers.cfg"
-    path.write_text(_burgers_cfg("validate", 64, 16, f"problem.u0_mean = 2.5\nout = {tmp_path}/run"))
+    path.write_text(_burgers_cfg("validate", 64, 16, f"out = {tmp_path}/run")
+                    .replace("problem.nu = 1.0", f"problem.nu = {nu}\nproblem.u0_mean = {mean}"))
     assert cli_main(["validate", "--config", str(path)]) == 2
-    assert "config error: validate reference: u0 carries mass outside" in capsys.readouterr().err
+    assert f"config error: validate reference: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # refused before the mild solve
 
 

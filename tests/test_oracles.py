@@ -78,6 +78,14 @@ class TestBurgersFormula:
         moved = burgers_cell_means(GaussianDensity(0.7, 0.04), 1.0, 0.3, grid)
         assert np.abs(base[:-7] - moved[7:]).max() <= 1e-12
 
+    def test_wide_and_offcentre_u0(self):
+        # sd 0.6, moved by 3: the rule's interval follows u0 inside the box
+        grid = GridSpec(R=8.0, n_x=161, n_t=1, T=1.0)
+        base = burgers_cell_means(GaussianDensity(0.0, 0.36), 1.0, 0.3, grid)
+        moved = burgers_cell_means(GaussianDensity(3.0, 0.36), 1.0, 0.3, grid)
+        assert abs(base.sum() * grid.dx - 1.0) <= 1e-12
+        assert np.abs(base[:-30] - moved[30:]).max() <= 1e-12
+
     def test_mass_is_one_up_to_box_tails(self):
         for t in (0.25, 1.0):
             cells = burgers_cell_means(self.u0, 1.0, t, self.grid)
@@ -85,8 +93,7 @@ class TestBurgersFormula:
 
     def test_two_resolutions_agree(self, monkeypatch):
         coarse = [burgers_cell_means(self.u0, 1.0, t, self.grid) for t in (0.25, 0.5, 1.0)]
-        monkeypatch.setattr(oracles, "_CH_L", 4.0)
-        monkeypatch.setattr(oracles, "_CH_PANELS", 240)
+        monkeypatch.setattr(oracles, "_CH_PANEL", 0.5 * oracles._CH_PANEL)
         for t, cells in zip((0.25, 0.5, 1.0), coarse):
             fine = burgers_cell_means(self.u0, 1.0, t, self.grid)
             assert np.abs(fine - cells).max() <= 1e-13
@@ -109,6 +116,20 @@ class TestBurgersFormula:
             burgers_cell_means(self.u0, 1.0, 0.0, self.grid)
         with pytest.raises(ValueError, match="sqrt"):  # the rule would not resolve the kernel
             burgers_cell_means(self.u0, 1.0, 1e-6, self.grid)
+
+    @pytest.mark.parametrize("u0, nu, t, match", [
+        (GaussianDensity(7.5, 0.04), 1.0, 0.5, r"outside the grid box \[-8, 8\]"),
+        # theta falls to e^{-1/nu} right of the mass, where its closed-form
+        # terms cancel against the integral: at nu = 0.001 it underflows, at
+        # 0.01 the cancellation leaves it <= 0, at 0.03 its rounding bound
+        # in a cell average is 2e-6
+        (u0, 0.001, 1.0, "nu = 0.001 is too small for the exact rule"),
+        (u0, 0.01, 1.0, "nu = 0.01 is too small for the exact rule"),
+        (u0, 0.03, 0.25, "nu = 0.03 is too small for the exact rule"),
+    ], ids=["mass-outside-box", "nu-0.001", "nu-0.01", "nu-0.03"])
+    def test_rejects_inputs_outside_the_rule(self, u0, nu, t, match):
+        with pytest.raises(ValueError, match=match):
+            burgers_cell_means(u0, nu, t, self.grid)
 
 
 class TestFdReference:
