@@ -4,7 +4,8 @@ A Field stores one real value per (time level, space node).  Values are
 node-centered cell averages: node x_j represents the cell
 [x_j - dx/2, x_j + dx/2], and the field is implicitly zero outside the box
 [-R, R].  Cell-average semantics keep masses exact under the kernel smoothing
-operators and make restriction from finite-volume references lossless.
+operators, and restriction from a finite-volume reference, whose sub-cells
+tile the cells, is a plain mean and so lossless.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class GridSpec:
     def time_index(self, t: float) -> int:
         """Index of the exact time level t; rejects off-level times."""
         k = t / self.dt
+        if not np.isfinite(k):
+            raise ValueError(f"t={t} outside [0, T]")
         if abs(k - round(k)) > 1e-8:
             raise ValueError(f"t={t} is not a grid time level")
         k = round(k)

@@ -74,9 +74,7 @@ _RUN_KEYS = {
     "grid.R": ("R", float, "8.0", _POSITIVE),
     "grid.n_x": ("n_x", int, "256", (lambda v: v >= 2, "must be at least 2")),
     "grid.n_t": ("n_t", int, "128", _AT_LEAST_1),
-    "grid.min_slabs": ("min_slabs", int, "1", _AT_LEAST_1),
     "solver.tol": ("tol", float, "1e-6", _POSITIVE),
-    "solver.max_iter": ("max_iter", int, "200", _AT_LEAST_1),
     "particles.N": ("N", int, "10000", _AT_LEAST_1),
     "particles.dt": ("dt", float, "0.00390625", _POSITIVE),
     "particles.seed": ("seed", int, "1234", (lambda v: v >= 0, "must be nonnegative")),
@@ -93,7 +91,8 @@ _RUN_KEYS = {
 
 
 def _value(raw: dict, key: str, cast, default, rule):
-    """raw[key], else the default text, parsed and checked against its rule."""
+    """raw[key], else the default text, parsed and checked against its rule;
+    every float, alone or in a list, must be finite."""
     text = raw.get(key, default)
     if text is None:
         return None
@@ -101,6 +100,8 @@ def _value(raw: dict, key: str, cast, default, rule):
         value = cast(text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse {text!r}: {exc}") from None
+    if cast in (float, _float_list) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
     if rule is not None and not rule[0](value):
         raise ConfigError(f"{key} {rule[1]}, got {text!r}")
     return value
@@ -116,9 +117,7 @@ class RunConfig:
     R: float
     n_x: int
     n_t: int
-    min_slabs: int
     tol: float
-    max_iter: int
     N: int
     dt: float
     seed: int
@@ -217,7 +216,7 @@ def _run_inner(config: RunConfig) -> int:
         raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
                           f"presets with one: {', '.join(VALIDATE_DEFAULTS)}")
     problem = preset(config.preset_name, **config.problem_params)
-    grid = plan_grid(problem, config.R, config.n_x, config.n_t, min_slabs=config.min_slabs)
+    grid = plan_grid(problem, config.R, config.n_x, config.n_t)
     try:
         compare_levels = [grid.time_index(t) for t in config.compare_times]
     except ValueError as exc:
@@ -242,7 +241,7 @@ def _run_inner(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    u, report = solve(problem, grid, tol=config.tol, max_iter=config.max_iter)
+    u, report = solve(problem, grid, tol=config.tol)
     write_field_csv(out / "field.csv", u)
     checks = []
     coupled = problem.L_b > 0 or problem.L_Lambda > 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from .grids import Field, GridSpec, cell_means_from_cdf
@@ -104,26 +103,24 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, refine: int = 4, cfl: fl
                          max_steps: int = 20_000_000) -> Field:
     """Conservative finite-volume solve of u_t + d_x(u^2/2 - (nu/2) u_x) = 0.
 
-    Runs on a grid refined `refine`-fold in space with an internally chosen
-    stable explicit step, zero flux through the box boundary (telescoping
-    fluxes conserve mass exactly), then restricts cell averages back to the
-    requested grid at its time levels; the fine cells start from the exact
-    cell averages of u0, which must expose a cdf.  After each level it checks the
-    scheme's discrete maximum principle, 0 <= u <= sup|u0|, and raises
-    FloatingPointError when a step was unstable (e.g. cfl too large).
+    Runs on `refine` sub-cells per grid cell, which tile the grid's cells
+    [-R - dx/2, R + dx/2] exactly, with an internally chosen stable explicit
+    step and zero flux through the outer edges (telescoping fluxes conserve
+    mass exactly).  The sub-cells start from the exact cell averages of u0,
+    which must expose a cdf, and each time level of the grid gets the plain
+    mean of every cell's sub-cells, so level 0 is the exact cell averages of
+    u0.  After each level it checks the scheme's discrete maximum principle,
+    0 <= u <= sup|u0|, and raises FloatingPointError when a step was unstable
+    (e.g. cfl too large).
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    n_f = refine * (grid.n_x - 1) + 1
-    dx = 2.0 * grid.R / (n_f - 1)
-    x = np.linspace(-grid.R, grid.R, n_f)
-    # the fine state lives inside a zero halo that the restriction windows read
-    padded = np.zeros(n_f + 2 * (refine // 2))
-    u = padded[refine // 2 : refine // 2 + n_f]
-    edges = np.concatenate((x - 0.5 * dx, [x[-1] + 0.5 * dx]))
-    u[:] = np.diff(u0.cdf(edges)) / dx
+    fine = GridSpec(grid.R + 0.5 * (grid.dx - grid.dx / refine), refine * grid.n_x,
+                    grid.n_t, grid.T)
+    n_f, dx = fine.n_x, fine.dx
+    u = cell_means_from_cdf(u0.cdf, fine)
 
     sup_u0 = float(np.abs(u).max())
     umax = max(sup_u0, 1e-12)
@@ -137,14 +134,13 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, refine: int = 4, cfl: fl
         )
     dt = dt_level / steps_per_level
 
-    stencil = _restriction_stencil(padded, refine)
     square = np.empty(n_f)
     flux = np.zeros(n_f + 1)  # face fluxes; the two boundary faces stay 0
     interior = flux[1:-1]
     gradient = np.empty(n_f - 1)
     diff = np.empty(n_f)
     out = np.empty((grid.n_t + 1, grid.n_x))
-    out[0] = _restrict(*stencil)
+    out[0] = _restrict(u, refine)
     for k in range(grid.n_t):
         for _ in range(steps_per_level):
             # interior fluxes 0.25 * (u[:-1]**2 + u[1:]**2) - (0.5 * nu) * diff(u) / dx,
@@ -168,37 +164,10 @@ def burgers_fd_reference(u0, nu: float, grid: GridSpec, refine: int = 4, cfl: fl
                 f"(t = {(k + 1) * dt_level:.6g}): u in [{lo:.6g}, {hi:.6g}], "
                 f"sup|u0| = {sup_u0:.6g}; lower cfl (now {cfl:g})"
             )
-        out[k + 1] = _restrict(*stencil)
+        out[k + 1] = _restrict(u, refine)
     return Field(grid, out)
 
 
-def _restriction_stencil(padded: np.ndarray, refine: int):
-    """Windows, overlap weights and weight sums for restricting to coarse cells.
-
-    `padded` holds the fine cells with a zero halo of refine // 2 on each
-    side.  Coarse cell j averages fine cells refine*j - refine//2 ..
-    refine*j + refine//2; for even refine the outermost two overlap it
-    halfway.  Fine indices outside the grid get weight 0, so the two
-    boundary cells average over their truncated windows.  The windows are
-    views into `padded`, so the stencil follows later writes to it.
-    """
-    half = refine // 2
-    n_fine = len(padded) - 2 * half
-    n_coarse = (n_fine - 1) // refine + 1
-    pattern = np.ones(2 * half + 1)
-    if refine % 2 == 0:
-        pattern[[0, -1]] = 0.5
-    fine_index = refine * np.arange(n_coarse) + np.arange(-half, half + 1)[:, None]
-    inside = (fine_index >= 0) & (fine_index < n_fine)
-    weights = np.where(inside, pattern[:, None], 0.0)
-    windows = sliding_window_view(padded, 2 * half + 1)[::refine].T
-    return windows, weights, weights.sum(axis=0)
-
-
-def _restrict(windows: np.ndarray, weights: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Average fine cell means onto coarse cells (exact overlap weights).
-
-    Sums each window in order along the window axis, then divides by the
-    weight sum, as a per-cell dot product would.
-    """
-    return (weights * windows).sum(axis=0) / sums
+def _restrict(fine: np.ndarray, refine: int) -> np.ndarray:
+    """Cell averages of a grid from those of its `refine` sub-cells per cell."""
+    return fine.reshape(-1, refine).mean(axis=1)

@@ -55,7 +55,8 @@ def test_config_unknown_key_named():
 
 def test_config_rejects_removed_keys():
     for key in ("particles.h = 0.1", "solver.n_w = 33", "sweep.slack = 1.1",
-                "grid.min_levels_per_slab = 4", "threads = 2", "grid.tau = 0.5"):
+                "grid.min_levels_per_slab = 4", "threads = 2", "grid.tau = 0.5",
+                "grid.min_slabs = -3", "solver.max_iter = 0"):
         with pytest.raises(ConfigError, match="unknown keys"):
             RunConfig.from_text(HEAT_CFG + "\n" + key)
 
@@ -66,9 +67,13 @@ _OVERRIDE_KEYS = {"--seed": "particles.seed"}
 
 @pytest.mark.parametrize("line", [
     "particles.seeds = 0", "sweep.N = ,", "sweep.N = 1000, 0", "compare.fraction = 7",
-    "compare.fraction = 0", "compare.z = 0", "solver.max_iter = 0", "grid.min_slabs = -3",
+    "compare.fraction = 0", "compare.z = 0",
     "grid.n_x = 1", "particles.seed = -1", "compare.l1 = -1",
     "solver.tol = nan", "problem.nu = 0", "problem.u0_var = -1", "--seed -5",
+    # non-finite values, including those of keys without a range rule
+    "problem.T = inf", "problem.nu = inf", "problem.lam = nan", "problem.u0_mean = inf",
+    "problem.u0_var = inf", "problem.z_max = inf", "solver.tol = inf", "grid.R = inf",
+    "compare.times = -inf", "compare.times = 0.25, nan",
 ])
 def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
     flag, _, value = line.partition(" ")
@@ -311,7 +316,6 @@ def test_frozen_battery_small(tmp_path):
         "grid.R = 8.0\n"
         "grid.n_x = 128\n"
         "grid.n_t = 64\n"
-        "grid.min_slabs = 2\n"
         "particles.N = 20000\n"
         "particles.dt = 0.015625\n"
         "particles.seeds = 3\n"

@@ -57,6 +57,11 @@ class TestGridSpec:
         grid = GridSpec(R=1.0, n_x=4, n_t=10, T=0.5, n_slabs=5)
         assert (grid.tau, grid.levels_per_slab) == (0.5 / 5, 2)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_time_index_rejects_nonfinite(self, t):
+        with pytest.raises(ValueError, match="outside"):
+            GridSpec(R=1.0, n_x=4, n_t=10, T=1.0).time_index(t)
+
     def test_field_rejects_nonfinite(self):
         grid = GridSpec(R=1.0, n_x=4, n_t=2, T=1.0, n_slabs=2)
         bad = np.zeros((3, 4))

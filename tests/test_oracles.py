@@ -13,8 +13,6 @@ import mfklab
 from mfklab import oracles
 from mfklab.grids import GridSpec, cell_means_from_cdf
 from mfklab.oracles import (
-    _restrict,
-    _restriction_stencil,
     burgers_cell_means,
     burgers_fd_reference,
     exact_cell_means,
@@ -166,20 +164,30 @@ class TestFdReference:
     )
     def test_mass_conserved_property(self, nu, refine, n_x, n_t):
         # at T = 0.25 the mass outside [-7, 7] is below round-off, so the
-        # restriction's truncated boundary windows lose none of it
+        # zero-flux outer edges of the box hold all of it
         grid = GridSpec(R=8.0, n_x=n_x, n_t=n_t, T=0.25)
         ref = burgers_fd_reference(self.u0, nu, grid, refine=refine)
         masses = [ref.mass(k) for k in range(grid.n_t + 1)]
         assert max(abs(m - masses[0]) for m in masses) <= 1e-10
 
+    @pytest.mark.parametrize("refine", [1, 2, 3, 4, 8])
+    def test_starts_from_exact_cells(self, refine):
+        # the sub-cells tile the cells, so level 0 is the exact cell averages
+        # of u0 up to the rounding of the sub-cell edges
+        grid = GridSpec(R=8.0, n_x=128, n_t=1, T=0.25)
+        ref = burgers_fd_reference(self.u0, 1.0, grid, refine=refine)
+        exact = cell_means_from_cdf(self.u0.cdf, grid)
+        w = trapezoid_weights(grid.n_x, grid.dx)
+        assert float(np.dot(w, np.abs(ref.values[0] - exact))) <= 1e-14
+
     def test_matches_exact_cells(self, burgers_reference):
-        # measured 2.81e-5, 1.53e-5 and 8.23e-6 at refine 4 on 512x1024
+        # measured 7.73e-6, 5.75e-6 and 4.17e-6 at refine 4 on 512x1024
         ref = burgers_reference["ref"]
         grid = ref.grid
         w = trapezoid_weights(grid.n_x, grid.dx)
         for t in (0.25, 0.5, 1.0):
             exact = burgers_cell_means(self.u0, 1.0, t, grid)
-            assert float(np.dot(w, np.abs(ref.values[grid.time_index(t)] - exact))) <= 3e-5
+            assert float(np.dot(w, np.abs(ref.values[grid.time_index(t)] - exact))) <= 1e-5
 
     def test_self_convergence_under_refinement(self):
         grid = GridSpec(R=8.0, n_x=256, n_t=8, T=0.5)
@@ -234,59 +242,3 @@ class TestFdReference:
             fields.append(proc.stdout)
         assert len(fields[0]) == 10 * 256 * 8
         assert fields[0] == fields[1]
-
-
-def _restrict_by_cells(fine, refine, n_coarse):
-    """Per-cell overlap average, one coarse cell at a time: the oracle for _restrict."""
-    if refine == 1:
-        return fine.copy()
-    half = refine // 2
-    out = np.empty(n_coarse)
-    for j in range(n_coarse):
-        c = refine * j
-        lo = max(c - half, 0)
-        hi = min(c + half, len(fine) - 1)
-        w = np.ones(hi - lo + 1)
-        if refine % 2 == 0:  # even refine: the outermost fine cells overlap halfway
-            if lo == c - half:
-                w[0] = 0.5
-            if hi == c + half:
-                w[-1] = 0.5
-        out[j] = np.dot(w, fine[lo : hi + 1]) / w.sum()
-    return out
-
-
-def _restrict_padded(fine, refine):
-    return _restrict(*_restriction_stencil(np.pad(fine, refine // 2), refine))
-
-
-@pytest.mark.parametrize("refine", [1, 2, 3, 4, 8])
-def test_restrict_matches_per_cell_overlap(refine):
-    n_coarse = 37
-    rng = np.random.default_rng(refine)
-    # large values at both ends, so the truncated boundary cells carry weight
-    fine = rng.uniform(0.5, 2.0, refine * (n_coarse - 1) + 1)
-    fine[:refine] *= 10.0
-    fine[-refine:] *= 10.0
-    got = _restrict_padded(fine, refine)
-    want = _restrict_by_cells(fine, refine, n_coarse)
-    assert got.shape == (n_coarse,)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(fine).max()
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.sampled_from([1, 2, 3, 4, 5, 8]),
-    st.integers(min_value=3, max_value=40),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_restrict_preserves_mass(refine, n_coarse, seed):
-    # fine data vanishing on the cells the boundary windows touch
-    fine = np.random.default_rng(seed).uniform(-1.0, 1.0, refine * (n_coarse - 1) + 1)
-    fine[:refine] = 0.0
-    fine[-refine:] = 0.0
-    coarse = _restrict_padded(fine, refine)
-    dx_fine = 1.0 / (len(fine) - 1)
-    fine_mass = float(trapezoid_weights(len(fine), dx_fine) @ fine)
-    coarse_mass = float(trapezoid_weights(n_coarse, refine * dx_fine) @ coarse)
-    assert abs(coarse_mass - fine_mass) <= 1e-13 * np.abs(fine).sum() * dx_fine
