@@ -138,7 +138,7 @@ class RunConfig:
         known |= {f"problem.{k}" for k in _PROBLEM_KEYS}
         unknown = set(raw) - known
         if unknown:
-            raise ConfigError(f"unknown keys: {sorted(unknown)}")
+            raise ConfigError(f"{', '.join(sorted(unknown))} rejected as unknown keys")
         for key in ("experiment", "problem.preset"):
             if key not in raw:
                 raise ConfigError(f"missing required key {key!r}")

@@ -68,6 +68,8 @@ _OVERRIDE_KEYS = {"--seed": "particles.seed"}
 @pytest.mark.parametrize("line", [
     "particles.seeds = 0", "sweep.N = ,", "sweep.N = 1000, 0", "compare.fraction = 7",
     "compare.fraction = 0", "compare.z = 0",
+    # removed keys are refused by name like any value out of range
+    "solver.max_iter = 0", "grid.min_slabs = -3",
     "grid.n_x = 1", "particles.seed = -1", "compare.l1 = -1",
     "solver.tol = nan", "problem.nu = 0", "problem.u0_var = -1", "--seed -5",
     # non-finite values, including those of keys without a range rule
