@@ -8,14 +8,21 @@ uncommitted edits are never measured and the repository is left untouched.
 For every workload of BENCHMARK.json, the script runs `perfbench/run.py
 --trace 0` once per side in each of PAIRS = 10 pairs, with BENCHMARK.json's
 run length, one process at a time; the side that runs first alternates by
-pair.  Each run's
-metric is run.py's median over its repetitions; the file holds, per side, the
-median, quartiles (inclusive method) and runs of `wall_s`, `setup_s` and
-`peak_rss_mb`, the distinct `err_ref` values (17 digits), the distinct CSV
-digest sets, the largest `max_du` against perfbench/reference, and the
-repetition counts; per workload, the pairs the change won (it reads lower)
-and whether both sides wrote the same digests.  The layout is that of
-BENCH_pr7.json.
+pair.  Each run's metric is run.py's median over its repetitions; the file
+holds, per side, the median, quartiles (inclusive method) and runs of every
+end-to-end metric of BENCHMARK.json (`wall_s`, `setup_s`, `peak_rss_mb`,
+`err_ref`), the distinct `err_ref` values of all repetitions (17 digits,
+`err_ref_values`), the distinct CSV digest sets, the largest `max_du` against
+perfbench/reference, and the repetition counts.  Per workload it holds the
+pairs the change won (it reads better; ties count for neither), whether both
+sides wrote the same digests, and two verdicts per end-to-end metric:
+
+* `gain`: the change won at least 9 of the 10 pairs, and the medians differ,
+  in the better direction, by more than the parent's q3 - q1;
+* `within_bound`: the change's median is worse than the parent's by at most
+  the metric's `bound` in BENCHMARK.json, a fraction of the parent's median.
+
+The layout is otherwise that of BENCH_pr7.json.
 
 perfbench/ is frozen (the benchmark may not change within a change it
 measures), so some of it is stale; what it reports there is to be read with
@@ -52,8 +59,8 @@ import numpy as np
 import scipy
 
 ROOT = Path(__file__).resolve().parents[1]
-TIMED = ("wall_s", "setup_s", "peak_rss_mb")
 PAIRS = 10  # the fewest pairs that can support a claimed gain
+GAIN_WINS = 9  # pairs the change must win for a gain
 # one line per repetition of perfbench/run.py (see its `report`)
 REP_LINE = re.compile(r" rep=\d+ trace=0 ok=\S+ .* err_ref=(\S+) max_du=(\S+) digests=(.*)$")
 
@@ -88,14 +95,14 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
     return result
 
 
-def summary(runs: list) -> dict:
+def summary(runs: list, metrics: list) -> dict:
     """The side's record of one workload, from its run.py results."""
     out = {}
-    for name in TIMED:
-        values = [r["metrics"][name]["value"] for r in runs]
+    for m in metrics:
+        values = [r["metrics"][m["name"]]["value"] for r in runs]
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        out[name] = {"median": median, "q1": q1, "q3": q3, "runs": values}
-    out["err_ref"] = sorted({e for r in runs for e in r["err_ref"]})
+        out[m["name"]] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+    out["err_ref_values"] = sorted({e for r in runs for e in r["err_ref"]})
     out["correct"] = all(r["correct"] for r in runs)
     out["failed"] = sum(r["failed"] for r in runs)
     out["attempted"] = sum(r["attempted"] for r in runs)
@@ -103,6 +110,19 @@ def summary(runs: list) -> dict:
     out["digests"] = [json.loads(d) for d in sorted(digests)]
     out["max_du"] = max(r["max_du"] for r in runs)
     return out
+
+
+def better_by(metric: dict, parent: float, change: float) -> float:
+    """How much better the change reads than the parent (below 0: worse)."""
+    return parent - change if metric["better"] == "lower" else change - parent
+
+
+def verdicts(metric: dict, parent: dict, change: dict, wins: int) -> dict:
+    """`gain` and `within_bound` of one end-to-end metric (see the module doc);
+    parent and change are the sides' {median, q1, q3, runs} of it."""
+    by = better_by(metric, parent["median"], change["median"])
+    return {"gain": wins >= GAIN_WINS and by > parent["q3"] - parent["q1"],
+            "within_bound": -by <= metric["bound"] * abs(parent["median"])}
 
 
 def main(argv=None) -> int:
@@ -114,7 +134,7 @@ def main(argv=None) -> int:
     change = git("rev-parse", args.change)
     parent = git("rev-parse", args.parent or f"{change}~1")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    command, seconds = bench["command"], bench["run_seconds"]
+    command, seconds, metrics = bench["command"], bench["run_seconds"], bench["end_to_end"]
     work = Path(tempfile.mkdtemp(prefix="bench_record_"))
     record = {
         "label": args.label,
@@ -122,7 +142,10 @@ def main(argv=None) -> int:
         "method": "parent and change run alternately (the side that runs first alternates "
                   "by pair), each run a fresh perfbench/run.py in a git-archive export of its "
                   "commit; per run the metric is run.py's median over its repetitions; median "
-                  "and quartiles are over runs; a pair is won when the change reads lower",
+                  "and quartiles are over runs; a pair is won when the change reads better; "
+                  f"gain: at least {GAIN_WINS} of {PAIRS} pairs won and the medians differ by "
+                  "more than the parent's q3 - q1; within_bound: the change's median is worse "
+                  "by at most BENCHMARK.json's bound times the parent's median",
         "commits": {"parent": parent, "change": change},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__},
@@ -146,11 +169,14 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {p + 1}/{PAIRS}: wall_s parent "
                       f"{runs['parent'][-1]['metrics']['wall_s']['value']:.4f} change "
                       f"{runs['change'][-1]['metrics']['wall_s']['value']:.4f}", flush=True)
-            entry = {"seeds": seeds, "pairs": PAIRS,
-                     "parent": summary(runs["parent"]), "change": summary(runs["change"])}
-            entry["wins"] = {name: sum(c["metrics"][name]["value"] < q["metrics"][name]["value"]
-                                       for q, c in zip(runs["parent"], runs["change"]))
-                             for name in TIMED}
+            entry = {"seeds": seeds, "pairs": PAIRS, "parent": summary(runs["parent"], metrics),
+                     "change": summary(runs["change"], metrics)}
+            entry["wins"], entry["verdicts"] = {}, {}
+            for m in metrics:
+                p_m, c_m = entry["parent"][m["name"]], entry["change"][m["name"]]
+                wins = sum(better_by(m, a, b) > 0 for a, b in zip(p_m["runs"], c_m["runs"]))
+                entry["wins"][m["name"]] = wins
+                entry["verdicts"][m["name"]] = verdicts(m, p_m, c_m, wins)
             entry["digests_equal"] = entry["parent"]["digests"] == entry["change"]["digests"]
             record["workloads"][workload] = entry
     finally:

@@ -80,12 +80,22 @@ class GridSpec:
             raise ValueError(f"t={t} outside [0, T]")
         return k
 
-    def nearest_node(self, x: np.ndarray) -> np.ndarray:
-        """Nearest-node indices of an array of points; -1 marks points outside the box."""
-        pos = (np.asarray(x) + self.R) / self.dx
-        j = np.rint(pos, out=pos).astype(np.intp)
-        j[j.view(np.uintp) >= self.n_x] = -1  # negative indices view as huge unsigned ones
-        return j
+    def nearest_node(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Nearest-node indices of an array of points; -1 marks points outside the box.
+
+        out, an int64 array of x's shape, receives the indices (a new one when
+        not given).  The positions are rounded in its memory viewed as float64,
+        so no other array of x's size is made.
+        """
+        if out is None:
+            out = np.empty(np.shape(x), np.int64)
+        pos = out.view(np.float64)
+        np.add(x, self.R, out=pos)
+        pos /= self.dx
+        np.rint(pos, out=pos)
+        np.copyto(out, pos, casting="unsafe")  # element by element, in place
+        out[out.view(np.uint64) >= self.n_x] = -1  # negative indices view as huge unsigned ones
+        return out
 
 
 @dataclass
@@ -111,14 +121,19 @@ class Field:
         """Integral over the box at time level k (exact for cell averages)."""
         return float(self.values[k].sum() * self.grid.dx)
 
-    def lookup(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Pointwise values at time level k and points x: nearest node, 0 outside."""
+    def lookup(self, k: int, x: np.ndarray, out: np.ndarray | None = None,
+               index: np.ndarray | None = None) -> np.ndarray:
+        """Pointwise values at time level k and points x: nearest node, 0 outside.
+
+        out (float64) receives the values and index (int64) the nodes, both of
+        x's shape; either is made new when not given.
+        """
         row = np.empty(self.grid.n_x + 1)  # the level's values behind one zero for outside
         row[0] = 0.0
         row[1:] = self.values[k]
-        j = self.grid.nearest_node(x)
+        j = self.grid.nearest_node(x, out=index)
         j += 1
-        return row.take(j)
+        return row.take(j, out=out, mode="clip")  # j is in range; "raise" would buffer out
 
 
 def slab_l1(values: np.ndarray, dx: float, dt: float) -> float:

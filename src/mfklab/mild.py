@@ -239,6 +239,7 @@ class SolveReport:
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     max_abs_w: float
+    min_rel: float  # min of u over max |u|: below 0 when the field undershoots
     grid: GridSpec
 
     def ball_ok(self) -> bool:
@@ -296,12 +297,14 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
                 if h[i + 2] > rho2 * max(h[: i + 1]) * (1.0 + 1e-9):
                     monitor_ok = False
 
+    lo, hi = float(u.min()), float(u.max())  # no |u| temporary: u is the whole field
+    peak = max(hi, -lo)
     report = SolveReport(
         tol=tol, residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
         tau=grid.tau, tau_max=float(tau_max), contraction_C=float(C),
         pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok,
         max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
-        max_abs_w=max_abs_w, grid=grid,
+        max_abs_w=max_abs_w, min_rel=lo / peak if peak > 0 else 0.0, grid=grid,
     )
     return Field(grid, u), report
 

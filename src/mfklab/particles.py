@@ -11,7 +11,14 @@ seed, drawn in a fixed order, so identical (seed, N, dt) reproduce the
 ensemble bit-for-bit.  The particles step on the levels of a GridSpec
 (particle_grid); a time t becomes a level only through GridSpec.time_index.
 The march streams: it holds the current step only and keeps the levels its
-caller will read, so an ensemble takes O(N * kept levels) memory.
+caller will read, so an ensemble takes O(N * kept levels) memory.  It also
+steps in place on six N-sized arrays, allocated once: the positions, the
+log-weights and four work arrays (_Work) that its feedback and its step take in
+turn.  Four is what the closure's feedback needs at once: the weights, and two
+float arrays and one index array for the binned KDE; the step needs the
+feedback's z, the noise and an increment.  A new temporary per operation
+would instead cost an allocation of N doubles, which the allocator returns to
+the system on release and page-faults back in on the next step.
 """
 
 from __future__ import annotations
@@ -105,15 +112,32 @@ def particle_grid(grid: GridSpec, dt: float, frozen: bool = False) -> GridSpec:
     return steps
 
 
+class _Work:
+    """The N-sized work arrays of one march, allocated once, used by role.
+
+    The feedback may overwrite all of them and may return z in floats[0].
+    The step then overwrites floats[1] (|z|, then the noise) and floats[2]
+    (the log-weight increment, then the position increment).  The closure's
+    feedback puts the weights in floats[0], gives floats[1:] and index to the
+    binned KDE, then looks z up into floats[0] through index.
+    """
+
+    def __init__(self, N: int):
+        self.floats = np.empty((3, N))
+        self.index = np.empty(N, np.int64)
+
+
 def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
            feedback, levels) -> ParticleEnsemble:
     """Euler-Maruyama march of the weighted particle system on grid's levels,
     keeping the given levels of it (any order, repeats allowed).
 
-    feedback(k, y, logw) returns z = u(t_k, y) for the positions y and
-    log-weights logw at level k.  The growth integral accumulates by the
-    left-point rule, and the Philox draws come in the fixed order (initial
-    sample, then one normal vector per step).
+    feedback(k, y, logw, work) returns z = u(t_k, y) for the positions y and
+    log-weights logw at level k; work is the march's _Work.  The growth
+    integral accumulates by the left-point rule, and the Philox draws come in
+    the fixed order (initial sample, then one normal vector per step).  y and
+    logw are updated in place, in the operation order of
+    y + Phi sqrt(dt) xi + (b + b0) dt; what b and Lambda return is only read.
     """
     if grid.T != problem.T:
         raise ValueError(f"particle horizon {grid.T} differs from the problem's {problem.T}")
@@ -126,18 +150,25 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     logw = np.zeros(N)
     if 0 in rows:
         positions[0] = y
+    work = _Work(N)
+    noise, incr = work.floats[1], work.floats[2]
     times = grid.times()
     dt = grid.dt
-    sq = np.sqrt(dt)
+    scale = problem.Phi * np.sqrt(dt)
     max_abs_z = 0.0
     for k in range(grid.n_t):
         t = times[k]
-        z = feedback(k, y, logw)
-        max_abs_z = max(max_abs_z, float(np.abs(z).max()))
-        drift = np.asarray(problem.b(t, y, z)) + problem.b0
-        lam = np.asarray(problem.Lambda(t, y, z))
-        logw = logw + lam * dt
-        y = y + problem.Phi * sq * rng.standard_normal(N) + drift * dt
+        z = feedback(k, y, logw, work)
+        max_abs_z = max(max_abs_z, float(np.abs(z, out=noise).max()))
+        # what Lambda and b return is used at once and released before the next
+        # step's feedback and coefficients run
+        logw += np.multiply(problem.Lambda(t, y, z), dt, out=incr)
+        np.add(problem.b(t, y, z), problem.b0, out=incr)
+        incr *= dt
+        rng.standard_normal(out=noise)
+        noise *= scale
+        y += noise
+        y += incr
         r = rows.get(k + 1)
         if r is not None:
             positions[r] = y
@@ -156,7 +187,8 @@ def simulate_frozen(u: Field, problem: ProblemSpec, N: int, dt: float,
     """
     steps = particle_grid(u.grid, dt, frozen=True)
     n_f, n_s = u.grid.n_t, steps.n_t
-    return _march(problem, N, steps, seed, lambda k, y, logw: u.lookup(k * n_f // n_s, y),
+    return _march(problem, N, steps, seed,
+                  lambda k, y, logw, work: u.lookup(k * n_f // n_s, y, work.floats[0], work.index),
                   [steps.time_index(t) for t in times])
 
 
@@ -174,14 +206,20 @@ def weighted_functional(ensemble: ParticleEnsemble, phi, t: float):
     return est, se
 
 
-def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray) -> float:
-    """Silverman's rule with the effective sample size of the weighted ensemble."""
+def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray,
+                        scratch: np.ndarray | None = None) -> float:
+    """Silverman's rule with the effective sample size of the weighted ensemble.
+
+    scratch, a float array of positions' shape, is overwritten (a new one is
+    made when not given).
+    """
     wsum = weights.sum()
-    n_eff = wsum**2 / np.square(weights).sum()
+    n_eff = wsum**2 / np.square(weights, out=scratch).sum()
     # einsum, not BLAS dot: a threaded BLAS splits long sums by thread count,
     # which would make the closure's field depend on it
     mean = np.einsum("i,i", weights, positions) / wsum
-    var = np.einsum("i,i", weights, np.square(positions - mean)) / wsum
+    dev = np.subtract(positions, mean, out=scratch)
+    var = np.einsum("i,i", weights, np.square(dev, out=dev)) / wsum
     sd = np.sqrt(max(var, 1e-300))
     return float(1.06 * sd * n_eff ** (-0.2))
 
@@ -207,26 +245,40 @@ def density_estimate(ensemble: ParticleEnsemble, t: float, h: float | None,
 
 
 def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
-                n_total: int) -> np.ndarray:
+                n_total: int, scratch=None) -> np.ndarray:
     """Linear-binned KDE with cell-integrated Gaussian weights (closure path).
 
     Splits each particle weight between its two neighboring nodes, then
     convolves with the Gaussian averaged over width-dx cells, which stays
     valid even for h below the grid spacing.  Shares that fall outside the
-    nodes land in one pad bin on either side, which is dropped.
+    nodes land in pad bins, which are dropped.  scratch is two float64 arrays
+    and one int64 array of y's shape, overwritten (new ones are made when not
+    given).
     """
-    dx = grid.dx
-    pos = (y + grid.R) / dx
-    j = np.floor(pos).astype(int)
-    frac = pos - j
-    padded = np.zeros(grid.n_x + 2)
-    np.add.at(padded, np.clip(j, -1, grid.n_x) + 1, w * (1.0 - frac))
-    np.add.at(padded, np.clip(j + 1, -1, grid.n_x) + 1, w * frac)
-    binned = padded[1:-1]
-    m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
+    if scratch is None:
+        scratch = (*np.empty((2, y.size)), np.empty(y.size, np.int64))
+    frac, share, index = scratch
+    n, dx = grid.n_x, grid.dx
+    np.add(y, grid.R, out=frac)
+    frac /= dx
+    np.floor(frac, out=index, casting="unsafe")  # j, the node left of each particle
+    frac -= index
+    # node j is bin j + 2, and bins 0, 1 and n + 2 are pads: the left share
+    # goes to bin clip(j + 2, 0, n + 2), the right one a bin further, capped at
+    # n + 2; with two pads on the left, a clipped left bin keeps the right
+    # share off node 0
+    padded = np.zeros(n + 3)
+    index += 2
+    np.clip(index, 0, n + 2, out=index)
+    np.add.at(padded, index, np.multiply(np.subtract(1.0, frac, out=share), w, out=share))
+    index += 1
+    np.minimum(index, n + 2, out=index)
+    np.add.at(padded, index, np.multiply(w, frac, out=share))
+    binned = padded[2:-1]
+    m = np.arange(-(n - 1), n) * dx
     kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
     full = convolve_full(binned, kern)
-    return full[grid.n_x - 1 : 2 * grid.n_x - 1] / n_total
+    return full[n - 1 : 2 * n - 1] / n_total
 
 
 def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
@@ -243,15 +295,16 @@ def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,
     rec = Field.zeros(steps)
     rec.values[0] = problem.u0.pdf(grid.x_nodes())
 
-    def estimate(k: int, y: np.ndarray, logw: np.ndarray):
-        w = np.exp(logw)
-        rec.values[k] = _binned_kde(y, w, grid, silverman_bandwidth(y, w), N)
+    def estimate(k: int, y: np.ndarray, logw: np.ndarray, work: _Work):
+        w = np.exp(logw, out=work.floats[0])
+        h = silverman_bandwidth(y, w, work.floats[1])
+        rec.values[k] = _binned_kde(y, w, grid, h, N, (*work.floats[1:], work.index))
 
-    def feedback(k, y, logw):
+    def feedback(k, y, logw, work):
         if k > 0:
-            estimate(k, y, logw)
-        return rec.lookup(k, y)
+            estimate(k, y, logw, work)
+        return rec.lookup(k, y, work.floats[0], work.index)
 
     ensemble = _march(problem, N, steps, seed, feedback, [steps.n_t])
-    estimate(steps.n_t, ensemble.positions[0], ensemble.logw[0])
+    estimate(steps.n_t, ensemble.positions[0], ensemble.logw[0], _Work(N))
     return ensemble, Field(steps, rec.values)  # validates every estimated level

@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+LOWER = {"name": "wall_s", "better": "lower", "bound": 0.25}
+HIGHER = {"name": "rate", "better": "higher", "bound": 0.25}
+
+
+def _side(median, q1, q3):
+    return {"median": median, "q1": q1, "q3": q3, "runs": []}
+
+
+@pytest.mark.parametrize("wins, change, gain", [
+    (9, 2.5, True),    # 9 of 10 pairs and 1.0 apart, more than the parent's IQR 0.4
+    (8, 2.5, False),   # too few pairs won
+    (10, 3.3, False),  # 0.2 apart, inside the parent's IQR
+])
+def test_gain_needs_nine_wins_and_more_than_the_parents_iqr(wins, change, gain):
+    parent = _side(3.5, 3.3, 3.7)
+    v = bench_record.verdicts(LOWER, parent, _side(change, change, change), wins)
+    assert v == {"gain": gain, "within_bound": True}
+
+
+@pytest.mark.parametrize("metric, change, within", [
+    (LOWER, 5.0, True), (LOWER, 5.01, False),    # bound 25% of the parent's 4.0
+    (HIGHER, 3.0, True), (HIGHER, 2.99, False),  # a lower rate is the worse side
+])
+def test_within_bound_is_relative_to_the_parents_median(metric, change, within):
+    v = bench_record.verdicts(metric, _side(4.0, 4.0, 4.0), _side(change, change, change), 0)
+    assert v["within_bound"] is within
+    assert v["gain"] is False
+
+
+def test_a_pair_is_won_on_the_better_side_only():
+    assert bench_record.better_by(LOWER, 3.0, 2.0) == 1.0
+    assert bench_record.better_by(HIGHER, 3.0, 2.0) == -1.0
+    assert bench_record.better_by(LOWER, 3.0, 3.0) == 0.0  # a tie wins nothing

@@ -165,6 +165,7 @@ def test_validate_heat_passes(tmp_path):
     assert [c["name"] for c in record["checks"]] == ["worst per-time l1 to reference"]
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
     assert record["solve"]["grid"]["n_x"] == 128
+    assert abs(record["solve"]["min_rel"]) < 1e-12  # heat: positive up to rounding
 
 
 def test_runs_are_byte_identical(tmp_path):

@@ -208,6 +208,13 @@ class TestSolve:
         assert report.pi_C2_tau >= 1.0
         assert report.contraction_monitor_ok is None
 
+    def test_min_rel_of_a_heat_field(self):
+        # the heat field is positive up to rounding; min_rel reports its sign
+        prob = preset("heat")
+        u, report = solve(prob, _small_grid(prob, n_x=128, n_t=16))
+        assert report.min_rel == u.values.min() / u.values.max()
+        assert abs(report.min_rel) < 1e-12
+
     def test_slab_refinement_consistency(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         tol = 1e-4
@@ -362,6 +369,24 @@ def test_field_lookup_matches_masked_index(n_x):
 
     for k in range(grid.n_t + 1):
         assert np.array_equal(f.lookup(k, x), masked(k, x))
+
+
+def test_lookup_with_and_without_buffers():
+    grid = GridSpec(R=2.0, n_x=9, n_t=4, T=1.0, n_slabs=4)
+    f = Field(grid, np.random.default_rng(5).standard_normal((5, 9)))
+    x = np.linspace(-3.0, 3.0, 41)
+    first, nodes = f.lookup(1, x), grid.nearest_node(x)
+    kept = first.copy(), nodes.copy()
+    # a second call on other inputs makes its own arrays
+    f.lookup(2, -x)
+    grid.nearest_node(x + 0.5)
+    assert np.array_equal(first, kept[0]) and np.array_equal(nodes, kept[1])
+    # given buffers receive the same values and are what the calls return
+    out, index = np.empty(x.size), np.empty(x.size, np.int64)
+    assert f.lookup(1, x, out, index) is out
+    assert np.array_equal(out, first)
+    assert grid.nearest_node(x, out=index) is index
+    assert np.array_equal(index, nodes)
 
 
 def test_burgers_mild_matches_closed_form_oracle():

@@ -140,7 +140,7 @@ def _march_every_level(problem, N, grid, seed, feedback):
     sq = np.sqrt(dt)
     for k in range(grid.n_t):
         t = times[k]
-        z = feedback(k, y, logw[k])
+        z = feedback(k, y, logw[k], None)
         drift = np.asarray(problem.b(t, y, z)) + problem.b0
         lam = np.asarray(problem.Lambda(t, y, z))
         logw[k + 1] = logw[k] + lam * dt
@@ -154,7 +154,7 @@ def _closure_feedback(problem, grid, steps, N):
     rec = Field.zeros(steps)
     rec.values[0] = problem.u0.pdf(grid.x_nodes())
 
-    def feedback(k, y, logw):
+    def feedback(k, y, logw, work):
         if k > 0:
             w = np.exp(logw)
             rec.values[k] = _binned_kde(y, w, grid, silverman_bandwidth(y, w), N)
@@ -164,8 +164,8 @@ def _closure_feedback(problem, grid, steps, N):
 
 def _recording(feedback, seen):
     """feedback that also appends max |z| of each step to seen."""
-    def wrapped(k, y, logw):
-        z = feedback(k, y, logw)
+    def wrapped(k, y, logw, work):
+        z = feedback(k, y, logw, work)
         seen.append(float(np.abs(z).max()))
         return z
     return wrapped
@@ -175,8 +175,26 @@ def _recording(feedback, seen):
 KEPT_TIMES = (1.0, 0.25, 0.5, 0.25, 0.0)
 
 
-def test_frozen_stream_keeps_the_oracle_rows():
-    prob = preset("burgers", nu=1.0, u0_var=0.04)
+def _aliasing_problem(b, Lambda):
+    """A problem with the given coefficients and a base drift b0 != 0."""
+    return ProblemSpec("aliasing", 1.0, 1.0, b, Lambda, GaussianDensity(0.0, 0.04),
+                       M_b=0.0, M_Lambda=0.0, L_b=0.0, L_Lambda=1.0, z_max=float("inf"),
+                       b0=0.3)
+
+
+# the march steps y and logw in place: burgers reads z in b, logistic_fkpp in
+# Lambda, so logw moves in place, and "aliasing" returns b's x argument (y)
+# and Lambda's z argument, so a step that wrote into what b or Lambda returned,
+# or into y before the drift was taken, would change the rows
+STREAM_PROBLEMS = [
+    pytest.param(preset("burgers", nu=1.0, u0_var=0.04), id="burgers"),
+    pytest.param(preset("logistic_fkpp", lam=0.5), id="logistic_fkpp"),
+    pytest.param(_aliasing_problem(lambda t, x, z: x, lambda t, x, z: z), id="aliasing"),
+]
+
+
+@pytest.mark.parametrize("prob", STREAM_PROBLEMS)
+def test_frozen_stream_keeps_the_oracle_rows(prob):
     grid = GridSpec(R=7.0, n_x=129, n_t=32, T=1.0)
     u, _ = solve(preset("heat"), grid)
     N, dt = 3000, 1.0 / 64
@@ -184,7 +202,7 @@ def test_frozen_stream_keeps_the_oracle_rows():
     assert ens.levels == (0, 16, 32, 64)
     assert ens.positions.shape == ens.logw.shape == (len(ens.levels), N)
     seen = []
-    feedback = _recording(lambda k, y, logw: u.lookup(k * 32 // 64, y), seen)
+    feedback = _recording(lambda k, y, logw, work: u.lookup(k * 32 // 64, y), seen)
     positions, logw = _march_every_level(prob, N, ens.grid, 5, feedback)
     assert np.array_equal(ens.positions, positions[list(ens.levels)])
     assert np.array_equal(ens.logw, logw[list(ens.levels)])
@@ -196,8 +214,8 @@ def test_frozen_stream_keeps_the_oracle_rows():
         assert weighted_functional(ens, phi, t)[0] == float(vals.mean())
 
 
-def test_closure_stream_keeps_the_oracle_rows():
-    prob = preset("burgers", nu=1.0, u0_var=0.04)
+@pytest.mark.parametrize("prob", STREAM_PROBLEMS)
+def test_closure_stream_keeps_the_oracle_rows(prob):
     grid = GridSpec(R=8.0, n_x=129, n_t=16, T=prob.T)
     N, dt = 3000, prob.T / 32
     steps = particle_grid(grid, dt)
@@ -215,6 +233,41 @@ def test_closure_stream_keeps_the_oracle_rows():
     assert kept.levels == (0, 8, 16, 32)
     assert np.array_equal(kept.positions, positions[list(kept.levels)])
     assert np.array_equal(kept.logw, logw[list(kept.levels)])
+
+
+def test_step_only_reads_what_the_coefficients_return():
+    # b and Lambda hand back the feedback's read-only z: a step that wrote
+    # into either result would raise
+    N = 500
+    z = np.linspace(0.0, 1.0, N)
+    z.flags.writeable = False
+    prob = _aliasing_problem(lambda t, x, z: z, lambda t, x, z: z)
+    steps = GridSpec(R=7.0, n_x=2, n_t=16, T=1.0)
+    feedback = lambda k, y, logw, work: z
+    ens = _march(prob, N, steps, 3, feedback, range(steps.n_t + 1))
+    positions, logw = _march_every_level(prob, N, steps, 3, feedback)
+    assert np.array_equal(ens.positions, positions)
+    assert np.array_equal(ens.logw, logw)
+
+
+@pytest.mark.parametrize("n_t", [8, 64])
+def test_march_holds_a_fixed_set_of_arrays(n_t):
+    # with coefficients and a feedback that make no array, the march's peak
+    # is y, logw, the four work arrays and the kept row of each, whatever the
+    # step count: no step makes an N-sized temporary
+    import tracemalloc
+
+    N = 20_000
+    z = np.full(N, 0.5)
+    prob = _aliasing_problem(lambda t, x, z: z, lambda t, x, z: z)
+    steps = GridSpec(R=7.0, n_x=2, n_t=n_t, T=1.0)
+    tracemalloc.start()
+    try:
+        _march(prob, N, steps, 3, lambda k, y, logw, work: z, [n_t])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * N * 8 <= peak < 8.5 * N * 8
 
 
 def test_unkept_time_is_refused():
@@ -388,6 +441,25 @@ def test_binned_kde_pad_bins_match_masks(spread):
     w = np.exp(0.3 * rng.standard_normal(y.size))
     got = _binned_kde(y, w, grid, 0.2, y.size)
     assert np.array_equal(got, _binned_kde_masked(y, w, grid, 0.2, y.size))
+
+
+def test_kde_and_bandwidth_with_and_without_scratch():
+    grid = GridSpec(R=8.0, n_x=128, n_t=4, T=1.0)
+    rng = np.random.Generator(np.random.Philox(key=12))
+    y1, y2 = 2.0 * rng.standard_normal((2, 5000))
+    w1, w2 = np.exp(0.3 * rng.standard_normal((2, 5000)))
+    inputs = y1.copy(), w1.copy()
+    kde, h = _binned_kde(y1, w1, grid, 0.3, y1.size), silverman_bandwidth(y1, w1)
+    kept = kde.copy()
+    # a second call on other inputs leaves the first result alone
+    _binned_kde(y2, w2, grid, 0.5, y2.size)
+    silverman_bandwidth(y2, w2)
+    assert np.array_equal(kde, kept)
+    # scratch arrays give the same results and leave the inputs alone
+    scratch = (*np.empty((2, y1.size)), np.empty(y1.size, np.int64))
+    assert np.array_equal(_binned_kde(y1, w1, grid, 0.3, y1.size, scratch), kde)
+    assert silverman_bandwidth(y1, w1, scratch[0]) == h
+    assert np.array_equal(y1, inputs[0]) and np.array_equal(w1, inputs[1])
 
 
 def test_silverman_bandwidth_scaling():
