@@ -22,6 +22,13 @@ sides wrote the same digests, and two verdicts per end-to-end metric:
 * `within_bound`: the change's median is worse than the parent's by at most
   the metric's `bound` in BENCHMARK.json, a fraction of the parent's median.
 
+Per workload it also runs the workload's config once per side through the
+CLI (`python -m mfklab.cli <experiment> --config perfbench/workloads/W.cfg
+--threads 1`, one BLAS thread) and records `max_abs_diff_vs_parent`: per CSV
+artifact, the largest |change - parent| over its numeric cells, null where
+the two files differ in shape or in a non-numeric cell, or only one side
+wrote the file.  Digests say whether an answer moved; this says by how much.
+
 The layout is otherwise that of BENCH_pr7.json.
 
 perfbench/ is frozen (the benchmark may not change within a change it
@@ -52,6 +59,7 @@ import re
 import shutil
 import statistics
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -93,6 +101,44 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
     result["max_du"] = max(float(d) for _, d, _ in reps)
     result["digests"] = [ast.literal_eval(g) for _, _, g in reps]
     return result
+
+
+def run_cli(tree: Path, workload: str, out: Path) -> None:
+    """The workload's config through the CLI of `tree`, artifacts into `out`."""
+    config = tree / "perfbench" / "workloads" / f"{workload}.cfg"
+    kind = re.search(r"^experiment\s*=\s*(\S+)", config.read_text(), re.M).group(1)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-m", "mfklab.cli", kind, "--config", str(config),
+                    "--out", str(out), "--threads", "1"], cwd=tree, env=env,
+                   capture_output=True)
+
+
+def csv_max_abs_diff(parent: Path, change: Path) -> float | None:
+    """Largest |change - parent| over the numeric cells of two CSV files; None
+    when their shapes or a non-numeric cell differ."""
+    a, b = (np.array([r.split(",") for r in p.read_text().splitlines()[1:]])
+            for p in (parent, change))
+    if a.shape != b.shape:
+        return None
+    worst = 0.0
+    for col_a, col_b in zip(a.T, b.T):
+        try:
+            diff = np.abs(col_b.astype(float) - col_a.astype(float))
+        except ValueError:  # a text column: it must match exactly
+            if not np.array_equal(col_a, col_b):
+                return None
+            continue
+        worst = max(worst, float(diff.max(initial=0.0)))
+    return worst
+
+
+def csv_diffs(parent: Path, change: Path) -> dict:
+    """csv_max_abs_diff per artifact name either side wrote (None if one did not)."""
+    names = sorted({p.name for d in (parent, change) for p in d.glob("*.csv")})
+    return {name: csv_max_abs_diff(parent / name, change / name)
+            if (parent / name).exists() and (change / name).exists() else None
+            for name in names}
 
 
 def summary(runs: list, metrics: list) -> dict:
@@ -178,6 +224,10 @@ def main(argv=None) -> int:
                 entry["wins"][m["name"]] = wins
                 entry["verdicts"][m["name"]] = verdicts(m, p_m, c_m, wins)
             entry["digests_equal"] = entry["parent"]["digests"] == entry["change"]["digests"]
+            outs = {side: work / f"{workload}-{side}-out" for side in trees}
+            for side, tree in trees.items():
+                run_cli(tree, workload, outs[side])
+            entry["max_abs_diff_vs_parent"] = csv_diffs(outs["parent"], outs["change"])
             record["workloads"][workload] = entry
     finally:
         shutil.rmtree(work, ignore_errors=True)

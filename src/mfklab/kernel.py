@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import irfft, irfftn, next_fast_len, rfft, rfftn
 from scipy.special import ndtr
 
 from .grids import GridSpec, cell_means_from_cdf
@@ -184,6 +184,51 @@ def convolve_full(data: np.ndarray, stencil) -> np.ndarray:
     out = irfftn(rfftn(data, spec.fshape, axes=spec.axes) * spec.values, spec.fshape,
                  axes=spec.axes)
     return out[spec.full]
+
+
+@dataclass(frozen=True)
+class GapSpectra:
+    """x-spectra of a slab operator, row g for level gap g + 1, at one
+    circular length, delayed so that n-node sources land on the window [n, 2n)."""
+
+    values: np.ndarray  # (m, length // 2 + 1)
+    length: int  # next_fast_len(2 n, real=True)
+
+
+def gap_spectra(stencil: np.ndarray, slope_dx: float | None = None) -> GapSpectra:
+    """The spectra causal_gap_product needs for a (m, width) stack of stencils.
+
+    Without slope_dx the rows are smoothing weights (width 2n - 1, applied to
+    values: full-convolution window [n - 1, 2n - 1)), delayed by one node.
+    With it they are slope weights (width 2n, applied to the staggered slopes
+    of the values: window [n, 2n)), and the slope difference is folded in as
+    (1 - e^{-i omega}) / slope_dx.  At the circular length L >= 2n every
+    term that wraps around lands below node n - 1, outside the window.
+    """
+    width = stencil.shape[-1]
+    n = width // 2 if slope_dx is not None else (width + 1) // 2
+    length = next_fast_len(2 * n, True)
+    delay = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
+    factor = delay if slope_dx is None else (1.0 - delay) / slope_dx
+    return GapSpectra(rfft(stencil, length, axis=-1) * factor, length)
+
+
+def causal_gap_product(terms) -> np.ndarray:
+    """Causal product in the level gap, convolution in x, summed over terms.
+
+    terms holds (spectra, src) pairs with sources of one shape (m, n) and
+    spectra of one length; row l of the result is sum_j<=l K[l - j] * src[j]
+    over the terms, K[g] the operator of gap g + 1, on the n-node window.
+    One rfft per term, one irfft of the sum, all along x.
+    """
+    length = terms[0][0].length
+    m, n = terms[0][1].shape
+    acc = np.zeros((m, length // 2 + 1), dtype=complex)
+    for spec, src in terms:
+        src_hat = rfft(src, length, axis=-1)
+        for g in range(m):
+            acc[g:] += spec.values[g] * src_hat[: m - g]
+    return irfft(acc, length, axis=-1)[:, n : 2 * n]
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:

@@ -16,8 +16,11 @@ the time integral of the kernel weights over each source interval is computed
 in the substituted variable w = sqrt(t - s) (uniform Simpson nodes), which
 also removes the 1/sqrt(t - s) kernel-gradient singularity.  Space integrals
 use the exactly integrated Gaussian cell weights from the kernel module.  The
-weights depend on the level gap only, so each sweep is one space-time
-convolution in (level gap, x) per nonlinear term.
+weights depend on the level gap only, so a slab operator is one x-spectrum
+per level gap.  A sweep transforms its sources along x once, forms the
+product causal in the level gap in frequency space, and transforms back
+once; the circular length next_fast_len(2 n_x) keeps every wrapped-around
+term out of the n_x-node output window.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (Spectrum, convolve_full, kernel_for, slope_kernel_weights, smooth_weights,
-                     staggered_slopes, stencil_spectrum)
+from .kernel import (GapSpectra, Spectrum, causal_gap_product, convolve_full, gap_spectra,
+                     kernel_for, slope_kernel_weights, smooth_weights, stencil_spectrum)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -93,16 +96,16 @@ class SlabStencils:
 
     A and B are built only for the terms the problem has (None otherwise), so
     picard_map reads which terms to apply from the stencils it holds.  Each
-    stencil comes with its spectrum for the one data shape it is convolved
-    with, so a sweep transforms only its sources.
+    stencil comes with the spectrum it is applied through, computed once, so
+    a sweep transforms only its sources.
     """
 
     S: np.ndarray  # (m, 2 n_x - 1): smoothing of the slab initial data from r to r + g dt
     A: np.ndarray | None  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
     B: np.ndarray | None  # (m, 2 n_x): gradient kernel, applied to staggered slopes
     S_hat: Spectrum  # for the (1, n_x) slab initial data
-    A_hat: Spectrum | None  # for the (m, n_x) growth sources
-    B_hat: Spectrum | None  # for the (m, n_x + 1) staggered drift slopes
+    A_hat: GapSpectra | None  # x-spectra per gap for the (m, n_x) growth sources
+    B_hat: GapSpectra | None  # the same for the drift sources, slopes folded in
 
 
 def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
@@ -138,8 +141,8 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
             if B is not None:
                 B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
     return SlabStencils(S, A, B, stencil_spectrum(S, (1, n)),
-                        None if A is None else stencil_spectrum(A, (m, n)),
-                        None if B is None else stencil_spectrum(B, (m, n + 1)))
+                        None if A is None else gap_spectra(A),
+                        None if B is None else gap_spectra(B, slope_dx=dx))
 
 
 @dataclass
@@ -177,10 +180,11 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     Inputs in the ball of radius M stay in it for tau below the
     estimate_slab_tau threshold.  The kernel enters through the slab stencils.
     Level l receives sum_{j<l} K[l-1-j] * src[j], causal in the level gap as
-    well as a convolution in x, so each term is one 2-D convolution.
+    well as a convolution in x: both terms go through one causal product of
+    x-spectra and one inverse transform.
     """
     grid, st = state.grid, state.stencils
-    m, n = grid.levels_per_slab, grid.n_x
+    m = grid.levels_per_slab
     out = np.zeros_like(state.v)
     if st.A is None and st.B is None:
         return out
@@ -188,12 +192,13 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     w = state.v + state.u0hat
     times = state.r + np.arange(m) * grid.dt
     state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
+    terms = []
     if st.A is not None:
-        lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += convolve_full(lam_src, st.A_hat)[:m, n - 1 : 2 * n - 1]
+        terms.append((st.A_hat, np.array([problem.Lambda(t, x, wj) * wj
+                                          for t, wj in zip(times, w)])))
     if st.B is not None:
-        b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += convolve_full(staggered_slopes(b_src, grid.dx), st.B_hat)[:m, n : 2 * n]
+        terms.append((st.B_hat, np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])))
+    out[1:] = causal_gap_product(terms)
     return out
 
 
@@ -236,6 +241,7 @@ class SolveReport:
     contraction_C: float
     pi_C2_tau: float
     contraction_monitor_ok: bool | None  # None when pi_C2_tau >= 1: nothing to check
+    max_contraction_ratio: float  # largest h[i+1] / h[i] of any slab's residuals, h[i] > 0
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     max_abs_w: float
@@ -275,6 +281,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     max_l1 = 0.0
     max_sup = 0.0
     max_abs_w = 0.0
+    max_ratio = 0.0  # stays 0 when no slab has two sweeps after a nonzero residual
     C = contraction_constant(problem, M, grid.tau)
     rho2 = float(np.pi * C * C * grid.tau)
     # the two-sweep residual recursion only bounds anything when rho2 < 1
@@ -291,8 +298,9 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         max_l1 = max(max_l1, per_time_l1)
         max_sup = max(max_sup, float(np.abs(state.v).max()))
         max_abs_w = max(max_abs_w, state.max_abs_w)
+        h = state.residual_history
+        max_ratio = max([max_ratio] + [b / a for a, b in zip(h, h[1:]) if a > 0.0])
         if rho2 < 1.0:
-            h = state.residual_history
             for i in range(len(h) - 2):
                 if h[i + 2] > rho2 * max(h[: i + 1]) * (1.0 + 1e-9):
                     monitor_ok = False
@@ -302,7 +310,7 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     report = SolveReport(
         tol=tol, residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
         tau=grid.tau, tau_max=float(tau_max), contraction_C=float(C),
-        pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok,
+        pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok, max_contraction_ratio=float(max_ratio),
         max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
         max_abs_w=max_abs_w, min_rel=lo / peak if peak > 0 else 0.0, grid=grid,
     )

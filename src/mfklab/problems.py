@@ -129,7 +129,8 @@ def preset(name: str, **params) -> ProblemSpec:
         raise ValueError("nu and T must be positive")
     u0 = GaussianDensity(float(params.get("u0_mean", 0.0)), float(params.get("u0_var", 0.04)))
     phi = math.sqrt(nu)
-    zero = lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float))
+    # a read-only zero view: no array is made per call, and callers only read it
+    zero = lambda t, x, z: np.broadcast_to(0.0, np.shape(z))
 
     if name == "heat":
         return ProblemSpec(name, T, phi, zero, zero, u0,
@@ -145,7 +146,12 @@ def preset(name: str, **params) -> ProblemSpec:
 
     if name == "burgers":
         z_max = float(params.get("z_max", _default_z_max(nu, T, u0)))
-        drift = lambda t, x, z: 0.5 * _clamp(np.asarray(z, dtype=float), z_max)
+
+        def drift(t, x, z):
+            out = _clamp(np.asarray(z, dtype=float), z_max)  # the one temporary
+            out *= 0.5
+            return out
+
         return ProblemSpec(name, T, phi, drift, zero, u0,
                            M_b=0.5 * z_max, M_Lambda=0.0, L_b=0.5, L_Lambda=0.0,
                            z_max=z_max, params=dict(params))

@@ -41,3 +41,34 @@ def test_a_pair_is_won_on_the_better_side_only():
     assert bench_record.better_by(LOWER, 3.0, 2.0) == 1.0
     assert bench_record.better_by(HIGHER, 3.0, 2.0) == -1.0
     assert bench_record.better_by(LOWER, 3.0, 3.0) == 0.0  # a tie wins nothing
+
+
+def _csv(path, text):
+    path.write_text(text)
+    return path
+
+
+def test_csv_diff_is_the_largest_numeric_difference(tmp_path):
+    a = _csv(tmp_path / "a.csv", "seed,phi,u\n1,gauss,0.5\n1,x_gauss,-2.0\n")
+    b = _csv(tmp_path / "b.csv", "seed,phi,u\n1,gauss,0.5000001\n1,x_gauss,-2.25\n")
+    assert bench_record.csv_max_abs_diff(a, b) == 0.25
+    assert bench_record.csv_max_abs_diff(a, a) == 0.0
+
+
+@pytest.mark.parametrize("text", [
+    "seed,phi,u\n1,gauss,0.5\n",                    # a row fewer
+    "seed,phi,u\n1,gauss,0.5\n1,cos_gauss,-2.0\n",  # another text cell
+])
+def test_csv_diff_is_none_when_the_files_do_not_line_up(tmp_path, text):
+    a = _csv(tmp_path / "a.csv", "seed,phi,u\n1,gauss,0.5\n1,x_gauss,-2.0\n")
+    assert bench_record.csv_max_abs_diff(a, _csv(tmp_path / "b.csv", text)) is None
+
+
+def test_csv_diffs_name_every_artifact(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    _csv(parent / "field.csv", "t,x1,u\n0,1,2\n")
+    _csv(change / "field.csv", "t,x1,u\n0,1,2.5\n")
+    _csv(change / "extra.csv", "t\n0\n")
+    assert bench_record.csv_diffs(parent, change) == {"extra.csv": None, "field.csv": 0.5}

@@ -5,8 +5,9 @@ import pytest
 import scipy.fft
 from scipy.optimize import brentq
 
+from mfklab import mild
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import apply_mean_smooth, kernel_for
+from mfklab.kernel import apply_mean_smooth, convolve_full, kernel_for, staggered_slopes
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -208,6 +209,22 @@ class TestSolve:
         assert report.pi_C2_tau >= 1.0
         assert report.contraction_monitor_ok is None
 
+    def test_observed_contraction_on_the_benchmark_grid(self):
+        # successive residuals of every slab shrink by far more than the a
+        # priori pi C^2 tau promises (0.011 measured)
+        prob = preset("burgers", nu=1.0, u0_var=0.04)
+        _, report = solve(prob, plan_grid(prob, R=8.0, n_x=512, n_t_min=1024), tol=1e-8)
+        ratios = [b / a for h in report.residual_histories
+                  for a, b in zip(h, h[1:]) if a > 0.0]
+        assert report.max_contraction_ratio == max(ratios)
+        assert report.max_contraction_ratio < 0.05
+
+    def test_no_contraction_ratio_without_a_second_sweep(self):
+        prob = preset("heat")
+        _, report = solve(prob, _small_grid(prob, n_x=65, n_t=16))
+        assert all(len(h) == 1 for h in report.residual_histories)
+        assert report.max_contraction_ratio == 0.0
+
     def test_min_rel_of_a_heat_field(self):
         # the heat field is positive up to rounding; min_rel reports its sign
         prob = preset("heat")
@@ -298,16 +315,26 @@ def test_stencils_cache_shape():
     assert st.B is None  # no state-dependent drift
 
 
-def test_slab_operator_matches_per_level_sums():
-    # both terms nonzero (no preset has both) on a slab starting at r > 0:
-    # the fused space-time convolutions against direct per-level sums
+def _drift_growth_problem(terms):
     drift = lambda t, x, z: 0.5 * np.clip(z, -2.0, 2.0)
     growth = lambda t, x, z: 0.3 * (1.0 - np.clip(z, -2.0, 2.0))
-    prob = ProblemSpec("drift_growth", 1.0, 1.0, drift, growth,
-                       GaussianDensity(0.0, 0.04), M_b=1.0, M_Lambda=0.9,
-                       L_b=0.5, L_Lambda=0.3, z_max=2.0)
-    grid = GridSpec(R=7.0, n_x=65, n_t=20, T=1.0, n_slabs=5)
-    m, n, dx = grid.levels_per_slab, grid.n_x, grid.dx
+    zero = lambda t, x, z: np.zeros_like(z)
+    has_b, has_lam = terms in ("drift", "both"), terms in ("growth", "both")
+    return ProblemSpec("drift_growth", 1.0, 1.0, drift if has_b else zero,
+                       growth if has_lam else zero, GaussianDensity(0.0, 0.04),
+                       M_b=1.0 if has_b else 0.0, M_Lambda=0.9 if has_lam else 0.0,
+                       L_b=0.5 if has_b else 0.0, L_Lambda=0.3 if has_lam else 0.0, z_max=2.0)
+
+
+@pytest.mark.parametrize("terms", ["growth", "drift", "both"])
+@pytest.mark.parametrize("m", [1, 3, 4, 8])
+@pytest.mark.parametrize("n_x", [65, 64])
+def test_slab_operator_matches_per_level_sums(n_x, m, terms):
+    # on a slab starting at r > 0, the x-spectra sweep against direct
+    # per-level sums of np.convolve (no preset has both terms)
+    prob = _drift_growth_problem(terms)
+    grid = GridSpec(R=7.0, n_x=n_x, n_t=5 * m, T=1.0, n_slabs=5)
+    n, dx = grid.n_x, grid.dx
     r = grid.tau
     phi = cell_means_from_cdf(prob.u0.cdf, grid)
     state = prepare_slab(r, phi, prob, grid, perturb=0.3)
@@ -316,19 +343,56 @@ def test_slab_operator_matches_per_level_sums():
         assert np.abs(state.u0hat[ell] - ref).max() <= 1e-12 * np.abs(ref).max()
 
     A, B = state.stencils.A, state.stencils.B
+    assert (A is not None, B is not None) == (terms != "drift", terms != "growth")
     x = grid.x_nodes()
     w = state.v + state.u0hat
     expected = np.zeros_like(w)
     for ell in range(1, m + 1):
         for j in range(ell):
             t_j = r + j * grid.dt
-            lam_src = growth(t_j, x, w[j]) * w[j]
-            slopes = np.diff(np.concatenate(([0.0], drift(t_j, x, w[j]) * w[j], [0.0]))) / dx
-            expected[ell] += np.convolve(lam_src, A[ell - 1 - j])[n - 1 : 2 * n - 1]
-            expected[ell] += np.convolve(slopes, B[ell - 1 - j])[n : 2 * n]
+            if A is not None:
+                lam_src = prob.Lambda(t_j, x, w[j]) * w[j]
+                expected[ell] += np.convolve(lam_src, A[ell - 1 - j])[n - 1 : 2 * n - 1]
+            if B is not None:
+                b_src = np.concatenate(([0.0], prob.b(t_j, x, w[j]) * w[j], [0.0]))
+                slopes = np.diff(b_src) / dx
+                expected[ell] += np.convolve(slopes, B[ell - 1 - j])[n : 2 * n]
     out = picard_map(state, prob)
     assert np.all(out[0] == 0.0)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _picard_map_2d(state, problem):
+    """The sweep as one 2-D (level gap, x) convolution per term, padded as
+    scipy's fftconvolve pads: the oracle of the x-spectra sweep."""
+    grid, st = state.grid, state.stencils
+    m, n = grid.levels_per_slab, grid.n_x
+    out = np.zeros_like(state.v)
+    if st.A is None and st.B is None:
+        return out
+    x = grid.x_nodes()
+    w = state.v + state.u0hat
+    times = state.r + np.arange(m) * grid.dt
+    state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
+    if st.A is not None:
+        lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
+        out[1:] += convolve_full(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
+    if st.B is not None:
+        b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
+        out[1:] += convolve_full(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
+    return out
+
+
+def test_solve_matches_the_2d_convolution_sweep(monkeypatch):
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=256)
+    u, report = solve(prob, grid, tol=1e-8)
+    monkeypatch.setattr(mild, "picard_map", _picard_map_2d)
+    u_2d, report_2d = solve(prob, grid, tol=1e-8)
+    assert [len(h) for h in report.residual_histories] == \
+        [len(h) for h in report_2d.residual_histories]
+    assert np.abs(u.values - u_2d.values).max() <= 1e-12 * np.abs(u_2d.values).max()
+    assert report.max_abs_w == pytest.approx(report_2d.max_abs_w, rel=1e-12)
 
 
 def test_solve_identical_across_fft_workers():

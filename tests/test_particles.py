@@ -270,6 +270,34 @@ def test_march_holds_a_fixed_set_of_arrays(n_t):
     assert 8 * N * 8 <= peak < 8.5 * N * 8
 
 
+def test_march_with_burgers_coefficients_holds_one_more_array():
+    # burgers' Lambda is a read-only zero view and its b makes one clipped
+    # copy of z, so the march holds at most one N-sized array beyond the
+    # fixed set of the test above
+    import tracemalloc
+
+    N, n_t = 20_000, 8
+    z = np.full(N, 0.5)
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    steps = GridSpec(R=7.0, n_x=2, n_t=n_t, T=1.0)
+    tracemalloc.start()
+    try:
+        _march(prob, N, steps, 3, lambda k, y, logw, work: z, [n_t])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * N * 8 <= peak < 9.5 * N * 8
+
+
+def test_preset_zero_coefficient_is_a_read_only_view():
+    zero = preset("heat").b
+    z = np.linspace(-1.0, 1.0, 7)
+    out = zero(0.0, z, z)
+    assert out.shape == z.shape and not out.flags.writeable
+    assert np.array_equal(out, np.zeros(7))
+    assert zero(0.0, 0.0, 0.3).shape == ()
+
+
 def test_unkept_time_is_refused():
     prob = preset("heat")
     ens = simulate_frozen(_zero_field(prob), prob, 100, 1.0 / 32, 7, [0.5, 1.0])
