@@ -202,8 +202,9 @@ def gap_spectra(stencil: np.ndarray, slope_dx: float | None = None) -> GapSpectr
     values: full-convolution window [n - 1, 2n - 1)), delayed by one node.
     With it they are slope weights (width 2n, applied to the staggered slopes
     of the values: window [n, 2n)), and the slope difference is folded in as
-    (1 - e^{-i omega}) / slope_dx.  At the circular length L >= 2n every
-    term that wraps around lands below node n - 1, outside the window.
+    (1 - e^{-i omega}) / slope_dx.  Either way a full convolution then
+    reaches at most node 3n - 1, so at the circular length L >= 2n every
+    term that wraps around lands at node n - 1 or below, outside the window.
     """
     width = stencil.shape[-1]
     n = width // 2 if slope_dx is not None else (width + 1) // 2

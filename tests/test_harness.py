@@ -166,6 +166,7 @@ def test_validate_heat_passes(tmp_path):
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
     assert record["solve"]["grid"]["n_x"] == 128
     assert abs(record["solve"]["min_rel"]) < 1e-12  # heat: positive up to rounding
+    assert record["solve"]["max_contraction_ratio"] == 0.0  # heat sweeps once per slab
 
 
 def test_runs_are_byte_identical(tmp_path):
