@@ -18,16 +18,19 @@ pairs the change won (it reads better; ties count for neither), whether both
 sides wrote the same digests, and two verdicts per end-to-end metric:
 
 * `gain`: the change won at least 9 of the 10 pairs, and the medians differ,
-  in the better direction, by more than the parent's q3 - q1;
+  in the better direction, by more than the parent's q3 - q1 and by more than
+  GAIN_FLOOR = 1e-9 of the parent's median (so a last-digit move of `err_ref`,
+  which can win every pair with a zero IQR, is no gain);
 * `within_bound`: the change's median is worse than the parent's by at most
   the metric's `bound` in BENCHMARK.json, a fraction of the parent's median.
 
 Per workload it also runs the workload's config once per side through the
 CLI (`python -m mfklab.cli <experiment> --config perfbench/workloads/W.cfg
 --threads 1`, one BLAS thread) and records `max_abs_diff_vs_parent`: per CSV
-artifact, the largest |change - parent| over its numeric cells, null where
-the two files differ in shape or in a non-numeric cell, or only one side
-wrote the file.  Digests say whether an answer moved; this says by how much.
+or `.npy` artifact, the largest |change - parent| over its numeric cells or
+array entries, null where the two files differ in shape or in a non-numeric
+cell, or only one side wrote the file.  Digests say whether an answer moved;
+this says by how much.
 
 The layout is otherwise that of BENCH_pr7.json.
 
@@ -45,7 +48,11 @@ these in mind until a change to the benchmark mends them:
 * tracer.py derives `particles.step_rate` and `particles.trajectory_mb` from
   `ensemble.positions.shape`, which counts the rows an ensemble keeps, not
   its steps, since the particle engine streams: step_rate reads about 128x
-  low on frozen-battery and 0 on mckean-closure.
+  low on frozen-battery and 0 on mckean-closure;
+* BENCHMARK.json's burgers-validate note names "the 525k-row field CSV" as a
+  main cost: the whole field goes to `field.npy`, `field.csv` holds five
+  levels (2560 rows), and `harness.write_field_csv` times and counts the
+  summary only.
 """
 
 from __future__ import annotations
@@ -69,6 +76,7 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs that can support a claimed gain
 GAIN_WINS = 9  # pairs the change must win for a gain
+GAIN_FLOOR = 1e-9  # relative to the parent's median: a smaller move is round-off
 # one line per repetition of perfbench/run.py (see its `report`)
 REP_LINE = re.compile(r" rep=\d+ trace=0 ok=\S+ .* err_ref=(\S+) max_du=(\S+) digests=(.*)$")
 
@@ -133,10 +141,21 @@ def csv_max_abs_diff(parent: Path, change: Path) -> float | None:
     return worst
 
 
+def npy_max_abs_diff(parent: Path, change: Path) -> float | None:
+    """Largest |change - parent| over two .npy arrays; None when their shapes differ."""
+    a, b = (np.load(p, allow_pickle=False) for p in (parent, change))
+    if a.shape != b.shape:
+        return None
+    return float(np.abs(b - a).max(initial=0.0))
+
+
 def csv_diffs(parent: Path, change: Path) -> dict:
-    """csv_max_abs_diff per artifact name either side wrote (None if one did not)."""
-    names = sorted({p.name for d in (parent, change) for p in d.glob("*.csv")})
-    return {name: csv_max_abs_diff(parent / name, change / name)
+    """The largest difference per CSV and .npy artifact either side wrote (None
+    if one did not)."""
+    names = sorted({p.name for d in (parent, change) for pattern in ("*.csv", "*.npy")
+                    for p in d.glob(pattern)})
+    diff = {".csv": csv_max_abs_diff, ".npy": npy_max_abs_diff}
+    return {name: diff[Path(name).suffix](parent / name, change / name)
             if (parent / name).exists() and (change / name).exists() else None
             for name in names}
 
@@ -167,7 +186,8 @@ def verdicts(metric: dict, parent: dict, change: dict, wins: int) -> dict:
     """`gain` and `within_bound` of one end-to-end metric (see the module doc);
     parent and change are the sides' {median, q1, q3, runs} of it."""
     by = better_by(metric, parent["median"], change["median"])
-    return {"gain": wins >= GAIN_WINS and by > parent["q3"] - parent["q1"],
+    floor = max(parent["q3"] - parent["q1"], GAIN_FLOOR * abs(parent["median"]))
+    return {"gain": wins >= GAIN_WINS and by > floor,
             "within_bound": -by <= metric["bound"] * abs(parent["median"])}
 
 
@@ -190,7 +210,8 @@ def main(argv=None) -> int:
                   "commit; per run the metric is run.py's median over its repetitions; median "
                   "and quartiles are over runs; a pair is won when the change reads better; "
                   f"gain: at least {GAIN_WINS} of {PAIRS} pairs won and the medians differ by "
-                  "more than the parent's q3 - q1; within_bound: the change's median is worse "
+                  f"more than the parent's q3 - q1 and than {GAIN_FLOOR:g} of the parent's "
+                  "median; within_bound: the change's median is worse "
                   "by at most BENCHMARK.json's bound times the parent's median",
         "commits": {"parent": parent, "change": change},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,

@@ -1,14 +1,19 @@
 """Experiment runner: configs, dispatch, comparisons, flat-file artifacts.
 
 Configuration files are flat `key = value` text with dotted section prefixes
-(see the README for the schema).  Every run writes plot-ready CSV artifacts
-with 17-significant-digit formatting and one `run.json` record (config echo,
-versions, solve report, checks) that holds no timings, so repeated runs of one
-config are byte-identical.  The exit status is the conjunction of the checks.
+(see the README for the schema).  A run writes each field twice: the whole
+(n_t + 1, n_x) float64 array losslessly as `<name>.npy` (C order), and a
+readable `<name>.csv` summary (`t,x1,u`) at the levels round(j n_t / 4),
+j = 0..4.  Its other artifacts are CSV files, and every CSV number has 17
+significant digits.  One `run.json` record (config echo, versions, solve
+report, checks, and the SHA-256 of every other file the run wrote) holds no
+timings, so repeated runs of one config are byte-identical.  The exit status
+is the conjunction of the checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -177,16 +182,33 @@ def compare_fields(field_obj: Field, levels, ref: np.ndarray) -> ComparisonRepor
     return ComparisonReport(grid.times()[levels], l1, diff.max(axis=1))
 
 
+def summary_levels(n_t: int) -> list[int]:
+    """The levels of a field's CSV summary: round(j n_t / 4) for j = 0..4, each once."""
+    return sorted({round(j * n_t / 4) for j in range(5)})
+
+
 def write_field_csv(path, field_obj: Field):
+    """The field's `t,x1,u` rows at its summary_levels."""
     grid = field_obj.grid
+    times = grid.times()
     # the x columns are formatted once; each level's lines become one
     # template whose only % fields are its values (formatted numbers hold no %)
     x_tails = [f",{_FMT % x},{_FMT}\n" for x in grid.x_nodes()]
     with open(path, "w") as fh:
         fh.write("t,x1,u\n")
-        for t, row in zip(grid.times(), field_obj.values):
-            t_head = _FMT % t
-            fh.write("".join([t_head + tail for tail in x_tails]) % tuple(row.tolist()))
+        for k in summary_levels(grid.n_t):
+            t_head = _FMT % times[k]
+            fh.write("".join([t_head + tail for tail in x_tails])
+                     % tuple(field_obj.values[k].tolist()))
+
+
+def write_field(out: Path, name: str, field_obj: Field) -> dict:
+    """Write the whole field as `<name>.npy` and its summary as `<name>.csv`;
+    returns their entries for the run record's artifact map."""
+    values = np.ascontiguousarray(field_obj.values)
+    np.save(out / f"{name}.npy", values, allow_pickle=False)
+    write_field_csv(out / f"{name}.csv", field_obj)
+    return {f"{name}.csv": {}, f"{name}.npy": {"shape": list(values.shape)}}
 
 
 def write_comparison_csv(path, report: ComparisonReport):
@@ -205,6 +227,16 @@ def run(config: RunConfig, threads: int = 1) -> int:
 
 def _check(name: str, value: float, tol, passed) -> dict:
     return {"name": name, "value": float(value), "tol": tol, "passed": bool(passed)}
+
+
+def _artifact_record(out: Path, written: dict) -> dict:
+    """The written files' entries, each with its SHA-256 (read in chunks)."""
+    record = {}
+    for name in sorted(written):
+        with open(out / name, "rb") as fh:
+            digest = hashlib.file_digest(fh, "sha256").hexdigest()
+        record[name] = {**written[name], "sha256": digest}
+    return record
 
 
 def _particle_record(ens) -> dict:
@@ -242,13 +274,16 @@ def _run_inner(config: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     u, report = solve(problem, grid, tol=config.tol)
-    write_field_csv(out / "field.csv", u)
+    written = write_field(out, "field", u)  # file name -> its artifact entry
     checks = []
     coupled = problem.L_b > 0 or problem.L_Lambda > 0
     if coupled:
         # the coefficients clamp z at z_max; the theory needs the clamp inactive
         checks.append(_check("max |w| within z_max", report.max_abs_w, problem.z_max,
                              report.max_abs_w <= problem.z_max))
+    # the sweeps contract in practice, also where the a priori monitor checks nothing
+    ratio = report.max_contraction_ratio
+    checks.append(_check("max contraction ratio below 1", ratio, 1.0, ratio < 1.0))
     particles = []  # one record per ensemble, taken before the next one is built
 
     if config.kind == "validate":
@@ -256,6 +291,7 @@ def _run_inner(config: RunConfig) -> int:
         rep = compare_fields(u, levels, exact)
         worst = float(rep.l1.max())
         write_comparison_csv(out / "comparison.csv", rep)
+        written["comparison.csv"] = {}
         checks.append(_check("worst per-time l1 to reference", worst, tol, worst <= tol))
 
     elif config.kind == "simulate-frozen":
@@ -281,6 +317,7 @@ def _run_inner(config: RunConfig) -> int:
             for r in rows:
                 fh.write(f"{r[0]},{_FMT % r[1]},{r[2]},{_FMT % r[3]},{_FMT % r[4]},"
                          f"{_FMT % r[5]},{_FMT % r[6]}\n")
+        written["functionals.csv"] = {}
         frac = hits / len(rows)
         checks.append(_check(f"share of battery z within {config.compare_z:g} se (at least tol)",
                              frac, config.compare_fraction, frac >= config.compare_fraction))
@@ -288,7 +325,7 @@ def _run_inner(config: RunConfig) -> int:
     elif config.kind == "simulate-mckean":
         ens, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
         particles.append(_particle_record(ens))
-        write_field_csv(out / "mckean_field.csv", rec)
+        written |= write_field(out, "mckean_field", rec)
         dist = _l1_at_final(rec, u)
         tol = config.compare_l1
         checks.append(_check("l1 distance to mild at T", dist, tol,
@@ -308,6 +345,7 @@ def _run_inner(config: RunConfig) -> int:
                 med = float(np.median(dists))
                 medians.append(med)
                 fh.write(f"{n_particles},{_FMT % med},{config.seed_count}\n")
+        written["sweep.csv"] = {}
         rise = max((b - a for a, b in zip(medians, medians[1:])), default=0.0)
         checks.append(_check("largest rise of the median l1 between successive N",
                              rise, 0.0, rise <= 0.0))
@@ -325,6 +363,7 @@ def _run_inner(config: RunConfig) -> int:
         "solve": {**asdict(report), "ball_ok": bool(report.ball_ok())},
         "particles": particles,
         "checks": checks,
+        "artifacts": _artifact_record(out, written),
     }
     (out / "run.json").write_text(json.dumps(record, indent=1, allow_nan=False) + "\n")
     for c in checks:

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
@@ -25,6 +26,15 @@ def test_gain_needs_nine_wins_and_more_than_the_parents_iqr(wins, change, gain):
     parent = _side(3.5, 3.3, 3.7)
     v = bench_record.verdicts(LOWER, parent, _side(change, change, change), wins)
     assert v == {"gain": gain, "within_bound": True}
+
+
+def test_a_round_off_move_is_no_gain():
+    # BENCH_pr15.json's frozen-battery err_ref: all 10 pairs won, the parent's
+    # IQR 0, and the medians 4.4e-13 apart relative
+    parent = _side(1.84191581923585, 1.84191581923585, 1.84191581923585)
+    change = _side(1.8419158192350313, 1.8419158192350313, 1.8419158192350313)
+    assert bench_record.verdicts(LOWER, parent, change, 10)["gain"] is False
+    assert bench_record.verdicts(LOWER, parent, _side(1.84, 1.84, 1.84), 10)["gain"] is True
 
 
 @pytest.mark.parametrize("metric, change, within", [
@@ -71,4 +81,11 @@ def test_csv_diffs_name_every_artifact(tmp_path):
     _csv(parent / "field.csv", "t,x1,u\n0,1,2\n")
     _csv(change / "field.csv", "t,x1,u\n0,1,2.5\n")
     _csv(change / "extra.csv", "t\n0\n")
-    assert bench_record.csv_diffs(parent, change) == {"extra.csv": None, "field.csv": 0.5}
+    np.save(parent / "field.npy", np.array([[0.0, -1.0], [2.0, 3.0]]))
+    np.save(change / "field.npy", np.array([[0.0, -1.25], [2.0, 3.0]]))
+    np.save(parent / "mckean_field.npy", np.zeros((2, 2)))
+    np.save(change / "mckean_field.npy", np.zeros((3, 2)))  # another shape
+    np.save(parent / "gone.npy", np.zeros(1))
+    assert bench_record.csv_diffs(parent, change) == {
+        "extra.csv": None, "field.csv": 0.5, "field.npy": 0.25, "gone.npy": None,
+        "mckean_field.npy": None}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mfklab
+from mfklab import harness
 from mfklab.cli import main as cli_main
 from mfklab.grids import Field, GridSpec
 from mfklab.harness import (
@@ -18,8 +20,11 @@ from mfklab.harness import (
     compare_fields,
     parse_config_text,
     run,
+    summary_levels,
+    write_field,
     write_field_csv,
 )
+from mfklab.mild import solve as mild_solve
 
 HEAT_CFG = """
 # fast validation setup
@@ -156,13 +161,21 @@ def test_validate_heat_passes(tmp_path):
     cfg = RunConfig.from_text(HEAT_CFG + f"\nout = {tmp_path}/run")
     code = run(cfg)
     assert code == 0
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "comparison.csv", "field.csv", "run.json"]
+    names = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert names == ["comparison.csv", "field.csv", "field.npy", "run.json"]
     lines = (tmp_path / "run" / "comparison.csv").read_text().splitlines()
     assert lines[0] == "t,l1,linf"
     assert [r.split(",")[0] for r in lines[1:]] == ["%.17g" % (k / 16) for k in range(1, 17)]
     record = _read_record(tmp_path / "run", code)
-    assert [c["name"] for c in record["checks"]] == ["worst per-time l1 to reference"]
+    assert [c["name"] for c in record["checks"]] == ["max contraction ratio below 1",
+                                                     "worst per-time l1 to reference"]
+    # every other file the run wrote, with its digest; the field's shape besides
+    artifacts = record["artifacts"]
+    assert sorted(artifacts) == names[:-1]
+    for name, entry in artifacts.items():
+        assert entry["sha256"] == hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+    assert artifacts["field.npy"]["shape"] == [17, 128]
+    assert set(artifacts["field.csv"]) == {"sha256"}
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
     assert record["solve"]["grid"]["n_x"] == 128
     assert abs(record["solve"]["min_rel"]) < 1e-12  # heat: positive up to rounding
@@ -176,7 +189,7 @@ def test_runs_are_byte_identical(tmp_path):
     assert run(cfg2) == 0
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
-    assert "run.json" in names
+    assert "run.json" in names and "field.npy" in names
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -190,7 +203,7 @@ def test_frozen_runs_are_byte_identical(tmp_path):
                                      f"particles.seeds = 2\nout = {out}"))
         _read_record(out, cli_main(["simulate-frozen", "--config", str(path)]))
     names = sorted(p.name for p in runs[0].iterdir())
-    assert names == ["field.csv", "functionals.csv", "run.json"]
+    assert names == ["field.csv", "field.npy", "functionals.csv", "run.json"]
     for name in names:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
     record = json.loads((runs[0] / "run.json").read_text())
@@ -269,7 +282,8 @@ def test_validate_heat_compares_cell_averages(tmp_path):
                               .replace("compare.l1 = 1e-2", "compare.l1 = 1e-4")
                               + f"\nout = {tmp_path}/run")
     code = run(cfg)
-    (check,) = _read_record(tmp_path / "run", code)["checks"]
+    _, check = _read_record(tmp_path / "run", code)["checks"]
+    assert check["name"] == "worst per-time l1 to reference"
     assert check["value"] < 1e-4 and code == 0
 
 
@@ -310,6 +324,31 @@ def test_field_csv_matches_per_value_format(tmp_path):
     )
     assert path.read_bytes() == want.encode()
     assert path.read_text().splitlines()[1:3] == ["0,-1.5,-0", "0,1.5,4.9406564584124654e-324"]
+
+
+def test_field_npy_reloads_bit_exactly(tmp_path):
+    grid = GridSpec(R=1.5, n_x=2, n_t=3, T=0.3)
+    values = np.array([[-0.0, 5e-324], [1e-320, 1e300], [3.0, -7.0], [0.1, -2.5e-17]])
+    entries = write_field(tmp_path, "f", Field(grid, values))
+    assert entries == {"f.csv": {}, "f.npy": {"shape": [4, 2]}}
+    back = np.load(tmp_path / "f.npy", allow_pickle=False)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.tobytes() == values.tobytes()  # -0.0 and the subnormals too
+
+
+@pytest.mark.parametrize("n_t, levels", [
+    (64, [0, 16, 32, 48, 64]),
+    (6, [0, 2, 3, 4, 6]),  # 1.5 and 4.5 round half to even
+    (2, [0, 1, 2]),        # 0.5 and 1.5 land on levels already held
+])
+def test_field_csv_summary_levels(tmp_path, n_t, levels):
+    grid = GridSpec(R=1.0, n_x=3, n_t=n_t, T=0.5)
+    values = np.arange((n_t + 1) * 3, dtype=float).reshape(n_t + 1, 3)
+    write_field(tmp_path, "f", Field(grid, values))
+    assert summary_levels(n_t) == levels
+    rows = [r.split(",") for r in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows[::3]] == list(grid.times()[levels])
+    assert [float(r[2]) for r in rows] == list(values[levels].ravel())
 
 
 def test_frozen_battery_small(tmp_path):
@@ -355,7 +394,22 @@ def test_failed_tolerance_gives_nonzero_exit(tmp_path):
     code = run(cfg)
     assert code == 1
     record = _read_record(tmp_path / "strict", code)
-    assert [c["passed"] for c in record["checks"]] == [False]
+    assert [c["passed"] for c in record["checks"]] == [True, False]
+
+
+def test_contraction_ratio_of_one_fails_the_run(tmp_path, monkeypatch):
+    # no shipped grid sweeps without contracting, so the report is doctored
+    def solve(*args, **kwargs):
+        u, report = mild_solve(*args, **kwargs)
+        report.max_contraction_ratio = 1.0
+        return u, report
+
+    monkeypatch.setattr(harness, "solve", solve)
+    code = run(RunConfig.from_text(HEAT_CFG + f"\nout = {tmp_path}/run"))
+    assert code == 1
+    check = _read_record(tmp_path / "run", code)["checks"][0]
+    assert check == {"name": "max contraction ratio below 1", "value": 1.0, "tol": 1.0,
+                     "passed": False}
 
 
 def _burgers_cfg(kind, n_x, n_t, extra):
@@ -372,7 +426,7 @@ def test_engaged_clamp_fails_the_run(tmp_path, capsys):
     assert code == 1
     assert "max |w| within z_max: " in capsys.readouterr().out.split("-> FAIL")[0]
     record = _read_record(tmp_path / "clamp", code)
-    (check,) = record["checks"]
+    check, _ = record["checks"]
     assert check["name"] == "max |w| within z_max"
     assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
 
@@ -387,8 +441,8 @@ def test_engaged_particle_clamp_fails_the_run(tmp_path, capsys):
     assert "max particle |z| within z_max: " in capsys.readouterr().out
     record = _read_record(tmp_path / "clamp", code)
     names = [c["name"] for c in record["checks"]]
-    assert names == ["max |w| within z_max", "l1 distance to mild at T",
-                     "max particle |z| within z_max"]
+    assert names == ["max |w| within z_max", "max contraction ratio below 1",
+                     "l1 distance to mild at T", "max particle |z| within z_max"]
     check = record["checks"][-1]
     assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
     (particles,) = record["particles"]
@@ -400,11 +454,13 @@ def test_burgers_validate_identical_across_threads(tmp_path):
         path = tmp_path / f"t{n}.cfg"
         path.write_text(_burgers_cfg("validate", 257, 256, f"out = {tmp_path}/t{n}"))
         assert cli_main(["validate", "--config", str(path), "--threads", str(n)]) == 0
-    clamp, _ = _read_record(tmp_path / "t1", 0)["checks"]
+    clamp, contraction, _ = _read_record(tmp_path / "t1", 0)["checks"]
     assert clamp["name"] == "max |w| within z_max"
     assert 0.0 < clamp["value"] <= clamp["tol"]
+    assert contraction["name"] == "max contraction ratio below 1"
+    assert 0.0 < contraction["value"] < 1.0
     names = sorted(p.name for p in (tmp_path / "t1").iterdir())
-    assert names == ["comparison.csv", "field.csv", "run.json"]
+    assert names == ["comparison.csv", "field.csv", "field.npy", "run.json"]
     rows = (tmp_path / "t1" / "comparison.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["0.25", "0.5", "1"]
     assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())
