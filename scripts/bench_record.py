@@ -52,7 +52,9 @@ these in mind until a change to the benchmark mends them:
 * BENCHMARK.json's burgers-validate note names "the 525k-row field CSV" as a
   main cost: the whole field goes to `field.npy`, `field.csv` holds five
   levels (2560 rows), and `harness.write_field_csv` times and counts the
-  summary only.
+  summary only;
+* child.py digests `*.csv` only, so the digest sets do not cover the `.npy`
+  fields; `max_abs_diff_vs_parent` does.
 """
 
 from __future__ import annotations

@@ -173,7 +173,8 @@ def test_validate_heat_passes(tmp_path):
     artifacts = record["artifacts"]
     assert sorted(artifacts) == names[:-1]
     for name, entry in artifacts.items():
-        assert entry["sha256"] == hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        digest = hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest
     assert artifacts["field.npy"]["shape"] == [17, 128]
     assert set(artifacts["field.csv"]) == {"sha256"}
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
