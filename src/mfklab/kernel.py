@@ -17,6 +17,12 @@ cell-weight operators used by the grid solver:
   dx0, computed by parts against the piecewise-linear interpolant of f, exact
   for that interpolant.  Both stay well-conditioned as t - s -> 0, where the
   first tends to the identity and the second to a centered difference.
+
+Every convolution takes one path, along x only: gap_spectra transforms a
+stack of stencils once at the circular length next_fast_len(2 n), and
+apply_spectra (or causal_gap_product, for a sweep causal in the level gap)
+transforms the n-node sources, multiplies and transforms back, keeping a
+window that no wrapped-around term reaches.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, irfftn, next_fast_len, rfft, rfftn
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 from .grids import GridSpec, cell_means_from_cdf
@@ -143,60 +149,18 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Real FFT of a stencil, padded for full convolution with arrays of one shape."""
-
-    values: np.ndarray
-    data_shape: tuple  # the only shape of first operand this spectrum serves
-    axes: list  # transformed axes: those where both operands are longer than 1
-    fshape: list  # FFT length per transformed axis
-    full: tuple  # slices cutting the padded result to the full-convolution shape
-
-
-def stencil_spectrum(stencil: np.ndarray, data_shape) -> Spectrum:
-    """The transform convolve_full(a, .) needs for every a of shape data_shape.
-
-    Pads as scipy's fftconvolve(a, stencil) does: an axis where either
-    operand has length 1 is not transformed but broadcast, and each other axis
-    is padded to next_fast_len(s1 + s2 - 1, real=True).
-    """
-    data_shape = tuple(data_shape)
-    if len(data_shape) != stencil.ndim:
-        raise ValueError(f"convolution operands of shapes {data_shape} and "
-                         f"{stencil.shape} differ in dimensionality")
-    pairs = list(zip(data_shape, stencil.shape))
-    axes = [i for i, (s1, s2) in enumerate(pairs) if s1 != 1 and s2 != 1]
-    shape = [s1 + s2 - 1 if i in axes else max(s1, s2) for i, (s1, s2) in enumerate(pairs)]
-    fshape = [next_fast_len(shape[i], True) for i in axes]
-    return Spectrum(rfftn(stencil, fshape, axes=axes), data_shape, axes, fshape,
-                    tuple(slice(s) for s in shape))
-
-
-def convolve_full(data: np.ndarray, stencil) -> np.ndarray:
-    """Full linear convolution, bit-identical to scipy's fftconvolve(data, stencil).
-
-    stencil is an array or its stencil_spectrum(stencil, data.shape), which a
-    caller convolving many arrays with one stencil computes once.
-    """
-    spec = stencil if isinstance(stencil, Spectrum) else stencil_spectrum(stencil, data.shape)
-    if data.shape != spec.data_shape:
-        raise ValueError(f"spectrum built for shape {spec.data_shape}, got {data.shape}")
-    out = irfftn(rfftn(data, spec.fshape, axes=spec.axes) * spec.values, spec.fshape,
-                 axes=spec.axes)
-    return out[spec.full]
-
-
-@dataclass(frozen=True)
 class GapSpectra:
-    """x-spectra of a slab operator, row g for level gap g + 1, at one
-    circular length, delayed so that n-node sources land on the window [n, 2n)."""
+    """x-spectra of a stack of stencils, one row per stencil, at one circular
+    length, delayed so that n-node sources land on the window [n, 2n)."""
 
-    values: np.ndarray  # (m, length // 2 + 1)
+    values: np.ndarray  # (..., length // 2 + 1)
     length: int  # next_fast_len(2 n, real=True)
 
 
 def gap_spectra(stencil: np.ndarray, slope_dx: float | None = None) -> GapSpectra:
-    """The spectra causal_gap_product needs for a (m, width) stack of stencils.
+    """The spectra apply_spectra and causal_gap_product need for a (..., width)
+    stack of stencils: a slab operator's level gaps, the slab data smoothing
+    to every level, or one kernel row.
 
     Without slope_dx the rows are smoothing weights (width 2n - 1, applied to
     values: full-convolution window [n - 1, 2n - 1)), delayed by one node.
@@ -212,6 +176,16 @@ def gap_spectra(stencil: np.ndarray, slope_dx: float | None = None) -> GapSpectr
     delay = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
     factor = delay if slope_dx is None else (1.0 - delay) / slope_dx
     return GapSpectra(rfft(stencil, length, axis=-1) * factor, length)
+
+
+def apply_spectra(spec: GapSpectra, src: np.ndarray) -> np.ndarray:
+    """Convolution along x of n-node sources src (..., n) with the stencils of
+    spec, on the n-node window; the two stacks broadcast against each other.
+    One rfft, one product, one irfft.
+    """
+    n = src.shape[-1]
+    out = irfft(rfft(src, spec.length, axis=-1) * spec.values, spec.length, axis=-1)
+    return out[..., n : 2 * n]
 
 
 def causal_gap_product(terms) -> np.ndarray:
@@ -233,16 +207,12 @@ def causal_gap_product(terms) -> np.ndarray:
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
-    n = values.shape[-1]
-    w = smooth_weights(sigma, beta, dx, n)
-    return convolve_full(values, w)[..., n - 1 : 2 * n - 1]
+    return apply_spectra(gap_spectra(smooth_weights(sigma, beta, dx, values.shape[-1])), values)
 
 
 def apply_grad_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
-    n = values.shape[-1]
-    s = staggered_slopes(values, dx)
-    w = slope_kernel_weights(sigma, beta, dx, n)
-    return convolve_full(s, w)[..., n : 2 * n]
+    w = slope_kernel_weights(sigma, beta, dx, values.shape[-1])
+    return apply_spectra(gap_spectra(w, slope_dx=dx), values)
 
 
 class KernelModel:

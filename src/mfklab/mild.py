@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (GapSpectra, Spectrum, causal_gap_product, convolve_full, gap_spectra,
-                     kernel_for, slope_kernel_weights, smooth_weights, stencil_spectrum)
+from .kernel import (GapSpectra, apply_spectra, causal_gap_product, gap_spectra, kernel_for,
+                     slope_kernel_weights, smooth_weights)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -103,7 +103,7 @@ class SlabStencils:
     S: np.ndarray  # (m, 2 n_x - 1): smoothing of the slab initial data from r to r + g dt
     A: np.ndarray | None  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
     B: np.ndarray | None  # (m, 2 n_x): gradient kernel, applied to staggered slopes
-    S_hat: Spectrum  # for the (1, n_x) slab initial data
+    S_hat: GapSpectra  # x-spectra per gap for the (n_x,) slab initial data
     A_hat: GapSpectra | None  # x-spectra per gap for the (m, n_x) growth sources
     B_hat: GapSpectra | None  # the same for the drift sources, slopes folded in
 
@@ -140,7 +140,7 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
                 A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
             if B is not None:
                 B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
-    return SlabStencils(S, A, B, stencil_spectrum(S, (1, n)),
+    return SlabStencils(S, A, B, gap_spectra(S),
                         None if A is None else gap_spectra(A),
                         None if B is None else gap_spectra(B, slope_dx=dx))
 
@@ -166,10 +166,9 @@ def prepare_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec
     """
     if stencils is None:
         stencils = build_slab_stencils(problem, grid)
-    n = grid.n_x
-    u0hat = np.empty((grid.levels_per_slab + 1, n))
+    u0hat = np.empty((grid.levels_per_slab + 1, grid.n_x))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
-    u0hat[1:] = convolve_full(phi[None, :], stencils.S_hat)[:, n - 1 : 2 * n - 1]
+    u0hat[1:] = apply_spectra(stencils.S_hat, phi)
     return PicardState(r, grid, u0hat, perturb * u0hat, stencils)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .grids import Field, GridSpec
-from .kernel import convolve_full
+from .kernel import apply_spectra, gap_spectra
 from .problems import ProblemSpec
 
 
@@ -277,8 +277,7 @@ def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
     binned = padded[2:-1]
     m = np.arange(-(n - 1), n) * dx
     kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
-    full = convolve_full(binned, kern)
-    return full[n - 1 : 2 * n - 1] / n_total
+    return apply_spectra(gap_spectra(kern), binned) / n_total
 
 
 def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,

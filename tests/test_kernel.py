@@ -11,10 +11,12 @@ from mfklab.kernel import (
     KernelModel,
     apply_grad_smooth,
     apply_mean_smooth,
-    convolve_full,
+    apply_spectra,
+    gap_spectra,
     mean_weights,
+    slope_kernel_weights,
     smooth_weights,
-    stencil_spectrum,
+    staggered_slopes,
 )
 from mfklab.problems import GaussianDensity, UniformDensity
 
@@ -245,29 +247,30 @@ def test_smooth_weights_exact_on_linear_data_property(sigma, beta, dx, c0, c1):
     assert np.abs(out - (c0 + c1 * (x - beta) / R))[inner].max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [16, 17])
-@pytest.mark.parametrize("m", [1, 5])
-def test_convolve_full_bit_identical_to_fftconvolve(m, n):
-    # the shapes the library convolves: a row by a kernel, a space-time block
-    # by a stencil (growth and drift), slab data broadcast against a stencil
+@pytest.mark.parametrize("n", [16, 17, 512])
+def test_apply_spectra_matches_fftconvolve(n):
+    # the shapes the library convolves: a row by one kernel row (the KDE), a
+    # row by a stack of stencils (the slab data), a stack by a stack row by
+    # row, and slope weights applied to staggered slopes, each on its window
     from scipy.signal import fftconvolve
 
-    rng = np.random.default_rng(m * 100 + n)
-    cases = [((n,), (2 * n - 1,)), ((m, n), (m, 2 * n - 1)), ((m, n + 1), (m, 2 * n)),
-             ((1, n), (m, 2 * n - 1))]
-    for data_shape, stencil_shape in cases:
-        data = rng.standard_normal(data_shape)
-        stencil = rng.standard_normal(stencil_shape)
-        ref = fftconvolve(data, stencil)
-        assert np.array_equal(convolve_full(data, stencil), ref)
-        assert np.array_equal(convolve_full(data, stencil_spectrum(stencil, data_shape)), ref)
-
-
-def test_convolve_full_rejects_mismatched_operands():
-    with pytest.raises(ValueError, match="dimensionality"):
-        convolve_full(np.ones(4), np.ones((2, 7)))
-    with pytest.raises(ValueError, match="spectrum built for shape"):
-        convolve_full(np.ones((3, 4)), stencil_spectrum(np.ones((3, 7)), (3, 5)))
+    rng = np.random.default_rng(n)
+    m, dx = 5, 0.3
+    row, kern = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
+    data, stack = rng.standard_normal((m, n)), rng.standard_normal((m, 2 * n - 1))
+    slope_stack = rng.standard_normal((m, 2 * n))
+    cases = [
+        (apply_spectra(gap_spectra(kern), row), fftconvolve(row, kern)[n - 1 : 2 * n - 1]),
+        (apply_spectra(gap_spectra(stack), row),
+         fftconvolve(row[None, :], stack)[:, n - 1 : 2 * n - 1]),
+        (apply_spectra(gap_spectra(stack), data),
+         fftconvolve(data, stack, axes=-1)[:, n - 1 : 2 * n - 1]),
+        (apply_spectra(gap_spectra(slope_stack, slope_dx=dx), data),
+         fftconvolve(staggered_slopes(data, dx), slope_stack, axes=-1)[:, n : 2 * n]),
+    ]
+    for got, ref in cases:
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_convolve_initial_gaussian_closed_form(unit_kernel):

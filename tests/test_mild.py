@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from mfklab import mild
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import apply_mean_smooth, convolve_full, kernel_for, staggered_slopes
+from mfklab.kernel import apply_mean_smooth, kernel_for, staggered_slopes
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -363,8 +363,10 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
 
 
 def _picard_map_2d(state, problem):
-    """The sweep as one 2-D (level gap, x) convolution per term, padded as
-    scipy's fftconvolve pads: the oracle of the x-spectra sweep."""
+    """The sweep as one 2-D (level gap, x) convolution per term through
+    scipy's fftconvolve: the oracle of the x-spectra sweep."""
+    from scipy.signal import fftconvolve
+
     grid, st = state.grid, state.stencils
     m, n = grid.levels_per_slab, grid.n_x
     out = np.zeros_like(state.v)
@@ -376,10 +378,10 @@ def _picard_map_2d(state, problem):
     state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
     if st.A is not None:
         lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += convolve_full(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
+        out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
     if st.B is not None:
         b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += convolve_full(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
+        out[1:] += fftconvolve(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
     return out
 
 

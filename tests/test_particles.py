@@ -9,6 +9,7 @@ import pytest
 
 import mfklab
 from mfklab.grids import Field, GridSpec
+from mfklab.kernel import apply_spectra, gap_spectra
 from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
@@ -439,7 +440,6 @@ class TestSelfConsistent:
 def _binned_kde_masked(y, w, grid, h, n_total):
     """Linear binning with explicit masks for the shares outside the nodes:
     the oracle for _binned_kde's pad bins."""
-    from scipy.signal import fftconvolve
     from scipy.special import ndtr
 
     dx = grid.dx
@@ -456,7 +456,7 @@ def _binned_kde_masked(y, w, grid, h, n_total):
     np.add.at(binned, jr[keep_r], (w * frac)[keep_r])
     m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
     kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
-    return fftconvolve(binned, kern)[grid.n_x - 1 : 2 * grid.n_x - 1] / n_total
+    return apply_spectra(gap_spectra(kern), binned) / n_total
 
 
 @pytest.mark.parametrize("spread", [0.5, 3.0, 9.0])
