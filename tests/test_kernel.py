@@ -14,7 +14,6 @@ from mfklab.kernel import (
     apply_spectra,
     gap_spectra,
     mean_weights,
-    slope_kernel_weights,
     smooth_weights,
     staggered_slopes,
 )

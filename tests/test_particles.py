@@ -439,7 +439,8 @@ class TestSelfConsistent:
 
 def _binned_kde_masked(y, w, grid, h, n_total):
     """Linear binning with explicit masks for the shares outside the nodes:
-    the oracle for _binned_kde's pad bins."""
+    the oracle for _binned_kde's pad bins.  It convolves through the library's
+    own path, so a bitwise comparison checks the binning alone."""
     from scipy.special import ndtr
 
     dx = grid.dx
