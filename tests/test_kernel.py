@@ -247,14 +247,19 @@ def test_smooth_weights_exact_on_linear_data_property(sigma, beta, dx, c0, c1):
 
 
 @pytest.mark.parametrize("n", [16, 17, 512])
-def test_apply_spectra_matches_fftconvolve(n):
-    # the shapes the library convolves: a row by one kernel row (the KDE), a
-    # row by a stack of stencils (the slab data), a stack by a stack row by
-    # row, and slope weights applied to staggered slopes, each on its window
+@pytest.mark.parametrize("m", [1, 5])
+def test_convolve_full_bit_identical_to_fftconvolve(m, n):
+    # apply_spectra, the library's one x-convolution, against scipy's full
+    # convolution (the name is kept from the full-convolution helper it
+    # replaced, which matched fftconvolve bit for bit; apply_spectra uses its
+    # own circular length, so it matches to rounding). The shapes the library
+    # convolves: a row by one kernel row (the KDE), a row by a stack of m
+    # stencils (the slab data), a stack by a stack row by row, and slope
+    # weights applied to staggered slopes, each on its window
     from scipy.signal import fftconvolve
 
-    rng = np.random.default_rng(n)
-    m, dx = 5, 0.3
+    rng = np.random.default_rng(m * 1000 + n)
+    dx = 0.3
     row, kern = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
     data, stack = rng.standard_normal((m, n)), rng.standard_normal((m, 2 * n - 1))
     slope_stack = rng.standard_normal((m, 2 * n))
