@@ -18,6 +18,11 @@ cell-weight operators used by the grid solver:
   for that interpolant.  Both stay well-conditioned as t - s -> 0, where the
   first tends to the identity and the second to a centered difference.
 
+Both are value stencils: 2n - 1 weights over the offsets of n cell means.
+The gradient weights fold the interpolant's slope difference in, as the
+smoothing weights fold in their slope correction, so no operator reads a
+slope array.
+
 Every convolution takes one path, along x only: gap_spectra transforms a
 stack of stencils once at the circular length next_fast_len(2 n), and
 apply_spectra (or causal_gap_product, for a sweep causal in the level gap)
@@ -48,17 +53,12 @@ def _gaussian(x, mean: float, var: float):
     return normal_pdf((np.asarray(x, dtype=float) - mean) / sd) / sd
 
 
-def _psi(u):
-    """Second antiderivative of the standard normal pdf: psi' = Phi, psi'' = phi."""
-    u = np.asarray(u, dtype=float)
-    return u * ndtr(u) + normal_pdf(u)
-
-
 def _second_antiderivative(z, sigma):
-    """J(z) = int_{-inf}^z Phi(y / sigma) dy = sigma * psi(z / sigma)."""
-    if sigma == 0.0:
-        return np.maximum(z, 0.0)
-    return sigma * _psi(np.asarray(z, dtype=float) / sigma)
+    """J(z) = int_{-inf}^z Phi(y / sigma) dy = sigma * psi(z / sigma), with
+    psi(u) = u Phi(u) + phi(u) the second antiderivative of the standard normal
+    pdf.  sigma > 0 on every path: KernelModel rejects a <= 0 and s >= t."""
+    u = np.asarray(z, dtype=float) / sigma
+    return sigma * (u * ndtr(u) + normal_pdf(u))
 
 
 def _triangle_smoothed(c, sigma, dx):
@@ -86,17 +86,11 @@ def mean_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     return _triangle_smoothed(m * dx - beta, sigma, dx) / dx
 
 
-def _psi2(u):
-    """Third antiderivative of the standard normal pdf."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * ((u * u + 1.0) * ndtr(u) + u * normal_pdf(u))
-
-
 def _third_antiderivative(z, sigma):
-    if sigma == 0.0:
-        zp = np.maximum(z, 0.0)
-        return 0.5 * zp * zp
-    return sigma**2 * _psi2(np.asarray(z, dtype=float) / sigma)
+    """sigma^2 psi2(z / sigma), with psi2(u) = ((u^2 + 1) Phi(u) + u phi(u)) / 2
+    the third antiderivative of the standard normal pdf."""
+    u = np.asarray(z, dtype=float) / sigma
+    return sigma**2 * (0.5 * ((u * u + 1.0) * ndtr(u) + u * normal_pdf(u)))
 
 
 def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
@@ -132,19 +126,23 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
 
 
 def slope_kernel_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
-    """Weights applied to the staggered slope array of a field (length n + 1).
+    """Gradient-kernel weights on cell means (same layout as mean_weights).
 
-    Output cell i of the gradient-kernel operator is sum_k s_k w[i - k + n]
-    with w[m + n] = -F((m + 1/2) dx - beta) / dx for m in [-n, n-1].  In the
-    sigma -> 0 limit this reduces to minus the centered difference.
+    By parts, output cell i is sum_k s_k b[i - k] over the staggered slopes
+    s_k = (f_k - f_{k-1}) / dx of the zero-extended field, with
+    b[m] = -F((m + 1/2) dx - beta) / dx for m in [-n, n-1].  The slope
+    difference is folded in, w[m] = (b[m] - b[m-1]) / dx, so application is
+    one convolution with the cell means.  In the sigma -> 0 limit this
+    reduces to minus the centered difference.
     """
     m = np.arange(-n, n)
-    return -_triangle_smoothed((m + 0.5) * dx - beta, sigma, dx) / dx
+    return -np.diff(_triangle_smoothed((m + 0.5) * dx - beta, sigma, dx)) / (dx * dx)
 
 
 def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     """Slopes of the piecewise-linear interpolant along the last axis,
-    zero-extended outside the box (length n + 1 per row)."""
+    zero-extended outside the box (length n + 1 per row): the unfolded form
+    of slope_kernel_weights' source, kept as its cross-check."""
     return np.diff(values, axis=-1, prepend=0.0, append=0.0) / dx
 
 
@@ -157,25 +155,21 @@ class GapSpectra:
     length: int  # next_fast_len(2 n, real=True)
 
 
-def gap_spectra(stencil: np.ndarray, slope_dx: float | None = None) -> GapSpectra:
-    """The spectra apply_spectra and causal_gap_product need for a (..., width)
-    stack of stencils: a slab operator's level gaps, the slab data smoothing
-    to every level, or one kernel row.
+def gap_spectra(stencil: np.ndarray) -> GapSpectra:
+    """The spectra apply_spectra and causal_gap_product need for a
+    (..., 2n - 1) stack of value stencils: a slab operator's level gaps, the
+    slab data smoothing to every level, or one kernel row.
 
-    Without slope_dx the rows are smoothing weights (width 2n - 1, applied to
-    values: full-convolution window [n - 1, 2n - 1)), delayed by one node.
-    With it they are slope weights (width 2n, applied to the staggered slopes
-    of the values: window [n, 2n)), and the slope difference is folded in as
-    (1 - e^{-i omega}) / slope_dx.  Either way a full convolution then
-    reaches at most node 3n - 1, so at the circular length L >= 2n every
-    term that wraps around lands at node n - 1 or below, outside the window.
+    A full convolution of n values with 2n - 1 weights holds the n-node
+    output on [n - 1, 2n - 1); the spectra are delayed by one node, moving it
+    to [n, 2n).  The delayed convolution reaches at most node 3n - 2, so at
+    the circular length L >= 2n every term that wraps around lands at node
+    n - 2 or below, outside the window.
     """
-    width = stencil.shape[-1]
-    n = width // 2 if slope_dx is not None else (width + 1) // 2
+    n = (stencil.shape[-1] + 1) // 2
     length = next_fast_len(2 * n, True)
     delay = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
-    factor = delay if slope_dx is None else (1.0 - delay) / slope_dx
-    return GapSpectra(rfft(stencil, length, axis=-1) * factor, length)
+    return GapSpectra(rfft(stencil, length, axis=-1) * delay, length)
 
 
 def apply_spectra(spec: GapSpectra, src: np.ndarray) -> np.ndarray:
@@ -211,8 +205,8 @@ def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) 
 
 
 def apply_grad_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
-    w = slope_kernel_weights(sigma, beta, dx, values.shape[-1])
-    return apply_spectra(gap_spectra(w, slope_dx=dx), values)
+    return apply_spectra(gap_spectra(slope_kernel_weights(sigma, beta, dx, values.shape[-1])),
+                         values)
 
 
 class KernelModel:

@@ -94,18 +94,19 @@ _N_W = 65
 class SlabStencils:
     """Every kernel weight one slab uses, row g - 1 holding level gap g = 1..m.
 
-    A and B are built only for the terms the problem has (None otherwise), so
-    picard_map reads which terms to apply from the stencils it holds.  Each
-    stencil comes with the spectrum it is applied through, computed once, so
-    a sweep transforms only its sources.
+    All three are value stencils of one shape, (m, 2 n_x - 1), applied to
+    cell means.  A and B are built only for the terms the problem has (None
+    otherwise), so picard_map reads which terms to apply from the stencils it
+    holds.  Each stencil comes with the spectrum it is applied through,
+    computed once, so a sweep transforms only its sources.
     """
 
-    S: np.ndarray  # (m, 2 n_x - 1): smoothing of the slab initial data from r to r + g dt
-    A: np.ndarray | None  # (m, 2 n_x - 1): smoothing kernel integrated over one interval
-    B: np.ndarray | None  # (m, 2 n_x): gradient kernel, applied to staggered slopes
+    S: np.ndarray  # smoothing of the slab initial data from r to r + g dt
+    A: np.ndarray | None  # smoothing kernel integrated over one interval
+    B: np.ndarray | None  # gradient kernel integrated over one interval
     S_hat: GapSpectra  # x-spectra per gap for the (n_x,) slab initial data
     A_hat: GapSpectra | None  # x-spectra per gap for the (m, n_x) growth sources
-    B_hat: GapSpectra | None  # the same for the drift sources, slopes folded in
+    B_hat: GapSpectra | None  # the same for the drift sources
 
 
 def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
@@ -123,7 +124,7 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
     S = np.empty((m, 2 * n - 1))
     A = np.zeros((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
-    B = np.zeros((m, 2 * n)) if problem.M_b > 0.0 else None
+    B = np.zeros((m, 2 * n - 1)) if problem.M_b > 0.0 else None
     for g in range(1, m + 1):
         t = g * dt
         S[g - 1] = smooth_weights(*kernel.sigma_beta(0.0, t), dx, n)
@@ -142,7 +143,7 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
                 B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
     return SlabStencils(S, A, B, gap_spectra(S),
                         None if A is None else gap_spectra(A),
-                        None if B is None else gap_spectra(B, slope_dx=dx))
+                        None if B is None else gap_spectra(B))
 
 
 @dataclass
@@ -158,14 +159,12 @@ class PicardState:
     max_abs_w: float = 0.0  # largest |w| fed to the coefficients, to compare with z_max
 
 
-def prepare_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
-                 stencils: SlabStencils | None = None, perturb: float = 0.0) -> PicardState:
-    """Assemble u0_hat and the stencils for the slab starting at r with data phi.
+def prepare_slab(r: float, phi: np.ndarray, grid: GridSpec, stencils: SlabStencils,
+                 perturb: float = 0.0) -> PicardState:
+    """Assemble u0_hat for the slab starting at r with data phi.
 
     The iteration starts from v = perturb * u0_hat (v = 0 by default).
     """
-    if stencils is None:
-        stencils = build_slab_stencils(problem, grid)
     u0hat = np.empty((grid.levels_per_slab + 1, grid.n_x))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
     u0hat[1:] = apply_spectra(stencils.S_hat, phi)
@@ -185,24 +184,22 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     grid, st = state.grid, state.stencils
     m = grid.levels_per_slab
     out = np.zeros_like(state.v)
-    if st.A is None and st.B is None:
+    kernels = [(spec, coefficient) for spec, coefficient
+               in ((st.A_hat, problem.Lambda), (st.B_hat, problem.b)) if spec is not None]
+    if not kernels:
         return out
     x = grid.x_nodes()
     w = state.v + state.u0hat
     times = state.r + np.arange(m) * grid.dt
     state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
-    terms = []
-    if st.A is not None:
-        terms.append((st.A_hat, np.array([problem.Lambda(t, x, wj) * wj
-                                          for t, wj in zip(times, w)])))
-    if st.B is not None:
-        terms.append((st.B_hat, np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])))
-    out[1:] = causal_gap_product(terms)
+    out[1:] = causal_gap_product(
+        [(spec, np.array([coefficient(t, x, wj) * wj for t, wj in zip(times, w)]))
+         for spec, coefficient in kernels])
     return out
 
 
 def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
-               tol: float = 1e-6, max_iter: int = 200, stencils: SlabStencils | None = None,
+               stencils: SlabStencils, tol: float = 1e-6, max_iter: int = 200,
                perturb: float = 0.0, slab_index: int = 0):
     """Iterate the slab map from v = perturb * u0_hat until the successive L1
     distance <= tol.
@@ -211,7 +208,7 @@ def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
     and state carries the residual history, one entry per sweep.  Raises
     RuntimeError on non-convergence within max_iter, reporting the history.
     """
-    state = prepare_slab(r, phi, problem, grid, stencils=stencils, perturb=perturb)
+    state = prepare_slab(r, phi, grid, stencils, perturb=perturb)
     for _ in range(max_iter):
         v_new = picard_map(state, problem)
         res = slab_l1(v_new - state.v, grid.dx, grid.dt)
@@ -289,8 +286,8 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     for k in range(N):
         r = times[k * m]
         phi = u[k * m]
-        u_slab, state = solve_slab(r, phi, problem, grid, tol=tol_slab, max_iter=max_iter,
-                                   stencils=stencils, perturb=perturb_initial, slab_index=k)
+        u_slab, state = solve_slab(r, phi, problem, grid, stencils, tol=tol_slab,
+                                   max_iter=max_iter, perturb=perturb_initial, slab_index=k)
         u[k * m : (k + 1) * m + 1] = u_slab
         histories.append(state.residual_history)
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx

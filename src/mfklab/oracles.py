@@ -88,7 +88,7 @@ def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
     if problem.name not in VALIDATE_DEFAULTS:
         raise ValueError(f"no exact solution for {problem.name!r}")
     nu = problem.Phi**2
-    lam = problem.params.get("lam", 0.5) if problem.name == "exponential_growth" else 0.0
+    lam = float(problem.Lambda(0.0, 0.0, 0.0))  # each of these presets has a constant rate
     rows = np.empty((len(levels), grid.n_x))
     for row, t in zip(rows, grid.times()[levels]):
         if problem.name == "burgers" and t > 0:

@@ -16,7 +16,7 @@ inactive on the solution path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -98,7 +98,6 @@ class ProblemSpec:
     L_Lambda: float
     z_max: float
     b0: float = 0.0  # constant base drift
-    params: dict = field(default_factory=dict)
 
 
 def _clamp(z, z_max):
@@ -135,14 +134,14 @@ def preset(name: str, **params) -> ProblemSpec:
     if name == "heat":
         return ProblemSpec(name, T, phi, zero, zero, u0,
                            M_b=0.0, M_Lambda=0.0, L_b=0.0, L_Lambda=0.0,
-                           z_max=_default_z_max(nu, T, u0), params=dict(params))
+                           z_max=_default_z_max(nu, T, u0))
 
     if name == "exponential_growth":
         lam = float(params.get("lam", 0.5))
         growth = lambda t, x, z: np.full_like(np.asarray(z, dtype=float), lam)
         return ProblemSpec(name, T, phi, zero, growth, u0,
                            M_b=0.0, M_Lambda=abs(lam), L_b=0.0, L_Lambda=0.0,
-                           z_max=_default_z_max(nu, T, u0), params=dict(params))
+                           z_max=_default_z_max(nu, T, u0))
 
     if name == "burgers":
         z_max = float(params.get("z_max", _default_z_max(nu, T, u0)))
@@ -154,7 +153,7 @@ def preset(name: str, **params) -> ProblemSpec:
 
         return ProblemSpec(name, T, phi, drift, zero, u0,
                            M_b=0.5 * z_max, M_Lambda=0.0, L_b=0.5, L_Lambda=0.0,
-                           z_max=z_max, params=dict(params))
+                           z_max=z_max)
 
     # logistic_fkpp: Fisher-KPP-type growth, nonlinear in z
     lam = float(params.get("lam", 0.5))
@@ -162,7 +161,7 @@ def preset(name: str, **params) -> ProblemSpec:
     growth = lambda t, x, z: lam * (1.0 - _clamp(np.asarray(z, dtype=float), z_max))
     return ProblemSpec(name, T, phi, zero, growth, u0,
                        M_b=0.0, M_Lambda=abs(lam) * (1.0 + z_max), L_b=0.0,
-                       L_Lambda=abs(lam), z_max=z_max, params=dict(params))
+                       L_Lambda=abs(lam), z_max=z_max)
 
 
 @dataclass(frozen=True)

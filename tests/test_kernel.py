@@ -9,11 +9,13 @@ from scipy.integrate import quad
 from mfklab.grids import GridSpec
 from mfklab.kernel import (
     KernelModel,
+    _triangle_smoothed,
     apply_grad_smooth,
     apply_mean_smooth,
     apply_spectra,
     gap_spectra,
     mean_weights,
+    slope_kernel_weights,
     smooth_weights,
     staggered_slopes,
 )
@@ -254,23 +256,29 @@ def test_convolve_full_bit_identical_to_fftconvolve(m, n):
     # replaced, which matched fftconvolve bit for bit; apply_spectra uses its
     # own circular length, so it matches to rounding). The shapes the library
     # convolves: a row by one kernel row (the KDE), a row by a stack of m
-    # stencils (the slab data), a stack by a stack row by row, and slope
-    # weights applied to staggered slopes, each on its window
+    # stencils (the slab data), and a stack by a stack row by row, each on its
+    # window.  The last case checks the gradient weights, whose slope
+    # difference is folded in, against the unfolded by-parts weights applied
+    # to staggered slopes
     from scipy.signal import fftconvolve
 
     rng = np.random.default_rng(m * 1000 + n)
     dx = 0.3
     row, kern = rng.standard_normal(n), rng.standard_normal(2 * n - 1)
     data, stack = rng.standard_normal((m, n)), rng.standard_normal((m, 2 * n - 1))
-    slope_stack = rng.standard_normal((m, 2 * n))
+    sigmas, betas = rng.uniform(0.1, 2.0, m), rng.uniform(-0.5, 0.5, m)
+    folded = np.array([slope_kernel_weights(s, b, dx, n) for s, b in zip(sigmas, betas)])
+    offsets = (np.arange(-n, n) + 0.5) * dx
+    unfolded = np.array([-_triangle_smoothed(offsets - b, s, dx) / dx
+                         for s, b in zip(sigmas, betas)])
     cases = [
         (apply_spectra(gap_spectra(kern), row), fftconvolve(row, kern)[n - 1 : 2 * n - 1]),
         (apply_spectra(gap_spectra(stack), row),
          fftconvolve(row[None, :], stack)[:, n - 1 : 2 * n - 1]),
         (apply_spectra(gap_spectra(stack), data),
          fftconvolve(data, stack, axes=-1)[:, n - 1 : 2 * n - 1]),
-        (apply_spectra(gap_spectra(slope_stack, slope_dx=dx), data),
-         fftconvolve(staggered_slopes(data, dx), slope_stack, axes=-1)[:, n : 2 * n]),
+        (apply_spectra(gap_spectra(folded), data),
+         fftconvolve(staggered_slopes(data, dx), unfolded, axes=-1)[:, n : 2 * n]),
     ]
     for got, ref in cases:
         assert got.shape == ref.shape

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from mfklab import mild
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import apply_mean_smooth, kernel_for, staggered_slopes
+from mfklab.kernel import apply_mean_smooth, kernel_for
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -80,7 +80,7 @@ class TestPicardMap:
         prob = preset("heat")
         grid = _small_grid(prob)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0.0, phi, prob, grid)
+        state = prepare_slab(0.0, phi, grid, build_slab_stencils(prob, grid))
         out = picard_map(state, prob)
         assert np.all(out == 0.0)
 
@@ -90,7 +90,7 @@ class TestPicardMap:
         prob = preset("exponential_growth", lam=lam)
         grid = GridSpec(R=7.0, n_x=257, n_t=16, T=1.0, n_slabs=4)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0.0, phi, prob, grid)
+        state = prepare_slab(0.0, phi, grid, build_slab_stencils(prob, grid))
         out = picard_map(state, prob)
         mass_phi = phi.sum() * grid.dx
         for ell in range(1, grid.levels_per_slab + 1):
@@ -102,7 +102,7 @@ class TestPicardMap:
         # odd node count so x -> -x maps the lattice onto itself
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        state = prepare_slab(0.0, phi, prob, grid)
+        state = prepare_slab(0.0, phi, grid, build_slab_stencils(prob, grid))
         out = picard_map(state, prob)
         for ell in range(1, grid.levels_per_slab + 1):
             assert np.abs(out[ell] + out[ell][::-1]).max() <= 1e-12
@@ -113,7 +113,7 @@ class TestSolveSlab:
         prob = preset("heat")
         grid = _small_grid(prob)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, state = solve_slab(0.0, phi, prob, grid, tol=1e-10)
+        u_slab, state = solve_slab(0.0, phi, prob, grid, build_slab_stencils(prob, grid), tol=1e-10)
         assert len(state.residual_history) == 1
         assert np.array_equal(u_slab, state.u0hat)
 
@@ -121,7 +121,7 @@ class TestSolveSlab:
         prob = preset("exponential_growth", lam=0.5, T=0.25)
         grid = GridSpec(R=7.0, n_x=257, n_t=256, T=0.25)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        u_slab, _ = solve_slab(0.0, phi, prob, grid, tol=1e-10)
+        u_slab, _ = solve_slab(0.0, phi, prob, grid, build_slab_stencils(prob, grid), tol=1e-10)
         mass_end = u_slab[-1].sum() * grid.dx
         assert mass_end == pytest.approx(math.exp(0.125), abs=1e-4)
 
@@ -129,7 +129,8 @@ class TestSolveSlab:
         prob = preset("burgers", nu=1.0, u0_var=0.04)
         grid = GridSpec(R=7.0, n_x=257, n_t=1024, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
-        _, state = solve_slab(0.0, phi, prob, grid, tol=1e-12, max_iter=60)
+        _, state = solve_slab(0.0, phi, prob, grid, build_slab_stencils(prob, grid),
+                              tol=1e-12, max_iter=60)
         hist = state.residual_history
         assert hist[-1] <= 1e-3 * hist[0]
         # geometric trend from the second iterate on
@@ -140,8 +141,8 @@ class TestSolveSlab:
         grid = GridSpec(R=7.0, n_x=129, n_t=1024, T=1.0, n_slabs=256)
         phi = cell_means_from_cdf(prob.u0.cdf, grid)
         with pytest.raises(RuntimeError, match="slab 3"):
-            solve_slab(0.0, phi, prob, grid, tol=1e-14, max_iter=2,
-                       slab_index=3)
+            solve_slab(0.0, phi, prob, grid, build_slab_stencils(prob, grid), tol=1e-14,
+                       max_iter=2, slab_index=3)
 
 
 class TestSolve:
@@ -306,12 +307,11 @@ def test_stencils_cache_shape():
     grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, n_slabs=4)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     st = build_slab_stencils(prob, grid)
-    assert st.S.shape == (2, 2 * 65 - 1)
+    assert st.S.shape == st.B.shape == (2, 2 * 65 - 1)
     assert st.A is None  # Burgers has no growth term
-    assert st.B.shape == (2, 2 * 65)
     growth = preset("exponential_growth", lam=0.5)
     st = build_slab_stencils(growth, grid)
-    assert st.A.shape == (2, 2 * 65 - 1)
+    assert st.S.shape == st.A.shape == (2, 2 * 65 - 1)
     assert st.B is None  # no state-dependent drift
 
 
@@ -337,7 +337,7 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
     n, dx = grid.n_x, grid.dx
     r = grid.tau
     phi = cell_means_from_cdf(prob.u0.cdf, grid)
-    state = prepare_slab(r, phi, prob, grid, perturb=0.3)
+    state = prepare_slab(r, phi, grid, build_slab_stencils(prob, grid), perturb=0.3)
     for ell in range(1, m + 1):
         ref = apply_mean_smooth(phi, *kernel_for(prob).sigma_beta(r, r + ell * grid.dt), dx)
         assert np.abs(state.u0hat[ell] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -354,9 +354,8 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
                 lam_src = prob.Lambda(t_j, x, w[j]) * w[j]
                 expected[ell] += np.convolve(lam_src, A[ell - 1 - j])[n - 1 : 2 * n - 1]
             if B is not None:
-                b_src = np.concatenate(([0.0], prob.b(t_j, x, w[j]) * w[j], [0.0]))
-                slopes = np.diff(b_src) / dx
-                expected[ell] += np.convolve(slopes, B[ell - 1 - j])[n : 2 * n]
+                b_src = prob.b(t_j, x, w[j]) * w[j]
+                expected[ell] += np.convolve(b_src, B[ell - 1 - j])[n - 1 : 2 * n - 1]
     out = picard_map(state, prob)
     assert np.all(out[0] == 0.0)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -381,7 +380,7 @@ def _picard_map_2d(state, problem):
         out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
     if st.B is not None:
         b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += fftconvolve(staggered_slopes(b_src, grid.dx), st.B)[:m, n : 2 * n]
+        out[1:] += fftconvolve(b_src, st.B)[:m, n - 1 : 2 * n - 1]
     return out
 
 

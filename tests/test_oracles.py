@@ -48,6 +48,11 @@ def test_exact_cell_means_per_preset():
     grid = GridSpec(R=8.0, n_x=257, n_t=4, T=1.0)
     growth = exact_cell_means(preset("exponential_growth", lam=0.5), grid, [4, 0])
     assert growth.sum(axis=1) * grid.dx == pytest.approx([math.exp(0.5), 1.0], rel=1e-12)
+    # the rate is read from the problem's coefficient: the preset default, or lam
+    for problem, rate in ((preset("exponential_growth"), 0.5),
+                          (preset("exponential_growth", lam=-0.3), -0.3)):
+        mass = exact_cell_means(problem, grid, [4]).sum() * grid.dx
+        assert mass == pytest.approx(math.exp(rate), rel=1e-12)
     burgers = preset("burgers")
     rows = exact_cell_means(burgers, grid, [0, 2])
     assert np.array_equal(rows[0], cell_means_from_cdf(burgers.u0.cdf, grid))

@@ -36,19 +36,31 @@ print(json.dumps({"status": status, "layers": tracer.layer_metrics()}))
 """
 
 
-def test_tracer_wraps_live_names(tmp_path):
-    cfg = tmp_path / "heat.cfg"
-    cfg.write_text("experiment = validate\nproblem.preset = heat\ngrid.R = 7.0\n"
-                   f"grid.n_x = 128\ngrid.n_t = 8\nout = {tmp_path}/out\n")
+def _traced_validate(tmp_path, preset, R, n_x, n_t):
+    """Layer metrics of a traced `validate` run of the preset."""
+    cfg = tmp_path / f"{preset}.cfg"
+    cfg.write_text(f"experiment = validate\nproblem.preset = {preset}\ngrid.R = {R}\n"
+                   f"grid.n_x = {n_x}\ngrid.n_t = {n_t}\nout = {tmp_path}/out\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mfklab.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(cfg)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == 0
-    layers = result["layers"]
+    return result["layers"]
+
+
+def test_tracer_wraps_live_names(tmp_path):
+    layers = _traced_validate(tmp_path, "heat", 7.0, 128, 8)
     assert layers["oracles._restrict.calls"] > 0
     assert layers["oracles.burgers_fd_reference.calls"] == 1
     assert layers["harness.run.calls"] == 1
     assert layers["harness.RunConfig.from_file.calls"] == 1
     assert layers["mild.solve.calls"] == 1
+
+
+def test_tracer_traces_the_drift_path(tmp_path):
+    # heat has no drift: only a Burgers run reaches the gradient weights
+    layers = _traced_validate(tmp_path, "burgers", 8.0, 128, 16)
+    assert layers["kernel.slope_kernel_weights.calls"] > 0
+    assert layers["mild.picard_map.calls"] > 0
