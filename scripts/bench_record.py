@@ -43,8 +43,9 @@ these in mind until a change to the benchmark mends them:
   cell averages, and the FV spans read 0 calls;
 * NOTES.md still describes the per-cell `_restrict` loop and an old trace
   table;
-* child.py still sets MFKLAB_THREADS, which nothing reads (`--threads` is the
-  only worker setting), and its comment on the BLAS pin is out of date;
+* child.py still sets MFKLAB_THREADS, which nothing reads, and passes
+  `--threads 1`, the only value the CLI accepts (runs are single-threaded);
+  its comment on the BLAS pin is out of date;
 * tracer.py derives `particles.step_rate` and `particles.trajectory_mb` from
   `ensemble.positions.shape`, which counts the rows an ensemble keeps, not
   its steps, since the particle engine streams: step_rate reads about 128x

@@ -3,8 +3,8 @@
 Subcommands mirror the experiment kinds: solve-mild, simulate-frozen,
 simulate-mckean, validate, sweep.  A config file supplies every parameter;
 the subcommand, --out and --seed override its experiment, out and
-particles.seed (checked as config values), and --threads sets the FFT worker
-count (default 1).
+particles.seed (checked as config values).  Runs are single-threaded:
+--threads accepts only 1, the value existing scripts pass.
 """
 
 from __future__ import annotations
@@ -25,15 +25,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="config file path")
         p.add_argument("--out", type=Path, default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=1, help="FFT worker thread count")
+        p.add_argument("--threads", type=int, default=1, choices=[1],
+                       help="worker thread count; runs are single-threaded")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     overrides = {"experiment": args.command}
     if args.out is not None:
         overrides["out"] = str(args.out)
@@ -48,7 +47,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(config, args.threads)
+        return run(config)
     except ConfigError as exc:  # a value checked against the problem or the planned grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.fft
 
 from . import __version__
 from .grids import Field
@@ -218,13 +217,6 @@ def write_comparison_csv(path, report: ComparisonReport):
             fh.write(f"{_FMT % t},{_FMT % a},{_FMT % b}\n")
 
 
-def run(config: RunConfig, threads: int = 1) -> int:
-    """Execute one experiment with `threads` FFT workers; returns 0 iff every
-    declared tolerance passed."""
-    with scipy.fft.set_workers(threads):
-        return _run_inner(config)
-
-
 def _check(name: str, value: float, tol, passed) -> dict:
     return {"name": name, "value": float(value), "tol": tol, "passed": bool(passed)}
 
@@ -243,7 +235,8 @@ def _particle_record(ens) -> dict:
     return {"seed": ens.seed, "N": ens.N, "max_abs_z": ens.max_abs_z, "levels": ens.health()}
 
 
-def _run_inner(config: RunConfig) -> int:
+def run(config: RunConfig) -> int:
+    """Execute one experiment; returns 0 iff every declared tolerance passed."""
     if config.kind == "validate" and config.preset_name not in VALIDATE_DEFAULTS:
         raise ConfigError(f"validate has no reference for preset {config.preset_name!r}; "
                           f"presets with one: {', '.join(VALIDATE_DEFAULTS)}")

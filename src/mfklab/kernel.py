@@ -23,8 +23,8 @@ The gradient weights fold the interpolant's slope difference in, as the
 smoothing weights fold in their slope correction, so no operator reads a
 slope array.
 
-Every convolution takes one path, along x only: gap_spectra transforms a
-stack of stencils once at the circular length next_fast_len(2 n), and
+Every convolution takes one path, along x only, through numpy.fft at the
+circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
 apply_spectra (or causal_gap_product, for a sweep causal in the level gap)
 transforms the n-node sources, multiplies and transforms back, keeping a
 window that no wrapped-around term reaches.
@@ -32,10 +32,9 @@ window that no wrapped-around term reaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
+# the one run-time scipy function; problems, particles and oracles import it from here
 from scipy.special import ndtr
 
 from .grids import GridSpec, cell_means_from_cdf
@@ -146,58 +145,48 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     return np.diff(values, axis=-1, prepend=0.0, append=0.0) / dx
 
 
-@dataclass(frozen=True)
-class GapSpectra:
-    """x-spectra of a stack of stencils, one row per stencil, at one circular
-    length, delayed so that n-node sources land on the window [n, 2n)."""
-
-    values: np.ndarray  # (..., length // 2 + 1)
-    length: int  # next_fast_len(2 n, real=True)
-
-
-def gap_spectra(stencil: np.ndarray) -> GapSpectra:
+def gap_spectra(stencil: np.ndarray) -> np.ndarray:
     """The spectra apply_spectra and causal_gap_product need for a
     (..., 2n - 1) stack of value stencils: a slab operator's level gaps, the
-    slab data smoothing to every level, or one kernel row.
+    slab data smoothing to every level, or one kernel row.  Returns the
+    complex (..., n + 1) rfft rows at the circular length L = 2n.
 
     A full convolution of n values with 2n - 1 weights holds the n-node
     output on [n - 1, 2n - 1); the spectra are delayed by one node, moving it
     to [n, 2n).  The delayed convolution reaches at most node 3n - 2, so at
-    the circular length L >= 2n every term that wraps around lands at node
+    the circular length L = 2n every term that wraps around lands at node
     n - 2 or below, outside the window.
     """
-    n = (stencil.shape[-1] + 1) // 2
-    length = next_fast_len(2 * n, True)
+    length = stencil.shape[-1] + 1
     delay = np.exp(-2j * np.pi * np.arange(length // 2 + 1) / length)
-    return GapSpectra(rfft(stencil, length, axis=-1) * delay, length)
+    return rfft(stencil, length) * delay
 
 
-def apply_spectra(spec: GapSpectra, src: np.ndarray) -> np.ndarray:
-    """Convolution along x of n-node sources src (..., n) with the stencils of
-    spec, on the n-node window; the two stacks broadcast against each other.
-    One rfft, one product, one irfft.
+def apply_spectra(spec: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Convolution along x of n-node sources src (..., n) with the stencils
+    whose gap_spectra are spec (..., n + 1), on the n-node window; the two
+    stacks broadcast against each other.  One rfft, one product, one irfft.
     """
     n = src.shape[-1]
-    out = irfft(rfft(src, spec.length, axis=-1) * spec.values, spec.length, axis=-1)
-    return out[..., n : 2 * n]
+    return irfft(rfft(src, 2 * n) * spec, 2 * n)[..., n : 2 * n]
 
 
 def causal_gap_product(terms) -> np.ndarray:
     """Causal product in the level gap, convolution in x, summed over terms.
 
     terms holds (spectra, src) pairs with sources of one shape (m, n) and
-    spectra of one length; row l of the result is sum_j<=l K[l - j] * src[j]
-    over the terms, K[g] the operator of gap g + 1, on the n-node window.
-    One rfft per term, one irfft of the sum, all along x.
+    gap_spectra of shape (m, n + 1); row l of the result is
+    sum_j<=l K[l - j] * src[j] over the terms, K[g] the operator of gap
+    g + 1, on the n-node window.  One rfft per term, one irfft of the sum,
+    all along x.
     """
-    length = terms[0][0].length
     m, n = terms[0][1].shape
-    acc = np.zeros((m, length // 2 + 1), dtype=complex)
+    acc = np.zeros((m, n + 1), dtype=complex)
     for spec, src in terms:
-        src_hat = rfft(src, length, axis=-1)
+        src_hat = rfft(src, 2 * n)
         for g in range(m):
-            acc[g:] += spec.values[g] * src_hat[: m - g]
-    return irfft(acc, length, axis=-1)[:, n : 2 * n]
+            acc[g:] += spec[g] * src_hat[: m - g]
+    return irfft(acc, 2 * n)[:, n : 2 * n]
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:

@@ -19,8 +19,8 @@ use the exactly integrated Gaussian cell weights from the kernel module.  The
 weights depend on the level gap only, so a slab operator is one x-spectrum
 per level gap.  A sweep transforms its sources along x once, forms the
 product causal in the level gap in frequency space, and transforms back
-once; the circular length next_fast_len(2 n_x) keeps every wrapped-around
-term out of the n_x-node output window.
+once; the circular length 2 n_x keeps every wrapped-around term out of the
+n_x-node output window.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (GapSpectra, apply_spectra, causal_gap_product, gap_spectra, kernel_for,
+from .kernel import (apply_spectra, causal_gap_product, gap_spectra, kernel_for,
                      slope_kernel_weights, smooth_weights)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
@@ -92,25 +92,21 @@ _N_W = 65
 
 @dataclass
 class SlabStencils:
-    """Every kernel weight one slab uses, row g - 1 holding level gap g = 1..m.
-
-    All three are value stencils of one shape, (m, 2 n_x - 1), applied to
-    cell means.  A and B are built only for the terms the problem has (None
-    otherwise), so picard_map reads which terms to apply from the stencils it
-    holds.  Each stencil comes with the spectrum it is applied through,
-    computed once, so a sweep transforms only its sources.
+    """The x-spectra (kernel.gap_spectra) of every kernel weight one slab
+    uses, row g - 1 holding level gap g = 1..m, computed once so that a sweep
+    transforms only its sources.  A_hat and B_hat are built only for the
+    terms the problem has (None otherwise), so picard_map reads which terms
+    to apply from the spectra it holds.
     """
 
-    S: np.ndarray  # smoothing of the slab initial data from r to r + g dt
-    A: np.ndarray | None  # smoothing kernel integrated over one interval
-    B: np.ndarray | None  # gradient kernel integrated over one interval
-    S_hat: GapSpectra  # x-spectra per gap for the (n_x,) slab initial data
-    A_hat: GapSpectra | None  # x-spectra per gap for the (m, n_x) growth sources
-    B_hat: GapSpectra | None  # the same for the drift sources
+    S_hat: np.ndarray  # smoothing of the slab initial data from r to r + g dt
+    A_hat: np.ndarray | None  # smoothing kernel integrated over one interval
+    B_hat: np.ndarray | None  # gradient kernel integrated over one interval
 
 
-def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
-    """Build the initial-data smoothing and the interval-integrated kernels.
+def slab_weights(problem: ProblemSpec, grid: GridSpec):
+    """The initial-data smoothing S and the interval-integrated kernels A and
+    B of one slab, each (m, 2 n_x - 1) with row g - 1 for level gap g.
 
     The problem's kernel is time-homogeneous, so the weights depend on the
     level gap only and one set, built for the slab at r = 0, serves every
@@ -118,7 +114,7 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
     [t - g dt, t - (g-1) dt]; the integral runs in w = sqrt(t - s) with
     composite Simpson weights carrying the 2w Jacobian, so the w = 0 endpoint
     (kernel degenerating to the identity) has zero weight and is skipped.
-    A is built iff M_Lambda > 0 and B iff M_b > 0.
+    A is built iff M_Lambda > 0 and B iff M_b > 0 (None otherwise).
     """
     kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
@@ -141,8 +137,13 @@ def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
                 A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
             if B is not None:
                 B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
-    return SlabStencils(S, A, B, gap_spectra(S),
-                        None if A is None else gap_spectra(A),
+    return S, A, B
+
+
+def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
+    """The spectra of slab_weights, the form a solve applies them in."""
+    S, A, B = slab_weights(problem, grid)
+    return SlabStencils(gap_spectra(S), None if A is None else gap_spectra(A),
                         None if B is None else gap_spectra(B))
 
 

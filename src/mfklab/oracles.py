@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grids import Field, GridSpec, cell_means_from_cdf
+from .kernel import ndtr
 from .problems import GaussianDensity
 
 # burgers_cell_means' rule: panels of _CH_PANEL with _CH_ORDER nodes each

@@ -26,10 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .grids import Field, GridSpec
-from .kernel import apply_spectra, gap_spectra
+from .kernel import apply_spectra, gap_spectra, ndtr
 from .problems import ProblemSpec
 
 

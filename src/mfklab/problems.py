@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+
+from .kernel import ndtr
 
 PRESET_NAMES = ("heat", "exponential_growth", "burgers", "logistic_fkpp")
 

@@ -248,13 +248,13 @@ def test_smooth_weights_exact_on_linear_data_property(sigma, beta, dx, c0, c1):
     assert np.abs(out - (c0 + c1 * (x - beta) / R))[inner].max() <= 1e-9
 
 
-@pytest.mark.parametrize("n", [16, 17, 512])
+@pytest.mark.parametrize("n", [16, 17, 257, 512])
 @pytest.mark.parametrize("m", [1, 5])
 def test_convolve_full_bit_identical_to_fftconvolve(m, n):
     # apply_spectra, the library's one x-convolution, against scipy's full
     # convolution (the name is kept from the full-convolution helper it
     # replaced, which matched fftconvolve bit for bit; apply_spectra uses its
-    # own circular length, so it matches to rounding). The shapes the library
+    # own circular length 2n, so it matches to rounding). The shapes the library
     # convolves: a row by one kernel row (the KDE), a row by a stack of m
     # stencils (the slab data), and a stack by a stack row by row, each on its
     # window.  The last case checks the gradient weights, whose slope

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.optimize import brentq
 
 from mfklab import mild
@@ -16,12 +15,13 @@ from mfklab.mild import (
     picard_map,
     plan_grid,
     prepare_slab,
+    slab_weights,
     solve,
     solve_linearized,
     solve_slab,
     weak_residual,
 )
-from mfklab.oracles import heat_oracle
+from mfklab.oracles import exact_cell_means, heat_oracle
 from mfklab.problems import GaussianDensity, ProblemSpec, preset, smooth_test_functions
 from mfklab.quadrature import trapezoid_weights
 
@@ -306,13 +306,13 @@ def test_ball_radius_envelope():
 def test_stencils_cache_shape():
     grid = GridSpec(R=7.0, n_x=65, n_t=8, T=1.0, n_slabs=4)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
-    st = build_slab_stencils(prob, grid)
-    assert st.S.shape == st.B.shape == (2, 2 * 65 - 1)
-    assert st.A is None  # Burgers has no growth term
+    S, A, B = slab_weights(prob, grid)
+    assert S.shape == B.shape == (2, 2 * 65 - 1)
+    assert A is None  # Burgers has no growth term
     growth = preset("exponential_growth", lam=0.5)
-    st = build_slab_stencils(growth, grid)
-    assert st.S.shape == st.A.shape == (2, 2 * 65 - 1)
-    assert st.B is None  # no state-dependent drift
+    S, A, B = slab_weights(growth, grid)
+    assert S.shape == A.shape == (2, 2 * 65 - 1)
+    assert B is None  # no state-dependent drift
 
 
 def _drift_growth_problem(terms):
@@ -342,7 +342,7 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
         ref = apply_mean_smooth(phi, *kernel_for(prob).sigma_beta(r, r + ell * grid.dt), dx)
         assert np.abs(state.u0hat[ell] - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    A, B = state.stencils.A, state.stencils.B
+    _, A, B = slab_weights(prob, grid)
     assert (A is not None, B is not None) == (terms != "drift", terms != "growth")
     x = grid.x_nodes()
     w = state.v + state.u0hat
@@ -361,26 +361,27 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _picard_map_2d(state, problem):
+def _picard_map_2d(state, problem, A, B):
     """The sweep as one 2-D (level gap, x) convolution per term through
-    scipy's fftconvolve: the oracle of the x-spectra sweep."""
+    scipy's fftconvolve, with the slab_weights rows A and B: the oracle of
+    the x-spectra sweep."""
     from scipy.signal import fftconvolve
 
-    grid, st = state.grid, state.stencils
+    grid = state.grid
     m, n = grid.levels_per_slab, grid.n_x
     out = np.zeros_like(state.v)
-    if st.A is None and st.B is None:
+    if A is None and B is None:
         return out
     x = grid.x_nodes()
     w = state.v + state.u0hat
     times = state.r + np.arange(m) * grid.dt
     state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
-    if st.A is not None:
+    if A is not None:
         lam_src = np.array([problem.Lambda(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += fftconvolve(lam_src, st.A)[:m, n - 1 : 2 * n - 1]
-    if st.B is not None:
+        out[1:] += fftconvolve(lam_src, A)[:m, n - 1 : 2 * n - 1]
+    if B is not None:
         b_src = np.array([problem.b(t, x, wj) * wj for t, wj in zip(times, w)])
-        out[1:] += fftconvolve(b_src, st.B)[:m, n - 1 : 2 * n - 1]
+        out[1:] += fftconvolve(b_src, B)[:m, n - 1 : 2 * n - 1]
     return out
 
 
@@ -388,22 +389,14 @@ def test_solve_matches_the_2d_convolution_sweep(monkeypatch):
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=256)
     u, report = solve(prob, grid, tol=1e-8)
-    monkeypatch.setattr(mild, "picard_map", _picard_map_2d)
+    _, A, B = slab_weights(prob, grid)
+    monkeypatch.setattr(mild, "picard_map",
+                        lambda state, problem: _picard_map_2d(state, problem, A, B))
     u_2d, report_2d = solve(prob, grid, tol=1e-8)
     assert [len(h) for h in report.residual_histories] == \
         [len(h) for h in report_2d.residual_histories]
     assert np.abs(u.values - u_2d.values).max() <= 1e-12 * np.abs(u_2d.values).max()
     assert report.max_abs_w == pytest.approx(report_2d.max_abs_w, rel=1e-12)
-
-
-def test_solve_identical_across_fft_workers():
-    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.125)
-    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.125, n_slabs=32)
-    fields = []
-    for workers in (1, 2):
-        with scipy.fft.set_workers(workers):
-            fields.append(solve(prob, grid, tol=1e-9)[0].values)
-    assert np.array_equal(fields[0], fields[1])
 
 
 def test_field_lookup_conventions():
@@ -468,6 +461,22 @@ def test_burgers_mild_matches_closed_form_oracle():
         k = grid.time_index(t)
         cf = burgers_cell_means(prob.u0, 1.0, t, grid)
         assert float(np.dot(w, np.abs(u.values[k] - cf))) <= 2e-3
+
+
+def test_heat_error_grows_with_the_slab_count():
+    # heat forced to N slabs on one grid: each junction re-smooths the slab's
+    # starting cell means, so the L1 error at T grows in proportion to N (the
+    # values are the same at n_t = 1024, so this is not the time step).  The
+    # bounds sit just above the values measured at 129 nodes, 1.04e-5 in one
+    # slab to 2.65e-3 in 256; junctions that compose exactly would lower them
+    prob = preset("heat", nu=1.0, u0_var=0.04, T=1.0)
+    bounds = {1: 1.1e-5, 4: 4.4e-5, 16: 1.75e-4, 64: 7.0e-4, 256: 2.8e-3}
+    for n_slabs, bound in bounds.items():
+        grid = GridSpec(R=8.0, n_x=129, n_t=256, T=1.0, n_slabs=n_slabs)
+        u, _ = solve(prob, grid, tol=1e-10)
+        exact = exact_cell_means(prob, grid, [grid.n_t])[0]
+        l1 = float(np.dot(trapezoid_weights(grid.n_x, grid.dx), np.abs(u.values[-1] - exact)))
+        assert l1 <= bound, (n_slabs, l1)
 
 
 def test_base_drift_shifts_the_heat_solution():
