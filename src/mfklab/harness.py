@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .grids import Field
@@ -351,8 +350,7 @@ def run(config: RunConfig) -> int:
     echo = {k: v for k, v in asdict(config).items() if k != "out_dir"}
     record = {
         "config": echo,
-        "versions": {"mfklab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"mfklab": __version__, "numpy": np.__version__},
         "solve": {**asdict(report), "ball_ok": bool(report.ball_ok())},
         "particles": particles,
         "checks": checks,

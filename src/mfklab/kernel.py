@@ -21,7 +21,13 @@ cell-weight operators used by the grid solver:
 Both are value stencils: 2n - 1 weights over the offsets of n cell means.
 The gradient weights fold the interpolant's slope difference in, as the
 smoothing weights fold in their slope correction, so no operator reads a
-slope array.
+slope array.  Every weight is a difference of normal-CDF antiderivatives on
+a lattice of offsets; each builder evaluates the CDF and the pdf once per
+lattice point, on the tail side, and takes all its differences from those
+values.
+
+The normal CDF, ndtr, is this module's own numpy Chebyshev series, so no run
+imports scipy; problems, particles and oracles take it from here.
 
 Every convolution takes one path, along x only, through numpy.fft at the
 circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
@@ -34,12 +40,76 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.fft import irfft, rfft
-# the one run-time scipy function; problems, particles and oracles import it from here
-from scipy.special import ndtr
 
 from .grids import GridSpec, cell_means_from_cdf
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+
+# Chebyshev coefficients of P(t) = erfcx(z) / t in 2t - 1, t = 2 / (2 + z),
+# fitted by scripts/fit_ndtr.py
+_NDTR_CHEB = (
+    0.5770337386164697, 0.3554369212704985, 0.06509515882878653,
+    0.003671142395836639, -0.0011128447433526325, -0.0001607582991537808,
+    3.278031574173137e-05, 5.442441645505016e-06, -1.5154665553171482e-06,
+    -1.4297608181169865e-07, 8.234608827419493e-08, -1.2962846852306563e-09,
+    -4.154721631015199e-09, 6.347058278362811e-10, 1.4320822712256225e-10,
+    -6.160390105204585e-11, 2.0612138554721698e-12, 3.5714931488477042e-12,
+    -8.586422843251796e-13, -6.14560021379063e-14, 7.418725748596617e-14,
+    -1.2895042755032325e-14, -2.358726385710632e-15, 1.5729349381685912e-15,
+    -2.2782966239546465e-16, -6.31233045075643e-17, 3.5916763531814925e-17,
+    -5.049809149847729e-18,
+)
+
+# the band of x outside which Phi(x) rounds to the double 0 or 1
+_NDTR_LO, _NDTR_HI = -39.0, 9.0
+# exp(-a_r^2 / 2) at a_r = k / 16, k < 16 * 39: a_r^2 is exact
+_EXP_SIXTEENTHS = np.exp(-0.5 * np.square(np.arange(16 * 39 + 1) / 16.0))
+
+
+def _gauss_tail(a):
+    """(exp(-a^2 / 2), Q(a)) for an array a in [0, 39), with Q(a) = 1 - Phi(a)
+    the upper tail of the standard normal.
+
+    Q(a) = t / 2 * exp(-a^2 / 2) * P(t), t = 2 / (2 + a / sqrt 2), with P the
+    Chebyshev series _NDTR_CHEB (an erfc series in the form of W. J. Cody,
+    Math. Comp. 23 (1969) 631-637).  The exponent is split at a_r, a rounded
+    down to 1/16: exp(-a_r^2 / 2) is a table entry and exp(-(a - a_r)(a +
+    a_r) / 2) has a small argument, so the rounding of a^2, which would cost
+    a relative a^2 eps, never enters.
+    """
+    k = np.floor(16.0 * a)
+    a_r = k / 16.0
+    g = np.exp((a_r - a) * (a + a_r) * 0.5) * _EXP_SIXTEENTHS[k.astype(np.intp)]
+    z = a * np.sqrt(0.5)
+    t = 2.0 / (2.0 + z)
+    # y = 4t - 2 formed from 1 - t = z / (2 + z), whose rounding is relative
+    # to 1 - t: near a = 0 the series then reads z to far better than t's ulp
+    y = 2.0 - 4.0 * z / (2.0 + z)
+    # Clenshaw's recurrence in y / 2, the Chebyshev variable
+    b1, b2, tmp = np.full_like(a, _NDTR_CHEB[-1]), np.zeros_like(a), np.empty_like(a)
+    for c in _NDTR_CHEB[-2:0:-1]:
+        np.multiply(y, b1, out=tmp)
+        tmp -= b2
+        tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    return g, 0.5 * t * g * (0.5 * y * b1 - b2 + _NDTR_CHEB[0])
+
+
+def ndtr(x):
+    """Standard normal CDF Phi(x), elementwise.
+
+    On the band -39 < x < 9 it is Q(-x) for x < 0 and 1 - Q(x) for x >= 0,
+    with Q from _gauss_tail; the error is below 1e-13 relative for x <= 0 and
+    2.3e-16 absolute for x >= 0.  Outside the band Phi rounds to the doubles
+    0 and 1, which it returns.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.clip(x, 0.0, 1.0, out=np.empty_like(x))  # NaN stays NaN
+    band = (x > _NDTR_LO) & (x < _NDTR_HI)
+    xb = x[band]
+    q = _gauss_tail(np.abs(xb))[1]
+    out[band] = np.where(xb < 0.0, q, 1.0 - q)
+    return out[()]
 
 
 def normal_pdf(z):
@@ -52,26 +122,54 @@ def _gaussian(x, mean: float, var: float):
     return normal_pdf((np.asarray(x, dtype=float) - mean) / sd) / sd
 
 
-def _second_antiderivative(z, sigma):
-    """J(z) = int_{-inf}^z Phi(y / sigma) dy = sigma * psi(z / sigma), with
-    psi(u) = u Phi(u) + phi(u) the second antiderivative of the standard normal
-    pdf.  sigma > 0 on every path: KernelModel rejects a <= 0 and s >= t."""
-    u = np.asarray(z, dtype=float) / sigma
-    return sigma * (u * ndtr(u) + normal_pdf(u))
+def _tail_antiderivatives(p, sigma):
+    """J = sigma psi(u) and J3 = sigma^2 psi2(u) on the tail side u = -|p| / sigma
+    of each lattice point p, from one CDF and one pdf value per point.
+
+    psi(u) = u Phi(u) + phi(u) and psi2(u) = ((u^2 + 1) Phi(u) + u phi(u)) / 2
+    are the second and third antiderivatives of the standard normal pdf; the
+    other side follows from psi(u) = u + psi(-u) and
+    psi2(u) = (u^2 + 1) / 2 - psi2(-u).  Beyond the band |u| < 39 both are 0,
+    as their doubles are.  sigma is a scalar or broadcasts against p's leading
+    axes (sigma > 0 on every path: KernelModel rejects a <= 0 and s >= t).
+    """
+    a = np.abs(p) / sigma
+    band = a < -_NDTR_LO
+    ab = a[band]
+    g, q = _gauss_tail(ab)
+    pdf = g / _SQRT2PI
+    psi, psi2 = np.zeros_like(a), np.zeros_like(a)
+    psi[band] = pdf - ab * q
+    psi2[band] = 0.5 * ((ab * ab + 1.0) * q - ab * pdf)
+    return sigma * psi, sigma * sigma * psi2
 
 
-def _triangle_smoothed(c, sigma, dx):
-    """F(c) = J(c+dx) - 2 J(c) + J(c-dx): the Gaussian CDF integrated over a
-    width-dx target cell and a width-dx source cell at center offset c.
+def _second_difference(p, J):
+    """F(c) = J(c + dx) - 2 J(c) + J(c - dx) at the inner points c = p[..., 1:-1]
+    of a lattice p of step dx, from the tail values J of _tail_antiderivatives.
 
-    F is even (psi(u) = u + psi(-u)), so it is evaluated at -|c|, where each
-    J is a tail value and the second difference cancels no large terms."""
-    c = -np.abs(c)
-    return (
-        _second_antiderivative(c + dx, sigma)
-        - 2.0 * _second_antiderivative(c, sigma)
-        + _second_antiderivative(c - dx, sigma)
-    )
+    F is even, so for c >= 0 it is the second difference of J(-p) = J + max(-p, 0),
+    and for c < 0 that of J(p) = J + max(p, 0): each side's large linear part
+    vanishes beyond one step of 0, and the difference cancels no large terms.
+    """
+    def d2(v):  # the outer pair summed first, so that mirrored lattices mirror bitwise
+        return (v[..., 2:] + v[..., :-2]) - 2.0 * v[..., 1:-1]
+
+    return np.where(p[..., 1:-1] >= 0.0, d2(J + np.maximum(-p, 0.0)),
+                    d2(J + np.maximum(p, 0.0)))
+
+
+def _triangle_smoothed(p, sigma):
+    """F(c) = J(c + dx) - 2 J(c) + J(c - dx), J(z) = int_{-inf}^z Phi(y / sigma) dy,
+    at the inner points of the lattice p of step dx: the Gaussian CDF
+    integrated over a width-dx target cell and a width-dx source cell at
+    center offset c."""
+    return _second_difference(p, _tail_antiderivatives(p, sigma)[0])
+
+
+def _lattice(lo: int, hi: int, shift: float, dx: float, beta):
+    """Offsets (m + shift) dx - beta for m in [lo, hi), one row per beta."""
+    return (np.arange(lo, hi) + shift) * dx - np.asarray(beta, dtype=float)[..., None]
 
 
 def mean_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
@@ -81,15 +179,37 @@ def mean_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     up to Gaussian tail mass outside the lattice.  Exact for sources that are
     piecewise constant on cells.
     """
-    m = np.arange(-(n - 1), n)
-    return _triangle_smoothed(m * dx - beta, sigma, dx) / dx
+    return _triangle_smoothed(_lattice(-n, n + 1, 0.0, dx, beta), sigma) / dx
 
 
-def _third_antiderivative(z, sigma):
-    """sigma^2 psi2(z / sigma), with psi2(u) = ((u^2 + 1) Phi(u) + u phi(u)) / 2
-    the third antiderivative of the standard normal pdf."""
-    u = np.asarray(z, dtype=float) / sigma
-    return sigma**2 * (0.5 * ((u * u + 1.0) * ndtr(u) + u * normal_pdf(u)))
+def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
+    """smooth_weights for arrays sigma and beta of one shape (k,): its (k, 2n - 1)
+    rows, for the slab build's Simpson nodes."""
+    sigma = np.asarray(sigma, dtype=float)[..., None]
+    h = 0.5 * dx
+    # one CDF per point of the lattice m dx - beta, m in [-n-1, n+1]: the cell
+    # weights read m in [-n, n] and the slope fold one point more on each side
+    p = _lattice(-n - 1, n + 2, 0.0, dx, beta)
+    J, J3 = _tail_antiderivatives(p, sigma)
+    base = _second_difference(p[..., 1:-1], J[..., 1:-1]) / dx
+    # K1int is the c-antiderivative of K1(c) = int_{-h}^{h} G(c - z) z dz, the
+    # response of the kernel to the in-cell linear part of the source, at the
+    # midpoints c = p + h: -h (J(c - h) + J(c + h)) + J3(c + h) - J3(c - h).
+    # It is even (psi2(u) = (u^2 + 1)/2 - psi2(-u)), so c >= 0 reads J and J3
+    # at -p, where the far points are tail values
+    cubic = 0.5 * (p * p + sigma * sigma) - J3
+    lo, up = slice(None, -1), slice(1, None)
+
+    def k1int(J_side, J3_side, sign):
+        return (-h * (J_side[..., lo] + J_side[..., up])
+                + sign * (J3_side[..., up] - J3_side[..., lo]))
+
+    k1 = np.where(p[..., :-1] + h >= 0.0,
+                  k1int(J + np.maximum(-p, 0.0), np.where(p < 0.0, cubic, J3), -1.0),
+                  k1int(J + np.maximum(p, 0.0), np.where(p > 0.0, cubic, J3), 1.0))
+    S = np.diff(k1, axis=-1) / dx
+    # conv(central_slopes(f), S) == conv(f, folded) with the fold below
+    return base + (S[..., 2:] - S[..., :-2]) / (2.0 * dx)
 
 
 def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
@@ -102,29 +222,10 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     the given cell means; the slope stencil is folded into the weight vector,
     so application stays one convolution.  Row and column sums remain 1.
     """
-    h = 0.5 * dx
-    # K1int is the c-antiderivative of K1(c) = int_{-h}^{h} G(c - z) z dz,
-    # the response of the kernel to the in-cell linear part of the source.
-    m_ext = np.arange(-n, n + 1)  # extended lattice for the slope fold
-    c = m_ext * dx - beta
-
-    def k1int(cc):
-        # even in cc (psi2(u) = (u^2 + 1)/2 - psi2(-u)), evaluated on the tail side
-        cc = -np.abs(cc)
-        return (
-            -h * (_second_antiderivative(cc - h, sigma) + _second_antiderivative(cc + h, sigma))
-            + _third_antiderivative(cc + h, sigma)
-            - _third_antiderivative(cc - h, sigma)
-        )
-
-    S = (k1int(c + h) - k1int(c - h)) / dx
-    base = mean_weights(sigma, beta, dx, n)
-    # conv(central_slopes(f), S) == conv(f, folded) with the fold below
-    folded = (S[2:] - S[:-2]) / (2.0 * dx)
-    return base + folded
+    return smooth_weight_rows(sigma, beta, dx, n)
 
 
-def slope_kernel_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
+def slope_kernel_weights(sigma, beta, dx: float, n: int) -> np.ndarray:
     """Gradient-kernel weights on cell means (same layout as mean_weights).
 
     By parts, output cell i is sum_k s_k b[i - k] over the staggered slopes
@@ -132,10 +233,12 @@ def slope_kernel_weights(sigma: float, beta: float, dx: float, n: int) -> np.nda
     b[m] = -F((m + 1/2) dx - beta) / dx for m in [-n, n-1].  The slope
     difference is folded in, w[m] = (b[m] - b[m-1]) / dx, so application is
     one convolution with the cell means.  In the sigma -> 0 limit this
-    reduces to minus the centered difference.
+    reduces to minus the centered difference.  sigma and beta may be arrays
+    of one shape (k,), giving (k, 2n - 1) rows.
     """
-    m = np.arange(-n, n)
-    return -np.diff(_triangle_smoothed((m + 0.5) * dx - beta, sigma, dx)) / (dx * dx)
+    sigma = np.asarray(sigma, dtype=float)[..., None]
+    F = _triangle_smoothed(_lattice(-n - 1, n + 1, 0.5, dx, beta), sigma)
+    return -np.diff(F, axis=-1) / (dx * dx)
 
 
 def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:

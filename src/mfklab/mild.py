@@ -31,7 +31,7 @@ import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (apply_spectra, causal_gap_product, gap_spectra, kernel_for,
-                     slope_kernel_weights, smooth_weights)
+                     slope_kernel_weights, smooth_weight_rows, smooth_weights)
 from .problems import ProblemSpec, SmoothTestFunction
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -119,24 +119,26 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
     kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
     S = np.empty((m, 2 * n - 1))
-    A = np.zeros((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
-    B = np.zeros((m, 2 * n - 1)) if problem.M_b > 0.0 else None
+    A = np.empty((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
+    B = np.empty((m, 2 * n - 1)) if problem.M_b > 0.0 else None
     for g in range(1, m + 1):
         t = g * dt
         S[g - 1] = smooth_weights(*kernel.sigma_beta(0.0, t), dx, n)
         if A is None and B is None:
             continue
+        # all Simpson nodes of the gap at once, as rows
         w_lo, w_hi = np.sqrt((g - 1) * dt), np.sqrt(g * dt)
         w = np.linspace(w_lo, w_hi, _N_W)
         wt = simpson_weights(_N_W, (w_hi - w_lo) / (_N_W - 1)) * 2.0 * w
-        for wi, wti in zip(w, wt):
-            if wti == 0.0:
-                continue
-            sigma, beta = kernel.sigma_beta(max(t - wi * wi, 0.0), t)
-            if A is not None:
-                A[g - 1] += wti * smooth_weights(sigma, beta, dx, n)
-            if B is not None:
-                B[g - 1] += wti * slope_kernel_weights(sigma, beta, dx, n)
+        keep = wt != 0.0
+        w, wt = w[keep], wt[keep]
+        gap = t - np.maximum(t - w * w, 0.0)
+        sigma, beta = np.sqrt(gap * kernel.a), gap * kernel.b0
+        # einsum, not BLAS: the node sum keeps one order at any thread count
+        if A is not None:
+            A[g - 1] = np.einsum("i,ij->j", wt, smooth_weight_rows(sigma, beta, dx, n))
+        if B is not None:
+            B[g - 1] = np.einsum("i,ij->j", wt, slope_kernel_weights(sigma, beta, dx, n))
     return S, A, B
 
 

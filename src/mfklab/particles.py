@@ -274,9 +274,20 @@ def _binned_kde(y: np.ndarray, w: np.ndarray, grid: GridSpec, h: float,
     np.minimum(index, n + 2, out=index)
     np.add.at(padded, index, np.multiply(w, frac, out=share))
     binned = padded[2:-1]
-    m = np.arange(-(n - 1), n) * dx
-    kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
-    return apply_spectra(gap_spectra(kern), binned) / n_total
+    return apply_spectra(gap_spectra(_kde_row(n, dx, h)), binned) / n_total
+
+
+def _kde_row(n: int, dx: float, h: float) -> np.ndarray:
+    """The binned KDE's kernel row: the N(0, h^2) mass of each width-dx cell
+    over dx, at the offsets m dx, m in [-(n-1), n-1].
+
+    The row is even in m, so the CDF is evaluated once per cell edge on the
+    lower half, (m + 1/2) dx for m in [-n, -1], where each difference is of
+    tail values, and mirrored.
+    """
+    cdf = ndtr((np.arange(-n, 0) + 0.5) * dx / h)
+    lower = np.diff(cdf)  # m in [-(n-1), -1]
+    return np.concatenate((lower, [1.0 - 2.0 * cdf[-1]], lower[::-1])) / dx
 
 
 def solve_selfconsistent(problem: ProblemSpec, N: int, dt: float, seed: int,

@@ -94,7 +94,7 @@ def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_rejects_nonpositive_threads(tmp_path):
+def test_cli_rejects_threads_other_than_one(tmp_path):
     # runs are single-threaded: 1 is the only worker count accepted
     path = tmp_path / "heat.cfg"
     path.write_text(HEAT_CFG + f"out = {tmp_path}/out\n")
@@ -315,6 +315,16 @@ def test_cli_import_leaves_out_scipy_fft():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_scipy():
+    # ndtr is kernel's own numpy series: no run imports scipy at all
+    script = ("import sys, mfklab.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(mfklab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_field_csv_schema(tmp_path):
     grid = GridSpec(R=1.0, n_x=3, n_t=1, T=1.0)
     f = Field(grid, np.arange(6, dtype=float).reshape(2, 3))
@@ -463,10 +473,10 @@ def test_engaged_particle_clamp_fails_the_run(tmp_path, capsys):
     assert [lv["t"] for lv in particles["levels"]] == [1.0]
 
 
-def test_burgers_validate_identical_across_threads(tmp_path):
-    # --threads 1 is the only worker count; test_runs_are_byte_identical
-    # checks that repeat runs are byte-identical, and the
-    # *_across_blas_threads tests that BLAS threads change no bit
+def test_burgers_validate_passes_its_checks_and_writes_its_artifacts(tmp_path):
+    # one --threads 1 run; test_runs_are_byte_identical checks that repeat
+    # runs are byte-identical, and the *_across_blas_threads tests that BLAS
+    # threads change no bit
     path = tmp_path / "t1.cfg"
     path.write_text(_burgers_cfg("validate", 257, 256, f"out = {tmp_path}/t1"))
     assert cli_main(["validate", "--config", str(path), "--threads", "1"]) == 0

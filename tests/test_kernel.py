@@ -1,21 +1,24 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr as scipy_ndtr
 
 from mfklab.grids import GridSpec
 from mfklab.kernel import (
     KernelModel,
-    _triangle_smoothed,
     apply_grad_smooth,
     apply_mean_smooth,
     apply_spectra,
     gap_spectra,
     mean_weights,
+    ndtr,
     slope_kernel_weights,
+    smooth_weight_rows,
     smooth_weights,
     staggered_slopes,
 )
@@ -171,17 +174,15 @@ class TestCellWeights:
 
     def test_slope_corrected_weights_fourth_order(self):
         errs = []
-        from scipy.special import ndtr
-
         for n in (101, 201):
             R = 6.0
             dx = 2 * R / (n - 1)
             x = np.linspace(-R, R, n)
             edges = np.concatenate((x - dx / 2, [R + dx / 2]))
-            cm = np.diff(ndtr(edges / 0.2)) / dx
+            cm = np.diff(scipy_ndtr(edges / 0.2)) / dx
             out = apply_mean_smooth(cm, 0.3, 0.0, dx)
             sd1 = math.sqrt(0.04 + 0.09)
-            target = np.diff(ndtr(edges / sd1)) / dx
+            target = np.diff(scipy_ndtr(edges / sd1)) / dx
             errs.append(float(np.abs(out - target).sum() * dx))
         assert errs[1] <= errs[0] / 12.0  # fourth-order drop under halving
 
@@ -197,6 +198,153 @@ class TestCellWeights:
     def test_smooth_weights_row_sum_one(self):
         w = smooth_weights(0.5, 0.1, 0.05, 400)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _mp_ndtr(x):
+    with mpmath.workdps(40):
+        return mpmath.ncdf(mpmath.mpf(float(x)))
+
+
+_RNG = np.random.default_rng(2024)
+_LOWER = np.concatenate((np.linspace(-37.5, 0.0, 751), _RNG.uniform(-37.5, 0.0, 750)))
+_UPPER = np.concatenate((np.linspace(0.0, 9.0, 751), _RNG.uniform(0.0, 9.0, 750)))
+
+
+def test_ndtr_relative_error_on_the_lower_side():
+    got = ndtr(_LOWER)
+    rel = [abs(g - _mp_ndtr(x)) / _mp_ndtr(x) for g, x in zip(got, _LOWER)]
+    assert max(rel) <= 1e-13
+    # scipy's own ndtr rounds x^2 before its exp and is 2.3e-13 off at -37.5
+    assert np.all(np.abs(got - scipy_ndtr(_LOWER)) <= 5e-13 * scipy_ndtr(_LOWER))
+
+
+def test_ndtr_absolute_error_on_the_upper_side():
+    got = ndtr(_UPPER)
+    assert max(abs(g - _mp_ndtr(x)) for g, x in zip(got, _UPPER)) <= 2.3e-16
+    assert np.abs(got - scipy_ndtr(_UPPER)).max() <= 4e-16
+
+
+def test_ndtr_band_edges_and_zero():
+    assert ndtr(0.0) == 0.5
+    below = np.array([-np.inf, -1e300, -100.0, -39.0])
+    above = np.array([9.0, 9.5, 100.0, 1e300, np.inf])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        assert np.all(ndtr(below) == 0.0)
+        assert np.all(ndtr(above) == 1.0)
+        assert ndtr(np.linspace(-38.99, 8.99, 10_001)).min() >= 0.0
+    assert np.isnan(ndtr(np.nan))
+    assert isinstance(ndtr(0.3), np.floating) and ndtr(np.ones((2, 3))).shape == (2, 3)
+
+
+# The three-term per-point formulas the lattice-shared weights replaced: each
+# CDF term evaluated on its own, at -|c|, with scipy's ndtr.
+def _j_oracle(z, sigma):
+    u = np.asarray(z, dtype=float) / sigma
+    return sigma * (u * scipy_ndtr(u) + np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi))
+
+
+def _j3_oracle(z, sigma):
+    u = np.asarray(z, dtype=float) / sigma
+    pdf = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+    return sigma**2 * (0.5 * ((u * u + 1.0) * scipy_ndtr(u) + u * pdf))
+
+
+def _triangle_oracle(c, sigma, dx):
+    c = -np.abs(c)
+    return _j_oracle(c + dx, sigma) - 2.0 * _j_oracle(c, sigma) + _j_oracle(c - dx, sigma)
+
+
+def _mean_oracle(sigma, beta, dx, n):
+    return _triangle_oracle(np.arange(-(n - 1), n) * dx - beta, sigma, dx) / dx
+
+
+def _smooth_oracle(sigma, beta, dx, n):
+    h = 0.5 * dx
+    c = np.arange(-n, n + 1) * dx - beta
+
+    def k1int(cc):
+        cc = -np.abs(cc)
+        return (-h * (_j_oracle(cc - h, sigma) + _j_oracle(cc + h, sigma))
+                + _j3_oracle(cc + h, sigma) - _j3_oracle(cc - h, sigma))
+
+    S = (k1int(c + h) - k1int(c - h)) / dx
+    return _mean_oracle(sigma, beta, dx, n) + (S[2:] - S[:-2]) / (2.0 * dx)
+
+
+def _slope_oracle(sigma, beta, dx, n):
+    m = np.arange(-n, n)
+    return -np.diff(_triangle_oracle((m + 0.5) * dx - beta, sigma, dx)) / (dx * dx)
+
+
+@pytest.mark.parametrize("n", [3, 64, 512])
+@pytest.mark.parametrize("sigma", [0.01, 0.1, 1.0])
+def test_lattice_weights_match_the_per_point_formula(sigma, n):
+    # one CDF per lattice point, the other side by the psi identities, against
+    # three CDF terms per point.  The second differences of both lose about
+    # eps (sigma / dx)^2 of the peak, so sigma / dx stays at 4 or below here;
+    # the next test takes the finer spacings to mpmath
+    for cells_per_sigma in (0.25, 1.0, 4.0):
+        dx = sigma / cells_per_sigma
+        for beta in (0.0, 0.4 * sigma, -2.0 * sigma):
+            for weights, oracle in ((mean_weights, _mean_oracle),
+                                    (smooth_weights, _smooth_oracle),
+                                    (slope_kernel_weights, _slope_oracle)):
+                got, ref = weights(sigma, beta, dx, n), oracle(sigma, beta, dx, n)
+                assert got.shape == ref.shape == (2 * n - 1,)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_weights_at_fine_spacing_are_no_further_from_mpmath():
+    # at sigma / dx = 32 (sigma = 1 on the 512-node box of R = 8) both forms
+    # are about 5e-11 of the peak off the exact weights; the lattice-shared
+    # ones must stay within that of the per-point formula's distance
+    sigma, beta, dx, n = 1.0, 0.013, 16.0 / 511.0, 512
+    offsets = range(-60, 61, 7)
+
+    def j(z, k):
+        u = z / sigma
+        pdf, cdf = mpmath.npdf(u), mpmath.ncdf(u)
+        return sigma * (u * cdf + pdf) if k == 2 else sigma**2 * ((u * u + 1) * cdf + u * pdf) / 2
+
+    def tri(c):
+        return j(c + dx, 2) - 2 * j(c, 2) + j(c - dx, 2)
+
+    def k1int(c):
+        h = dx / 2
+        return -h * (j(c - h, 2) + j(c + h, 2)) + j(c + h, 3) - j(c - h, 3)
+
+    def exact(name, m):
+        c = m * dx - beta
+        if name == "slope":
+            return -(tri(c + dx / 2) - tri(c - dx / 2)) / dx**2
+        if name == "mean":
+            return tri(c) / dx
+
+        def S(cc):
+            return (k1int(cc + dx / 2) - k1int(cc - dx / 2)) / dx
+        return tri(c) / dx + (S(c + dx) - S(c - dx)) / (2 * dx)
+
+    with mpmath.workdps(40):
+        sigma, beta, dx = mpmath.mpf(sigma), mpmath.mpf(beta), mpmath.mpf(dx)
+        for name, weights, oracle in (("mean", mean_weights, _mean_oracle),
+                                      ("smooth", smooth_weights, _smooth_oracle),
+                                      ("slope", slope_kernel_weights, _slope_oracle)):
+            truth = np.array([float(exact(name, m)) for m in offsets])
+            idx = np.array(offsets) + n - 1
+            got = weights(float(sigma), float(beta), float(dx), n)
+            ref = oracle(float(sigma), float(beta), float(dx), n)
+            peak = np.abs(ref).max()
+            err_got, err_ref = np.abs(got[idx] - truth).max(), np.abs(ref[idx] - truth).max()
+            assert err_got <= max(err_ref, 1e-13 * peak), name
+
+
+def test_weight_rows_are_the_scalar_weights():
+    # the slab build takes all Simpson nodes of a gap as rows
+    sigmas, betas, dx, n = np.array([1e-3, 0.02, 0.3, 1.0]), np.array([0.0, 0.01, -0.2, 0.5]), 0.05, 40
+    rows = smooth_weight_rows(sigmas, betas, dx, n), slope_kernel_weights(sigmas, betas, dx, n)
+    for k, (s, b) in enumerate(zip(sigmas, betas)):
+        assert np.array_equal(rows[0][k], smooth_weights(s, b, dx, n))
+        assert np.array_equal(rows[1][k], slope_kernel_weights(s, b, dx, n))
 
 
 @pytest.mark.parametrize("weights", [mean_weights, smooth_weights])
@@ -269,7 +417,7 @@ def test_convolve_full_bit_identical_to_fftconvolve(m, n):
     sigmas, betas = rng.uniform(0.1, 2.0, m), rng.uniform(-0.5, 0.5, m)
     folded = np.array([slope_kernel_weights(s, b, dx, n) for s, b in zip(sigmas, betas)])
     offsets = (np.arange(-n, n) + 0.5) * dx
-    unfolded = np.array([-_triangle_smoothed(offsets - b, s, dx) / dx
+    unfolded = np.array([-_triangle_oracle(offsets - b, s, dx) / dx
                          for s, b in zip(sigmas, betas)])
     cases = [
         (apply_spectra(gap_spectra(kern), row), fftconvolve(row, kern)[n - 1 : 2 * n - 1]),

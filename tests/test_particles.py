@@ -14,6 +14,7 @@ from mfklab.mild import plan_grid, solve
 from mfklab.oracles import heat_oracle
 from mfklab.particles import (
     _binned_kde,
+    _kde_row,
     _march,
     density_estimate,
     particle_grid,
@@ -439,10 +440,9 @@ class TestSelfConsistent:
 
 def _binned_kde_masked(y, w, grid, h, n_total):
     """Linear binning with explicit masks for the shares outside the nodes:
-    the oracle for _binned_kde's pad bins.  It convolves through the library's
-    own path, so a bitwise comparison checks the binning alone."""
-    from scipy.special import ndtr
-
+    the oracle for _binned_kde's pad bins.  It takes the library's kernel row
+    and convolves through the library's own path, so a bitwise comparison
+    checks the binning alone."""
     dx = grid.dx
     pos = (y + grid.R) / dx
     j = np.floor(pos).astype(int)
@@ -455,9 +455,22 @@ def _binned_kde_masked(y, w, grid, h, n_total):
     keep_r = inside & (j + 1 < grid.n_x)
     np.add.at(binned, jl[keep_l], (w * (1.0 - frac))[keep_l])
     np.add.at(binned, jr[keep_r], (w * frac)[keep_r])
-    m = np.arange(-(grid.n_x - 1), grid.n_x) * dx
-    kern = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
-    return apply_spectra(gap_spectra(kern), binned) / n_total
+    return apply_spectra(gap_spectra(_kde_row(grid.n_x, dx, h)), binned) / n_total
+
+
+@pytest.mark.parametrize("h", [0.01, 0.2, 3.0])
+def test_kde_row_is_the_two_sided_cdf_difference(h):
+    # the row is mirrored from its lower half; scipy's two-sided CDF
+    # difference is the cross-check, to the rounding of a difference of two
+    # CDF values over dx
+    from scipy.special import ndtr
+
+    n, dx = 512, 16.0 / 511.0
+    row = _kde_row(n, dx, h)
+    m = np.arange(-(n - 1), n) * dx
+    ref = (ndtr((m + 0.5 * dx) / h) - ndtr((m - 0.5 * dx) / h)) / dx
+    assert np.array_equal(row, row[::-1])
+    assert np.abs(row - ref).max() <= 4 * np.finfo(float).eps / dx
 
 
 @pytest.mark.parametrize("spread", [0.5, 3.0, 9.0])
