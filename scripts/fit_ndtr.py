@@ -1,4 +1,4 @@
-"""Fit the Chebyshev coefficients of the standard normal CDF in mfklab.kernel.
+"""Fit the series of the standard normal CDF in mfklab.kernel.
 
     python3 scripts/fit_ndtr.py [--terms 28] [--nodes 96]
 
@@ -7,17 +7,21 @@ kernel writes the upper tail Q(a) = 1 - Phi(a), a >= 0, as
     Q(a) = t / 2 * exp(-a^2 / 2) * P(t),   t = 2 / (2 + a / sqrt 2),
 
 so that P(t) = erfcx(z) / t with z = a / sqrt 2 (erfcx the scaled
-complementary error function), and P is a Chebyshev series in 2t - 1 on
-t in [0, 1]: 1 at t = 1 (a = 0), 1 / (2 sqrt pi) at t = 0 (a -> inf).  The
-form is that of W. J. Cody, Math. Comp. 23 (1969) 631-637, and of the
-erfc(z) = t exp(-z^2 + series) routines descended from it, with the series
-taken in P itself so that the kernel needs one exp per value.
+complementary error function): 1 at t = 1 (a = 0), 1 / (2 sqrt pi) at t = 0
+(a -> inf).  The form is that of W. J. Cody, Math. Comp. 23 (1969) 631-637,
+and of the erfc(z) = t exp(-z^2 + series) routines descended from it, with
+the series taken in P itself so that the kernel needs one exp per value.
 
-The coefficients come from Chebyshev interpolation at `--nodes` points of
-the first kind, in mpmath at 50 digits, truncated to `--terms`.  The constant
-term is then nudged by the rounding residual of the float64 Clenshaw sum at
-t = 1, so that the kernel's ndtr(0) is exactly 0.5.  The script prints the
-table in the layout of kernel._NDTR_CHEB and the largest dropped coefficient.
+P is fitted as a Chebyshev series in 2t - 1 on t in [0, 1], by interpolation
+at `--nodes` points of the first kind in mpmath at 50 digits, truncated to
+`--terms`.  The kernel evaluates it by Horner's rule in y = 4t - 2, so the
+script rewrites the truncated series in powers of y, exactly, before
+rounding to float64: on |y| <= 2 the terms' magnitudes sum to about 1.03
+while P >= 0.28, so the power form loses nothing to cancellation.  The
+constant term is then nudged by the rounding residual of the float64 sum at
+y = 2 (t = 1), so that the kernel's ndtr(0) is exactly 0.5.  The script
+prints the table in the layout of kernel._NDTR_POLY, the largest dropped
+Chebyshev coefficient and the float64 series' largest relative error.
 
 Nothing imports this script at run time; the accuracy gate is
 tests/test_kernel.py, which checks ndtr against mpmath itself.
@@ -52,12 +56,27 @@ def chebyshev_fit(nodes: int):
     return coeffs
 
 
-def clenshaw(coeffs, y):
-    """The kernel's float64 sum: sum_k c_k T_k(y / 2), y = 4t - 2."""
-    b1 = b2 = 0.0
-    for c in coeffs[:0:-1]:
-        b1, b2 = y * b1 - b2 + c, b1
-    return 0.5 * y * b1 - b2 + coeffs[0]
+def powers_of_y(cheb):
+    """a_j with sum_k c_k T_k(y / 2) = sum_j a_j y^j, in exact arithmetic:
+    T_0 = 1, T_1 = y / 2, T_{k+1} = y T_k - T_{k-1} in the variable y / 2."""
+    basis = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1) / 2]]
+    while len(basis) < len(cheb):
+        up = [mp.mpf(0)] + basis[-1]
+        down = basis[-2] + [mp.mpf(0)] * (len(up) - len(basis[-2]))
+        basis.append([u - d for u, d in zip(up, down)])
+    out = [mp.mpf(0)] * len(cheb)
+    for c, poly in zip(cheb, basis):
+        for j, b in enumerate(poly):
+            out[j] += c * b
+    return out
+
+
+def horner(coeffs, y):
+    """The kernel's float64 sum: sum_j a_j y^j, highest power first."""
+    p = coeffs[-1]
+    for a in coeffs[-2::-1]:
+        p = p * y + a
+    return p
 
 
 def main(argv=None) -> None:
@@ -66,18 +85,18 @@ def main(argv=None) -> None:
     parser.add_argument("--nodes", type=int, default=96)
     args = parser.parse_args(argv)
     mp.mp.dps = 50
-    exact = chebyshev_fit(args.nodes)
-    coeffs = [float(c) for c in exact[: args.terms]]
-    coeffs[0] += 1.0 - clenshaw(coeffs, 2.0)  # P(1) = 1 in float64: ndtr(0) = 0.5
-    assert clenshaw(coeffs, 2.0) == 1.0
-    print("_NDTR_CHEB = np.array([")
+    cheb = chebyshev_fit(args.nodes)
+    coeffs = [float(a) for a in powers_of_y(cheb[: args.terms])]
+    coeffs[0] += 1.0 - horner(coeffs, 2.0)  # P(1) = 1 in float64: ndtr(0) = 0.5
+    assert horner(coeffs, 2.0) == 1.0
+    print("_NDTR_POLY = (")
     for i in range(0, len(coeffs), 3):
         print("    " + " ".join(f"{c!r}," for c in coeffs[i : i + 3]))
-    print("])")
-    dropped = max(abs(float(c)) for c in exact[args.terms :])
-    print(f"# largest dropped coefficient: {dropped:.3e}")
+    print(")")
+    dropped = max(abs(float(c)) for c in cheb[args.terms :])
+    print(f"# largest dropped Chebyshev coefficient: {dropped:.3e}")
     # the float64 series against P itself on [0, 1]
-    worst = max(float(abs(clenshaw(coeffs, 4.0 * t - 2.0) - series_target(mp.mpf(t)))
+    worst = max(float(abs(horner(coeffs, 4.0 * t - 2.0) - series_target(mp.mpf(t)))
                       / series_target(mp.mpf(t))) for t in np.linspace(0.0, 1.0, 2001))
     print(f"# largest relative error of the float64 series at 2001 points: {worst:.2e}")
 

@@ -26,7 +26,7 @@ a lattice of offsets; each builder evaluates the CDF and the pdf once per
 lattice point, on the tail side, and takes all its differences from those
 values.
 
-The normal CDF, ndtr, is this module's own numpy Chebyshev series, so no run
+The normal CDF, ndtr, is this module's own numpy erfc series, so no run
 imports scipy; problems, particles and oracles take it from here.
 
 Every convolution takes one path, along x only, through numpy.fft at the
@@ -45,19 +45,19 @@ from .grids import GridSpec, cell_means_from_cdf
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
-# Chebyshev coefficients of P(t) = erfcx(z) / t in 2t - 1, t = 2 / (2 + z),
-# fitted by scripts/fit_ndtr.py
-_NDTR_CHEB = (
-    0.5770337386164697, 0.3554369212704985, 0.06509515882878653,
-    0.003671142395836639, -0.0011128447433526325, -0.0001607582991537808,
-    3.278031574173137e-05, 5.442441645505016e-06, -1.5154665553171482e-06,
-    -1.4297608181169865e-07, 8.234608827419493e-08, -1.2962846852306563e-09,
-    -4.154721631015199e-09, 6.347058278362811e-10, 1.4320822712256225e-10,
-    -6.160390105204585e-11, 2.0612138554721698e-12, 3.5714931488477042e-12,
-    -8.586422843251796e-13, -6.14560021379063e-14, 7.418725748596617e-14,
-    -1.2895042755032325e-14, -2.358726385710632e-15, 1.5729349381685912e-15,
-    -2.2782966239546465e-16, -6.31233045075643e-17, 3.5916763531814925e-17,
-    -5.049809149847729e-18,
+# P(t) = erfcx(z) / t, t = 2 / (2 + z), in powers of y = 4t - 2: a 28-term
+# Chebyshev fit in mpmath, rewritten in the power basis by scripts/fit_ndtr.py
+_NDTR_POLY = (
+    0.5107913526210115, 0.17179017110345263, 0.03493401156950672,
+    0.002277639469180312, -0.0006722081840447728, -0.00010123726668707854,
+    2.4145406704025682e-05, 3.270687760128803e-06, -1.2950654203885173e-06,
+    -3.3565893739353394e-08, 7.054233458436077e-08, -8.337078384148292e-09,
+    -2.6484514816628653e-09, 9.838916615024592e-10, -3.4351604829058375e-11,
+    -5.556664545907538e-11, 1.52728055765596e-11, -2.3336178937337568e-14,
+    -1.0892798705421895e-12, 3.1454397413605944e-13, -1.6195987713752429e-15,
+    -2.746651981914341e-14, 6.924148903896591e-15, 7.574396931535171e-16,
+    -5.808327571113264e-16, 3.66107712691622e-17, 1.7958381765907463e-17,
+    -2.5249045749238645e-18,
 )
 
 # the band of x outside which Phi(x) rounds to the double 0 or 1
@@ -71,8 +71,8 @@ def _gauss_tail(a):
     the upper tail of the standard normal.
 
     Q(a) = t / 2 * exp(-a^2 / 2) * P(t), t = 2 / (2 + a / sqrt 2), with P the
-    Chebyshev series _NDTR_CHEB (an erfc series in the form of W. J. Cody,
-    Math. Comp. 23 (1969) 631-637).  The exponent is split at a_r, a rounded
+    erfc series _NDTR_POLY (in the form of W. J. Cody, Math. Comp. 23 (1969)
+    631-637), summed by Horner's rule.  The exponent is split at a_r, a rounded
     down to 1/16: exp(-a_r^2 / 2) is a table entry and exp(-(a - a_r)(a +
     a_r) / 2) has a small argument, so the rounding of a^2, which would cost
     a relative a^2 eps, never enters.
@@ -85,14 +85,11 @@ def _gauss_tail(a):
     # y = 4t - 2 formed from 1 - t = z / (2 + z), whose rounding is relative
     # to 1 - t: near a = 0 the series then reads z to far better than t's ulp
     y = 2.0 - 4.0 * z / (2.0 + z)
-    # Clenshaw's recurrence in y / 2, the Chebyshev variable
-    b1, b2, tmp = np.full_like(a, _NDTR_CHEB[-1]), np.zeros_like(a), np.empty_like(a)
-    for c in _NDTR_CHEB[-2:0:-1]:
-        np.multiply(y, b1, out=tmp)
-        tmp -= b2
-        tmp += c
-        b1, b2, tmp = tmp, b1, b2
-    return g, 0.5 * t * g * (0.5 * y * b1 - b2 + _NDTR_CHEB[0])
+    p = np.full_like(a, _NDTR_POLY[-1])
+    for c in _NDTR_POLY[-2::-1]:
+        p *= y
+        p += c
+    return g, 0.5 * t * g * p
 
 
 def ndtr(x):
