@@ -1,6 +1,6 @@
 """Fit the series of the standard normal CDF in mfklab.kernel.
 
-    python3 scripts/fit_ndtr.py [--terms 28] [--nodes 96]
+    python3 scripts/fit_ndtr.py
 
 kernel writes the upper tail Q(a) = 1 - Phi(a), a >= 0, as
 
@@ -13,8 +13,8 @@ and of the erfc(z) = t exp(-z^2 + series) routines descended from it, with
 the series taken in P itself so that the kernel needs one exp per value.
 
 P is fitted as a Chebyshev series in 2t - 1 on t in [0, 1], by interpolation
-at `--nodes` points of the first kind in mpmath at 50 digits, truncated to
-`--terms`.  The kernel evaluates it by Horner's rule in y = 4t - 2, so the
+at _NODES = 96 points of the first kind in mpmath at 50 digits, truncated to
+_TERMS = 28.  The kernel evaluates it by Horner's rule in y = 4t - 2, so the
 script rewrites the truncated series in powers of y, exactly, before
 rounding to float64: on |y| <= 2 the terms' magnitudes sum to about 1.03
 while P >= 0.28, so the power form loses nothing to cancellation.  The
@@ -29,10 +29,11 @@ tests/test_kernel.py, which checks ndtr against mpmath itself.
 
 from __future__ import annotations
 
-import argparse
-
 import mpmath as mp
 import numpy as np
+
+_TERMS = 28
+_NODES = 96
 
 
 def series_target(t):
@@ -79,21 +80,17 @@ def horner(coeffs, y):
     return p
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--terms", type=int, default=28)
-    parser.add_argument("--nodes", type=int, default=96)
-    args = parser.parse_args(argv)
+def main() -> None:
     mp.mp.dps = 50
-    cheb = chebyshev_fit(args.nodes)
-    coeffs = [float(a) for a in powers_of_y(cheb[: args.terms])]
+    cheb = chebyshev_fit(_NODES)
+    coeffs = [float(a) for a in powers_of_y(cheb[:_TERMS])]
     coeffs[0] += 1.0 - horner(coeffs, 2.0)  # P(1) = 1 in float64: ndtr(0) = 0.5
     assert horner(coeffs, 2.0) == 1.0
     print("_NDTR_POLY = (")
     for i in range(0, len(coeffs), 3):
         print("    " + " ".join(f"{c!r}," for c in coeffs[i : i + 3]))
     print(")")
-    dropped = max(abs(float(c)) for c in cheb[args.terms :])
+    dropped = max(abs(float(c)) for c in cheb[_TERMS:])
     print(f"# largest dropped Chebyshev coefficient: {dropped:.3e}")
     # the float64 series against P itself on [0, 1]
     worst = max(float(abs(horner(coeffs, 4.0 * t - 2.0) - series_target(mp.mpf(t)))

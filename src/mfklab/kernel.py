@@ -176,7 +176,15 @@ def mean_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     up to Gaussian tail mass outside the lattice.  Exact for sources that are
     piecewise constant on cells.
     """
-    return _triangle_smoothed(_lattice(-n, n + 1, 0.0, dx, beta), sigma) / dx
+    p = _lattice(-n, n + 1, 0.0, dx, beta)
+    return _cell_mean_weights(p, _tail_antiderivatives(p, sigma)[0], dx)
+
+
+def _cell_mean_weights(p, J, dx: float) -> np.ndarray:
+    """mean_weights at the inner points of the lattice p = m dx - beta,
+    m in [-n, n], from its tail values J (_tail_antiderivatives); shared with
+    smooth_weight_rows, which reuses the J of its wider lattice."""
+    return _second_difference(p, J) / dx
 
 
 def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
@@ -188,7 +196,7 @@ def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
     # weights read m in [-n, n] and the slope fold one point more on each side
     p = _lattice(-n - 1, n + 2, 0.0, dx, beta)
     J, J3 = _tail_antiderivatives(p, sigma)
-    base = _second_difference(p[..., 1:-1], J[..., 1:-1]) / dx
+    base = _cell_mean_weights(p[..., 1:-1], J[..., 1:-1], dx)
     # K1int is the c-antiderivative of K1(c) = int_{-h}^{h} G(c - z) z dz, the
     # response of the kernel to the in-cell linear part of the source, at the
     # midpoints c = p + h: -h (J(c - h) + J(c + h)) + J3(c + h) - J3(c - h).
@@ -324,21 +332,23 @@ class KernelModel:
 
     # -- kernel moments -------------------------------------------------------
 
-    def variance(self, s: float, t: float) -> float:
-        """(t - s) a, the variance of p(s, x0, t, .)."""
+    def variance(self, s, t: float):
+        """(t - s) a, the variance of p(s, x0, t, .); s may be an array of
+        start times, giving one variance each."""
         self._check_times(s, t)
-        return float((t - s) * self.a)
+        var = (t - s) * self.a
+        return float(var) if np.ndim(var) == 0 else var
 
-    def mean_shift(self, s: float, t: float) -> float:
+    def mean_shift(self, s, t: float):
         self._check_times(s, t)
         return (t - s) * self.b0
 
-    def sigma_beta(self, s: float, t: float):
-        """(std, drift shift) of p(s, x0, t, .) about x0."""
+    def sigma_beta(self, s, t: float):
+        """(std, drift shift) of p(s, x0, t, .) about x0; s may be an array."""
         return np.sqrt(self.variance(s, t)), self.mean_shift(s, t)
 
     def _check_times(self, s, t):
-        if not (0.0 <= s < t <= self.T + 1e-12):
+        if not (np.all((0.0 <= s) & (s < t)) and t <= self.T + 1e-12):
             raise ValueError(f"need 0 <= s < t <= T, got s={s}, t={t}")
 
     # -- pointwise evaluation -------------------------------------------------

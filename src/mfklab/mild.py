@@ -132,8 +132,7 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
         wt = simpson_weights(_N_W, (w_hi - w_lo) / (_N_W - 1)) * 2.0 * w
         keep = wt != 0.0
         w, wt = w[keep], wt[keep]
-        gap = t - np.maximum(t - w * w, 0.0)
-        sigma, beta = np.sqrt(gap * kernel.a), gap * kernel.b0
+        sigma, beta = kernel.sigma_beta(np.maximum(t - w * w, 0.0), t)
         # einsum, not BLAS: the node sum keeps one order at any thread count
         if A is not None:
             A[g - 1] = np.einsum("i,ij->j", wt, smooth_weight_rows(sigma, beta, dx, n))

@@ -295,34 +295,31 @@ def test_cli_missing_config(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_cli_import_leaves_out_slow_scipy_modules():
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules a fresh interpreter holds after `import mfklab.cli`."""
+    script = "import sys, mfklab.cli; print('\\n'.join(sorted(sys.modules)))"
+    src = str(Path(mfklab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    modules = set(proc.stdout.split())
+    assert "mfklab.cli" in modules  # the listing is the interpreter's, not empty
+    return modules
+
+
+def test_cli_import_leaves_out_slow_scipy_modules(cli_import_modules):
     # scipy.signal (which loads scipy.stats) was about 1 s of every run's set-up
-    script = ("import sys, mfklab.cli; "
-              "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
-    src = str(Path(mfklab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    assert not {"scipy.signal", "scipy.stats"} & cli_import_modules
 
 
-def test_cli_import_leaves_out_scipy_fft():
+def test_cli_import_leaves_out_scipy_fft(cli_import_modules):
     # every transform goes through numpy.fft
-    script = ("import sys, mfklab.cli; "
-              "print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))")
-    src = str(Path(mfklab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    assert not [m for m in cli_import_modules if m.startswith("scipy.fft")]
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_leaves_out_scipy(cli_import_modules):
     # ndtr is kernel's own numpy series: no run imports scipy at all
-    script = ("import sys, mfklab.cli; "
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(mfklab.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
 
 
 def test_field_csv_schema(tmp_path):
