@@ -44,8 +44,8 @@ these in mind until a change to the benchmark mends them:
 * NOTES.md still describes the per-cell `_restrict` loop and an old trace
   table;
 * child.py still sets MFKLAB_THREADS, which nothing reads, and passes
-  `--threads 1`, the only value the CLI accepts (runs are single-threaded);
-  its comment on the BLAS pin is out of date;
+  `--threads 1`, the only value the CLI accepts (the numerics run on one
+  thread); its comment on the BLAS pin is out of date;
 * tracer.py derives `particles.step_rate` and `particles.trajectory_mb` from
   `ensemble.positions.shape`, which counts the rows an ensemble keeps, not
   its steps, since the particle engine streams: step_rate reads about 128x

@@ -3,7 +3,8 @@
 Subcommands mirror the experiment kinds: solve-mild, simulate-frozen,
 simulate-mckean, validate, sweep.  A config file supplies every parameter;
 the subcommand, --out and --seed override its experiment, out and
-particles.seed (checked as config values).  Runs are single-threaded:
+particles.seed (checked as config values).  The numerics run on one thread;
+the march draws its normals on one helper thread, in stream order.
 --threads accepts only 1, the value existing scripts pass.
 """
 
@@ -26,7 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--threads", type=int, default=1, choices=[1],
-                       help="worker thread count; runs are single-threaded")
+                       help="worker thread count; the numerics run on one thread, and the "
+                            "march draws its normals on one helper thread, in stream order")
     return parser
 
 

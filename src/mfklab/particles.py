@@ -12,17 +12,28 @@ ensemble bit-for-bit.  The particles step on the levels of a GridSpec
 (particle_grid); a time t becomes a level only through GridSpec.time_index.
 The march streams: it holds the current step only and keeps the levels its
 caller will read, so an ensemble takes O(N * kept levels) memory.  It also
-steps in place on six N-sized arrays, allocated once: the positions, the
-log-weights and four work arrays (_Work) that its feedback and its step take in
-turn.  Four is what the closure's feedback needs at once: the weights, and two
-float arrays and one index array for the binned KDE; the step needs the
-feedback's z, the noise and an increment.  A new temporary per operation
-would instead cost an allocation of N doubles, which the allocator returns to
-the system on release and page-faults back in on the next step.
+steps in place on seven N-sized arrays, allocated once: the positions, the
+log-weights, four work arrays (_Work) that its feedback and its step take in
+turn, and the array that a helper thread fills with the step's noise
+meanwhile.  Four is what the closure's feedback needs at once: the weights,
+and two float arrays and one index array for the binned KDE; the step needs
+the feedback's z, |z| and an increment; once added, the noise array takes
+the place of |z|'s among the work arrays, and |z|'s takes the next step's
+noise.  A new temporary per operation would instead cost an allocation of N
+doubles, which the allocator returns to the system on release and
+page-faults back in on the next step.
+
+The normal draws, which release the interpreter lock, are about a third of a
+march at N = 1e5; the helper thread (_Noise) makes them beside the feedback
+and the coefficients of the same step.  One generator is drawn in one order
+all the same: the initial sample before the helper starts, and each step's
+normals only after the previous step's are added, so the ensemble is that of
+a serial march bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +126,63 @@ class _Work:
     """The N-sized work arrays of one march, allocated once, used by role.
 
     The feedback may overwrite all of them and may return z in floats[0].
-    The step then overwrites floats[1] (|z|, then the noise) and floats[2]
-    (the log-weight increment, then the position increment).  The closure's
-    feedback puts the weights in floats[0], gives floats[1:] and index to the
-    binned KDE, then looks z up into floats[0] through index.
+    The step then overwrites floats[1] (with |z|) and floats[2] (the
+    log-weight increment, then the position increment), and swaps floats[1]
+    for the noise array it has just added.  The closure's feedback puts the
+    weights in floats[0], gives floats[1:] and index to the binned KDE, then
+    looks z up into floats[0] through index.
     """
 
     def __init__(self, N: int):
-        self.floats = np.empty((3, N))
+        self.floats = list(np.empty((3, N)))
         self.index = np.empty(N, np.int64)
+
+
+class _Noise:
+    """A helper thread that fills one noise array at a time with
+    scale * (normals of rng), in the order the arrays are handed to fill.
+
+    wait() returns the array being filled once it is full and re-raises what
+    the fill raised; close() stops and joins the thread, whether or not a
+    fill is pending.
+    """
+
+    def __init__(self, rng: np.random.Generator, scale: float):
+        self._rng, self._scale = rng, scale
+        self._buf = self._error = None
+        self._closing = False
+        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._run, name="mfklab-noise", daemon=True)
+        self._thread.start()
+
+    def _run(self):
+        while True:
+            self._todo.acquire()
+            if self._closing:
+                return
+            try:
+                self._rng.standard_normal(out=self._buf)
+                self._buf *= self._scale
+            except BaseException as exc:
+                # wait() re-raises it; caught whole, so that no failure leaves
+                # the caller waiting on a thread that has ended
+                self._error = exc
+            self._done.release()
+
+    def fill(self, buf: np.ndarray) -> None:
+        self._buf = buf
+        self._todo.release()
+
+    def wait(self) -> np.ndarray:
+        self._done.acquire()
+        if self._error is not None:
+            raise self._error
+        return self._buf
+
+    def close(self) -> None:
+        self._closing = True
+        self._todo.release()
+        self._thread.join()
 
 
 def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
@@ -134,8 +193,11 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     feedback(k, y, logw, work) returns z = u(t_k, y) for the positions y and
     log-weights logw at level k; work is the march's _Work.  The growth
     integral accumulates by the left-point rule, and the Philox draws come in
-    the fixed order (initial sample, then one normal vector per step).  y and
-    logw are updated in place, in the operation order of
+    the fixed order (initial sample, then one normal vector per step).  Step
+    k's normals are drawn by a _Noise thread while the feedback and the
+    coefficients of step k run, into an array outside work; once added, that
+    array becomes work.floats[1] and the one it replaces takes step k+1's
+    normals.  y and logw are updated in place, in the operation order of
     y + Phi sqrt(dt) xi + (b + b0) dt; what b and Lambda return is only read.
     """
     if grid.T != problem.T:
@@ -150,28 +212,34 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     if 0 in rows:
         positions[0] = y
     work = _Work(N)
-    noise, incr = work.floats[1], work.floats[2]
     times = grid.times()
     dt = grid.dt
-    scale = problem.Phi * np.sqrt(dt)
     max_abs_z = 0.0
-    for k in range(grid.n_t):
-        t = times[k]
-        z = feedback(k, y, logw, work)
-        max_abs_z = max(max_abs_z, float(np.abs(z, out=noise).max()))
-        # what Lambda and b return is used at once and released before the next
-        # step's feedback and coefficients run
-        logw += np.multiply(problem.Lambda(t, y, z), dt, out=incr)
-        np.add(problem.b(t, y, z), problem.b0, out=incr)
-        incr *= dt
-        rng.standard_normal(out=noise)
-        noise *= scale
-        y += noise
-        y += incr
-        r = rows.get(k + 1)
-        if r is not None:
-            positions[r] = y
-            logw_kept[r] = logw
+    noise = _Noise(rng, problem.Phi * np.sqrt(dt))
+    try:
+        noise.fill(np.empty(N))
+        for k in range(grid.n_t):
+            t = times[k]
+            z = feedback(k, y, logw, work)
+            absz, incr = work.floats[1], work.floats[2]
+            max_abs_z = max(max_abs_z, float(np.abs(z, out=absz).max()))
+            # what Lambda and b return is used at once and released before the
+            # next step's feedback and coefficients run
+            logw += np.multiply(problem.Lambda(t, y, z), dt, out=incr)
+            np.add(problem.b(t, y, z), problem.b0, out=incr)
+            incr *= dt
+            xi = noise.wait()
+            y += xi
+            y += incr
+            work.floats[1] = xi
+            if k + 1 < grid.n_t:
+                noise.fill(absz)
+            r = rows.get(k + 1)
+            if r is not None:
+                positions[r] = y
+                logw_kept[r] = logw
+    finally:
+        noise.close()
     return ParticleEnsemble(grid, kept, positions, logw_kept, seed, max_abs_z)
 
 
@@ -225,7 +293,8 @@ def silverman_bandwidth(positions: np.ndarray, weights: np.ndarray,
 
 def density_estimate(ensemble: ParticleEnsemble, t: float, h: float | None,
                      grid: GridSpec) -> DensityEstimate:
-    """Exact weighted Gaussian KDE (1/N) sum_i e^{L_i} G_h(x - Y_i) on the grid."""
+    """Exact weighted Gaussian KDE (1/N) sum_i e^{L_i} G_h(x - Y_i) on the grid:
+    the oracle of the closure's _binned_kde, which tests hold to it."""
     r = ensemble.row(t)
     y = ensemble.positions[r]
     w = np.exp(ensemble.logw[r])

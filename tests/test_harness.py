@@ -95,7 +95,7 @@ def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
 
 
 def test_cli_rejects_threads_other_than_one(tmp_path):
-    # runs are single-threaded: 1 is the only worker count accepted
+    # the numerics run on one thread: 1 is the only worker count accepted
     path = tmp_path / "heat.cfg"
     path.write_text(HEAT_CFG + f"out = {tmp_path}/out\n")
     for threads in ("0", "2"):
@@ -320,6 +320,12 @@ def test_cli_import_leaves_out_scipy_fft(cli_import_modules):
 def test_cli_import_leaves_out_scipy(cli_import_modules):
     # ndtr is kernel's own numpy series: no run imports scipy at all
     assert not [m for m in cli_import_modules if m.split(".")[0] == "scipy"]
+
+
+def test_cli_import_leaves_out_concurrent_futures(cli_import_modules):
+    # the march's noise thread is a threading.Thread: concurrent.futures
+    # loads logging, about 6.5 ms of every run's set-up
+    assert not [m for m in cli_import_modules if m.split(".")[0] == "concurrent"]
 
 
 def test_field_csv_schema(tmp_path):

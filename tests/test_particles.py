@@ -255,8 +255,9 @@ def test_step_only_reads_what_the_coefficients_return():
 @pytest.mark.parametrize("n_t", [8, 64])
 def test_march_holds_a_fixed_set_of_arrays(n_t):
     # with coefficients and a feedback that make no array, the march's peak
-    # is y, logw, the four work arrays and the kept row of each, whatever the
-    # step count: no step makes an N-sized temporary
+    # is y, logw, the four work arrays, the noise array being filled and the
+    # kept row of each, whatever the step count: no step makes an N-sized
+    # temporary
     import tracemalloc
 
     N = 20_000
@@ -269,7 +270,7 @@ def test_march_holds_a_fixed_set_of_arrays(n_t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * N * 8 <= peak < 8.5 * N * 8
+    assert 9 * N * 8 <= peak < 9.5 * N * 8
 
 
 def test_march_with_burgers_coefficients_holds_one_more_array():
@@ -288,7 +289,68 @@ def test_march_with_burgers_coefficients_holds_one_more_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 8 * N * 8 <= peak < 9.5 * N * 8
+    assert 9 * N * 8 <= peak < 10.5 * N * 8
+
+
+def test_feedback_failure_ends_the_noise_thread():
+    # the helper thread is stopped and joined on every exit of the march, a
+    # failing feedback's included, and the feedback's error reaches the caller
+    import threading
+
+    prob = preset("heat")
+    steps = GridSpec(R=7.0, n_x=2, n_t=8, T=1.0)
+
+    def feedback(k, y, logw, work):
+        if k == 3:
+            raise RuntimeError("feedback failed at step 3")
+        return np.zeros_like(y)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="step 3"):
+        _march(prob, 1000, steps, 3, feedback, [8])
+    assert threading.active_count() == before
+
+
+class _FailingDraws:
+    """A Philox generator whose normal draws into an out array raise after
+    the first `good` of them."""
+
+    def __init__(self, seed, good):
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
+        self._good = good
+
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            if self._good == 0:
+                raise FloatingPointError("draw failed")
+            self._good -= 1
+        return self._rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("good", [0, 5])
+def test_noise_failure_is_raised_in_the_caller(monkeypatch, good):
+    import threading
+
+    import mfklab.particles as particles
+
+    monkeypatch.setattr(particles, "_rng", lambda seed: _FailingDraws(seed, good))
+    prob = preset("heat")
+    steps = GridSpec(R=7.0, n_x=2, n_t=8, T=1.0)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        _march(prob, 1000, steps, 3, lambda k, y, logw, work: np.zeros_like(y), [8])
+    assert threading.active_count() == before
+
+
+def test_one_step_march_is_the_oracle():
+    # with one step, the one fill is started and none after it
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    steps = GridSpec(R=7.0, n_x=2, n_t=1, T=1.0)
+    feedback = lambda k, y, logw, work: np.full_like(y, 0.5)
+    ens = _march(prob, 2000, steps, 4, feedback, [0, 1])
+    positions, logw = _march_every_level(prob, 2000, steps, 4, feedback)
+    assert np.array_equal(ens.positions, positions)
+    assert np.array_equal(ens.logw, logw)
 
 
 def test_preset_zero_coefficient_is_a_read_only_view():
@@ -385,6 +447,23 @@ class TestDensityEstimate:
                 dists.append(float(np.abs(de.values - target).sum() * grid.dx))
             errs.append(np.median(dists))
         assert errs[2] < errs[1] < errs[0]
+
+
+    def test_binned_kde_converges_to_the_exact_kde(self):
+        # density_estimate is the oracle of the closure's _binned_kde: the
+        # linear binning and the cell-averaged kernel each err by O(dx^2),
+        # so every halving of dx cuts the L1 difference about fourfold
+        prob = preset("heat")
+        ens = simulate_frozen(_zero_field(prob), prob, 20_000, 1.0 / 8, 3, [0.5])
+        y, w = ens.positions[0], np.exp(ens.logw[0])
+        diffs = []
+        for n_x in (129, 257, 513):
+            grid = GridSpec(R=8.0, n_x=n_x, n_t=4, T=1.0)
+            exact = density_estimate(ens, 0.5, 0.3, grid).values
+            binned = _binned_kde(y, w, grid, 0.3, ens.N)
+            diffs.append(float(np.abs(binned - exact).sum() * grid.dx))
+        assert diffs[0] >= 3.5 * diffs[1] and diffs[1] >= 3.5 * diffs[2]
+        assert diffs[2] < 1.95e-4
 
 
 class TestSelfConsistent:
