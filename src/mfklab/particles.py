@@ -23,9 +23,9 @@ noise.  A new temporary per operation would instead cost an allocation of N
 doubles, which the allocator returns to the system on release and
 page-faults back in on the next step.
 
-The normal draws, which release the interpreter lock, are about a third of a
-march at N = 1e5; the helper thread (_Noise) makes them beside the feedback
-and the coefficients of the same step.  One generator is drawn in one order
+The normal draws, which release the interpreter lock, are a third to a half
+of a march at N = 1e5; the helper thread (_Noise) makes them beside the
+feedback and the coefficients of the same step.  One generator is drawn in one order
 all the same: the initial sample before the helper starts, and each step's
 normals only after the previous step's are added, so the ensemble is that of
 a serial march bit for bit.

@@ -353,6 +353,38 @@ def test_one_step_march_is_the_oracle():
     assert np.array_equal(ens.logw, logw)
 
 
+def test_concurrent_marches_under_a_short_switch_interval_match_the_oracle():
+    # four marches at once, each with its noise thread, on two or fewer
+    # cores and with the interpreter switching threads every microsecond: a
+    # fill handed over or read out of turn would change some march's rows
+    import threading
+
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    steps = GridSpec(R=7.0, n_x=2, n_t=32, T=1.0)
+    feedback = lambda k, y, logw, work: np.multiply(y, 0.1, out=work.floats[0])
+    results = {}
+
+    def march(seed):
+        results[seed] = _march(prob, 2000, steps, seed, feedback, range(steps.n_t + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=march, args=(seed,)) for seed in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for seed in range(4):
+        positions, logw = _march_every_level(prob, 2000, steps, seed,
+                                             lambda k, y, logw, work: 0.1 * y)
+        assert np.array_equal(results[seed].positions, positions)
+        assert np.array_equal(results[seed].logw, logw)
+
+
 def test_preset_zero_coefficient_is_a_read_only_view():
     zero = preset("heat").b
     z = np.linspace(-1.0, 1.0, 7)
