@@ -55,7 +55,12 @@ these in mind until a change to the benchmark mends them:
   levels (2560 rows), and `harness.write_field_csv` times and counts the
   summary only;
 * child.py digests `*.csv` only, so the digest sets do not cover the `.npy`
-  fields; `max_abs_diff_vs_parent` does.
+  fields; `max_abs_diff_vs_parent` does;
+* NOTES.md still gives burgers-validate "256 slabs, 802 sweeps" and reads
+  `mild.picard_map` calls as sweeps: `mild.solve` now solves each slab by
+  forward substitution and sweeps only from a perturbed start, so on every
+  workload `mild.picard_map` and `mild.sweeps_per_slab` read 0 (the tracer
+  counts slabs through `solve_slab`, which the default path does not call).
 """
 
 from __future__ import annotations

@@ -273,9 +273,10 @@ def run(config: RunConfig) -> int:
         # the coefficients clamp z at z_max; the theory needs the clamp inactive
         checks.append(_check("max |w| within z_max", report.max_abs_w, problem.z_max,
                              report.max_abs_w <= problem.z_max))
-    # the sweeps contract in practice, also where the a priori monitor checks nothing
-    ratio = report.max_contraction_ratio
-    checks.append(_check("max contraction ratio below 1", ratio, 1.0, ratio < 1.0))
+    # the slab fixed points stay in the ball of radius M, where the slab map is certified
+    reach = max(report.max_iterate_per_time_l1, report.max_iterate_sup)
+    checks.append(_check("slab fixed points within the ball of radius M", reach, report.M,
+                         report.ball_ok()))
     particles = []  # one record per ensemble, taken before the next one is built
 
     if config.kind == "validate":

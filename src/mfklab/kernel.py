@@ -33,7 +33,8 @@ Every convolution takes one path, along x only, through numpy.fft at the
 circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
 apply_spectra (or causal_gap_product, for a sweep causal in the level gap)
 transforms the n-node sources, multiplies and transforms back, keeping a
-window that no wrapped-around term reaches.
+window that no wrapped-around term reaches.  mild.causal_slab, the forward
+substitution of a slab, applies the same spectra one source level at a time.
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) 
 
 
 def apply_grad_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
+    """One gradient smoothing of cell means (slope_kernel_weights through
+    apply_spectra).  Only tests call it: the run path applies the drift
+    weights as slab spectra (mild.build_slab_stencils)."""
     return apply_spectra(gap_spectra(slope_kernel_weights(sigma, beta, dx, values.shape[-1])),
                          values)
 
@@ -427,7 +431,8 @@ class KernelModel:
 
         phi is a density object with a cdf or an array of cell averages.
         Satisfies ||result||_L1 <= ||phi||_L1 and ||result||_inf <= C_u
-        ||phi||_inf up to box-truncation tails.
+        ||phi||_inf up to box-truncation tails.  Only tests call it: the run
+        path smooths slab data through the S spectra of mild.prepare_slab.
         """
         if t <= r:
             raise ValueError("need t > r")

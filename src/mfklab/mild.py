@@ -1,6 +1,7 @@
-"""Bounded mild solutions by per-slab fixed-point iteration.
+"""Bounded mild solutions as fixed points of a slab map, glued slab by slab.
 
-On each slab [r, r + tau] the solver iterates the integral map
+On each slab [r, r + tau] the mild solution is the fixed point of the
+integral map
 
     Pi(v)(t, x) = int_r^t int p(s, x0, t, x) Lam^(s, x0) dx0 ds
                 + int_r^t int d_x0 p(s, x0, t, x) b^(s, x0) dx0 ds,
@@ -21,6 +22,14 @@ per level gap.  A sweep transforms its sources along x once, forms the
 product causal in the level gap in frequency space, and transforms back
 once; the circular length 2 n_x keeps every wrapped-around term out of the
 n_x-node output window.
+
+The discrete map is strictly causal in the level gap: level l reads only the
+levels 0..l-1 of its input.  So solve finds each slab's fixed point by
+forward substitution (causal_slab), one level after another with no
+iteration, as for a discrete Volterra convolution equation (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541).  The Jacobi
+iteration of the map (picard_map, solve_slab) solves a slab from a perturbed
+start (a uniqueness check) and is the forward pass's test oracle.
 """
 
 from __future__ import annotations
@@ -28,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (apply_spectra, causal_gap_product, gap_spectra, kernel_for,
                      slope_kernel_weights, smooth_weight_rows, smooth_weights)
-from .problems import ProblemSpec, SmoothTestFunction
+from .problems import ProblemSpec, SmoothTestFunction, apply_generator
 from .quadrature import simpson_weights, trapezoid_weights
 
 
@@ -170,7 +180,15 @@ def prepare_slab(r: float, phi: np.ndarray, grid: GridSpec, stencils: SlabStenci
     u0hat = np.empty((grid.levels_per_slab + 1, grid.n_x))
     u0hat[0] = phi  # t = r uses the identity, never a kernel evaluation
     u0hat[1:] = apply_spectra(stencils.S_hat, phi)
-    return PicardState(r, grid, u0hat, perturb * u0hat, stencils)
+    v = perturb * u0hat if perturb else np.zeros_like(u0hat)
+    return PicardState(r, grid, u0hat, v, stencils)
+
+
+def _terms(stencils: SlabStencils, problem: ProblemSpec):
+    """(gap spectra, coefficient) of each term of the slab map the problem has."""
+    return [(spec, coefficient) for spec, coefficient
+            in ((stencils.A_hat, problem.Lambda), (stencils.B_hat, problem.b))
+            if spec is not None]
 
 
 def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
@@ -183,11 +201,10 @@ def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
     well as a convolution in x: both terms go through one causal product of
     x-spectra and one inverse transform.
     """
-    grid, st = state.grid, state.stencils
+    grid = state.grid
     m = grid.levels_per_slab
     out = np.zeros_like(state.v)
-    kernels = [(spec, coefficient) for spec, coefficient
-               in ((st.A_hat, problem.Lambda), (st.B_hat, problem.b)) if spec is not None]
+    kernels = _terms(state.stencils, problem)
     if not kernels:
         return out
     x = grid.x_nodes()
@@ -225,12 +242,50 @@ def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
     )
 
 
+def causal_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
+                stencils: SlabStencils):
+    """The slab's fixed point by forward substitution, in one pass over its levels.
+
+    Level l of picard_map's output reads levels 0..l-1 of its input only, so
+    the fixed point follows level by level: for l = 1..m, level l - 1's
+    sources, now final, are transformed once and pushed to every later level
+    of one (m, n_x + 1) spectrum accumulator, and level l is one inverse
+    transform of its accumulated row.  It is the point m Jacobi sweeps of
+    picard_map reach from v = 0, up to the order of the sums.  Returns
+    (u_slab, state) as solve_slab does, with no residual history: no sweep
+    runs.
+    """
+    state = prepare_slab(r, phi, grid, stencils)
+    kernels = _terms(stencils, problem)
+    if not kernels:
+        return state.u0hat + state.v, state
+    m, n = grid.levels_per_slab, grid.n_x
+    x = grid.x_nodes()
+    u0hat, v = state.u0hat, state.v
+    acc = np.zeros((m, n + 1), dtype=complex)
+    for ell in range(1, m + 1):
+        w = v[ell - 1] + u0hat[ell - 1]
+        t = r + (ell - 1) * grid.dt
+        for spec, coefficient in kernels:
+            acc[ell - 1:] += spec[: m - ell + 1] * rfft(coefficient(t, x, w) * w, 2 * n)
+        v[ell] = irfft(acc[ell - 1], 2 * n)[n:]
+    state.max_abs_w = float(np.abs(v[:m] + u0hat[:m]).max())
+    return u0hat + v, state
+
+
 @dataclass
 class SolveReport:
-    """Convergence diagnostics of one mild solve (non-convergence raises)."""
+    """Diagnostics of one mild solve (a Picard slab that does not converge raises).
 
-    tol: float
-    residual_histories: list  # per slab, the L1 residual of each sweep
+    The sweep fields (residual_histories, contraction_monitor_ok,
+    max_contraction_ratio) describe Picard sweeps, which run only from a
+    perturbed start: a forward slab (causal_slab) sweeps nothing, so its
+    history is empty, the ratio stays 0 and the monitor finds no violation.
+    The ball fields hold on either path.
+    """
+
+    tol: float  # the Picard stopping threshold over the whole run
+    residual_histories: list  # per slab, the L1 residual of each sweep (none on a forward slab)
     C_u: float
     c_u: float
     M: float
@@ -255,10 +310,12 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
           max_iter: int = 200, perturb_initial: float = 0.0):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
-    The per-slab stopping threshold is tol * tau / T so that tol bounds the
-    accumulated iteration error of the whole run.  perturb_initial != 0 starts
-    every slab from that multiple of u0_hat instead of v = 0 (a uniqueness
-    check, not the default path).
+    Each slab's fixed point is computed exactly, by forward substitution
+    (causal_slab), so tol and max_iter do not enter the default path.
+    perturb_initial != 0 instead iterates the slab map (solve_slab) from that
+    multiple of u0_hat, a uniqueness check: there the per-slab stopping
+    threshold is tol * tau / T, so that tol bounds the accumulated iteration
+    error of the whole run, and max_iter bounds the sweeps of each slab.
     """
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError("grid horizon must match the problem horizon")
@@ -288,8 +345,12 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
     for k in range(N):
         r = times[k * m]
         phi = u[k * m]
-        u_slab, state = solve_slab(r, phi, problem, grid, stencils, tol=tol_slab,
-                                   max_iter=max_iter, perturb=perturb_initial, slab_index=k)
+        if perturb_initial:
+            u_slab, state = solve_slab(r, phi, problem, grid, stencils, tol=tol_slab,
+                                       max_iter=max_iter, perturb=perturb_initial,
+                                       slab_index=k)
+        else:
+            u_slab, state = causal_slab(r, phi, problem, grid, stencils)
         u[k * m : (k + 1) * m + 1] = u_slab
         histories.append(state.residual_history)
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
@@ -361,7 +422,7 @@ def weak_residual(u: Field, phi_test: SmoothTestFunction, t: float, problem: Pro
     k = grid.time_index(t)
     x = grid.x_nodes()
     wx = trapezoid_weights(grid.n_x, grid.dx)
-    gen_phi = 0.5 * problem.Phi**2 * phi_test.d2f(x) + problem.b0 * phi_test.df(x)
+    gen_phi = apply_generator(problem, phi_test, t, x)
 
     lhs = float(np.dot(wx, phi_test.f(x) * u.values[k]))
     rhs = float(np.dot(wx, phi_test.f(x) * problem.u0.pdf(x)))

@@ -67,13 +67,14 @@ def burgers_cell_means(u0, nu: float, t: float, grid: GridSpec) -> np.ndarray:
     nodes, weights = np.polynomial.legendre.leggauss(_CH_ORDER)
     y = (h * (np.arange(-panels, panels)[:, None] + 0.5 * (nodes + 1.0))).ravel()
     wr = np.tile(0.5 * h * weights, 2 * panels) * remainder(y) / (s * math.sqrt(2.0 * math.pi))
-    wr = np.stack((wr, np.abs(wr)), axis=1)  # columns: theta's terms, their magnitudes
+    wr = np.stack((wr, np.abs(wr)))  # rows: theta's terms, their magnitudes
     edges = np.append(grid.x_nodes() - 0.5 * grid.dx, grid.R + 0.5 * grid.dx)
     theta = np.repeat(c + (1.0 - c) * ndtr(-edges / s)[:, None], 2, axis=1)
     for i in range(0, len(edges), _CH_BLOCK):
-        # einsum, not BLAS: the sums must not depend on the BLAS thread count
+        # einsum, not BLAS: the sums must not depend on the BLAS thread count;
+        # both operands summed along their contiguous last axis
         gauss = np.exp(-0.5 * np.square((edges[i : i + _CH_BLOCK, None] - y) / s))
-        theta[i : i + _CH_BLOCK] += np.einsum("ij,jk->ik", gauss, wr)
+        theta[i : i + _CH_BLOCK] += np.einsum("ij,kj->ik", gauss, wr)
     theta, size = theta.T
     slack = np.divide(size, theta, out=np.full_like(theta, np.inf), where=theta > 0)
     # a cell average's rounding: len(y) summed terms, each exp within a few eps of its weight

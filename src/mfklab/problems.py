@@ -200,20 +200,22 @@ def smooth_test_functions() -> list[SmoothTestFunction]:
     return basket
 
 
-def apply_generator(problem: ProblemSpec, phi, t: float, x: float,
-                    h_fd: float = 1e-5) -> float:
-    """Generator L_t phi(x) = (a/2) phi''(x) + b0 phi'(x) at a point x.
+def apply_generator(problem: ProblemSpec, phi, t: float, x, h_fd: float = 1e-5):
+    """Generator L_t phi(x) = (a/2) phi''(x) + b0 phi'(x) at x, a point (giving a
+    float) or an array of points (giving an array).
 
     phi is a SmoothTestFunction (analytic derivatives) or a plain callable, in which
     case a centered stencil of width h_fd supplies the derivatives.
     """
     a, b0 = problem.Phi**2, problem.b0
     if isinstance(phi, SmoothTestFunction):
-        return float(0.5 * a * phi.d2f(x) + b0 * phi.df(x))
-    lo, mid, hi = (float(phi(x + step)) for step in (-h_fd, 0.0, h_fd))
-    d2 = (hi - 2.0 * mid + lo) / h_fd**2
-    d1 = (hi - lo) / (2.0 * h_fd)
-    return float(0.5 * a * d2 + b0 * d1)
+        out = 0.5 * a * phi.d2f(x) + b0 * phi.df(x)
+    else:
+        lo, mid, hi = (np.asarray(phi(x + step), dtype=float) for step in (-h_fd, 0.0, h_fd))
+        d2 = (hi - 2.0 * mid + lo) / h_fd**2
+        d1 = (hi - lo) / (2.0 * h_fd)
+        out = 0.5 * a * d2 + b0 * d1
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def check_constants(problem: ProblemSpec, n_samples: int = 10_000, seed: int = 0) -> dict:

@@ -170,7 +170,7 @@ def test_validate_heat_passes(tmp_path):
     assert lines[0] == "t,l1,linf"
     assert [r.split(",")[0] for r in lines[1:]] == ["%.17g" % (k / 16) for k in range(1, 17)]
     record = _read_record(tmp_path / "run", code)
-    assert [c["name"] for c in record["checks"]] == ["max contraction ratio below 1",
+    assert [c["name"] for c in record["checks"]] == ["slab fixed points within the ball of radius M",
                                                      "worst per-time l1 to reference"]
     # every other file the run wrote, with its digest; the field's shape besides
     artifacts = record["artifacts"]
@@ -183,7 +183,7 @@ def test_validate_heat_passes(tmp_path):
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
     assert record["solve"]["grid"]["n_x"] == 128
     assert abs(record["solve"]["min_rel"]) < 1e-12  # heat: positive up to rounding
-    assert record["solve"]["max_contraction_ratio"] == 0.0  # heat sweeps once per slab
+    assert record["solve"]["max_contraction_ratio"] == 0.0  # no slab sweeps
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -424,19 +424,21 @@ def test_failed_tolerance_gives_nonzero_exit(tmp_path):
     assert [c["passed"] for c in record["checks"]] == [True, False]
 
 
-def test_contraction_ratio_of_one_fails_the_run(tmp_path, monkeypatch):
-    # no shipped grid sweeps without contracting, so the report is doctored
+def test_fixed_point_outside_the_ball_fails_the_run(tmp_path, monkeypatch):
+    # no shipped grid leaves the ball, so the report is doctored
     def solve(*args, **kwargs):
         u, report = mild_solve(*args, **kwargs)
-        report.max_contraction_ratio = 1.0
+        report.max_iterate_sup = 1.5 * report.M
         return u, report
 
     monkeypatch.setattr(harness, "solve", solve)
     code = run(RunConfig.from_text(HEAT_CFG + f"\nout = {tmp_path}/run"))
     assert code == 1
-    check = _read_record(tmp_path / "run", code)["checks"][0]
-    assert check == {"name": "max contraction ratio below 1", "value": 1.0, "tol": 1.0,
-                     "passed": False}
+    record = _read_record(tmp_path / "run", code)
+    assert not record["solve"]["ball_ok"]
+    M = record["solve"]["M"]
+    assert record["checks"][0] == {"name": "slab fixed points within the ball of radius M", "value": 1.5 * M,
+                                   "tol": M, "passed": False}
 
 
 def _burgers_cfg(kind, n_x, n_t, extra):
@@ -468,7 +470,7 @@ def test_engaged_particle_clamp_fails_the_run(tmp_path, capsys):
     assert "max particle |z| within z_max: " in capsys.readouterr().out
     record = _read_record(tmp_path / "clamp", code)
     names = [c["name"] for c in record["checks"]]
-    assert names == ["max |w| within z_max", "max contraction ratio below 1",
+    assert names == ["max |w| within z_max", "slab fixed points within the ball of radius M",
                      "l1 distance to mild at T", "max particle |z| within z_max"]
     check = record["checks"][-1]
     assert check["tol"] == 1.0 and check["value"] > 1.0 and not check["passed"]
@@ -483,11 +485,11 @@ def test_burgers_validate_passes_its_checks_and_writes_its_artifacts(tmp_path):
     path = tmp_path / "t1.cfg"
     path.write_text(_burgers_cfg("validate", 257, 256, f"out = {tmp_path}/t1"))
     assert cli_main(["validate", "--config", str(path), "--threads", "1"]) == 0
-    clamp, contraction, _ = _read_record(tmp_path / "t1", 0)["checks"]
+    clamp, ball, _ = _read_record(tmp_path / "t1", 0)["checks"]
     assert clamp["name"] == "max |w| within z_max"
     assert 0.0 < clamp["value"] <= clamp["tol"]
-    assert contraction["name"] == "max contraction ratio below 1"
-    assert 0.0 < contraction["value"] < 1.0
+    assert ball["name"] == "slab fixed points within the ball of radius M"
+    assert 0.0 < ball["value"] <= ball["tol"] and ball["passed"]
     names = sorted(p.name for p in (tmp_path / "t1").iterdir())
     assert names == ["comparison.csv", "field.csv", "field.npy", "run.json"]
     rows = (tmp_path / "t1" / "comparison.csv").read_text().splitlines()[1:]

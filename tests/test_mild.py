@@ -10,6 +10,7 @@ from mfklab.kernel import apply_mean_smooth, kernel_for
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
+    causal_slab,
     estimate_slab_tau,
     freeze_coefficients,
     picard_map,
@@ -197,9 +198,11 @@ class TestSolve:
         assert report.ball_ok()
         assert report.max_iterate_sup <= report.M
         # two-sweep contraction factor pi C^2 tau is below 1 here, so the
-        # monitored residual recursion must hold
-        assert report.pi_C2_tau < 1.0
-        assert report.contraction_monitor_ok
+        # monitored residual recursion must hold where sweeps run
+        _, picard = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
+        assert picard.pi_C2_tau < 1.0
+        assert picard.contraction_monitor_ok
+        assert min(len(h) for h in picard.residual_histories) >= 3
 
     def test_contraction_monitor_vacuous(self):
         # logistic_fkpp's Lipschitz constants put pi C^2 tau far above 1, where
@@ -211,19 +214,28 @@ class TestSolve:
         assert report.contraction_monitor_ok is None
 
     def test_observed_contraction_on_the_benchmark_grid(self):
-        # successive residuals of every slab shrink by far more than the a
-        # priori pi C^2 tau promises (0.011 measured)
+        # successive Picard residuals of every slab shrink by far more than
+        # the a priori pi C^2 tau (0.78) promises: 0.0154 measured
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        _, report = solve(prob, plan_grid(prob, R=8.0, n_x=512, n_t_min=1024), tol=1e-8)
+        _, report = solve(prob, plan_grid(prob, R=8.0, n_x=512, n_t_min=1024), tol=1e-8,
+                          perturb_initial=0.1)
         ratios = [b / a for h in report.residual_histories
                   for a, b in zip(h, h[1:]) if a > 0.0]
         assert report.max_contraction_ratio == max(ratios)
         assert report.max_contraction_ratio < 0.05
 
     def test_no_contraction_ratio_without_a_second_sweep(self):
+        # a forward slab sweeps nothing, so it records no residual and no ratio
         prob = preset("heat")
-        _, report = solve(prob, _small_grid(prob, n_x=65, n_t=16))
-        assert all(len(h) == 1 for h in report.residual_histories)
+        grid = _small_grid(prob, n_x=65, n_t=16)
+        _, report = solve(prob, grid)
+        assert report.residual_histories == [[] for _ in range(grid.n_slabs)]
+        assert report.max_contraction_ratio == 0.0
+        # heat's slab map is zero: from a perturbed start the first sweep
+        # lands on the fixed point, and the second finds a zero residual
+        _, report = solve(prob, grid, perturb_initial=0.1)
+        assert all(len(h) == 2 and h[0] > 0.0 and h[1] == 0.0
+                   for h in report.residual_histories)
         assert report.max_contraction_ratio == 0.0
 
     def test_min_rel_of_a_heat_field(self):
@@ -361,6 +373,49 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _slab_problem(name):
+    if name == "drift_growth":
+        return _drift_growth_problem("both")
+    return preset(name, nu=1.0, u0_var=0.04) if name == "burgers" else preset(name)
+
+
+@pytest.mark.parametrize("name", ["burgers", "exponential_growth", "logistic_fkpp",
+                                  "drift_growth"])
+@pytest.mark.parametrize("m", [1, 3, 4, 8])
+def test_causal_slab_is_the_fixed_point_of_m_sweeps(name, m):
+    # level l of the slab map reads levels 0..l-1 of its input, so m Jacobi
+    # sweeps from v = 0 reach the exact discrete fixed point; the forward
+    # pass must land there too, on a slab starting at r > 0
+    prob = _slab_problem(name)
+    grid = GridSpec(R=7.0, n_x=65, n_t=5 * m, T=prob.T, n_slabs=5)
+    stencils = build_slab_stencils(prob, grid)
+    r = grid.tau
+    phi = cell_means_from_cdf(prob.u0.cdf, grid)
+    u_slab, forward = causal_slab(r, phi, prob, grid, stencils)
+    state = prepare_slab(r, phi, grid, stencils)
+    for _ in range(m):
+        state.v = picard_map(state, prob)
+    scale = np.abs(state.v).max()
+    assert scale > 0.0
+    assert np.abs(forward.v - state.v).max() <= 1e-13 * scale
+    assert np.array_equal(u_slab, forward.u0hat + forward.v)
+    assert forward.residual_history == []
+    w = state.v + state.u0hat
+    assert forward.max_abs_w == pytest.approx(np.abs(w[:m]).max(), rel=1e-13)
+    # one more sweep returns the forward result: it is the map's fixed point
+    assert np.abs(picard_map(forward, prob) - forward.v).max() <= 1e-14 * scale
+
+
+def test_burgers_field_does_not_depend_on_the_picard_tolerance():
+    # the forward pass solves each slab exactly: tol and max_iter bound only
+    # the Picard iteration (max_iter=1 would stop any Picard slab)
+    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
+    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
+    u1, _ = solve(prob, grid, tol=1e-4)
+    u2, _ = solve(prob, grid, tol=1e-10, max_iter=1)
+    assert u1.values.tobytes() == u2.values.tobytes()
+
+
 def _picard_map_2d(state, problem, A, B):
     """The sweep as one 2-D (level gap, x) convolution per term through
     scipy's fftconvolve, with the slab_weights rows A and B: the oracle of
@@ -386,13 +441,15 @@ def _picard_map_2d(state, problem, A, B):
 
 
 def test_solve_matches_the_2d_convolution_sweep(monkeypatch):
+    # the Picard path, which sweeps picard_map from a perturbed start
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=256)
-    u, report = solve(prob, grid, tol=1e-8)
+    u, report = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
     _, A, B = slab_weights(prob, grid)
     monkeypatch.setattr(mild, "picard_map",
                         lambda state, problem: _picard_map_2d(state, problem, A, B))
-    u_2d, report_2d = solve(prob, grid, tol=1e-8)
+    u_2d, report_2d = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
+    assert min(len(h) for h in report.residual_histories) >= 3
     assert [len(h) for h in report.residual_histories] == \
         [len(h) for h in report_2d.residual_histories]
     assert np.abs(u.values - u_2d.values).max() <= 1e-12 * np.abs(u_2d.values).max()
