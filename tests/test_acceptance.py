@@ -87,10 +87,9 @@ def test_criterion_4_fixed_point_uniqueness(burgers_setup):
 
 
 def test_criterion_5_slab_gluing(burgers_setup):
-    # run both decompositions at the tolerance matching the scheme's
-    # discretization accuracy; slab junctions re-represent near-grid-scale
-    # kernel output, a ~3e-5 floor at 512 nodes that no iteration tolerance
-    # removes (see the README's numerical notes)
+    # bound the gap between decompositions by the scheme's discretization
+    # accuracy; slab junctions re-represent near-grid-scale kernel output, a
+    # ~3e-5 floor at 512 nodes (see the README's numerical notes)
     problem = burgers_setup["problem"]
     grid = burgers_setup["grid"]
     tol = 1e-4
@@ -105,7 +104,7 @@ def test_criterion_5_slab_gluing(burgers_setup):
 def test_criterion_6_ball_preservation(burgers_setup):
     report = burgers_setup["report"]
     ok = report.ball_ok()
-    _criterion(6, "Picard iterates stay in the ball", ok,
+    _criterion(6, "slab fixed points stay in the ball", ok,
                f"max per-time l1 {report.max_iterate_per_time_l1:.3e}, "
                f"max sup {report.max_iterate_sup:.3e}, M {report.M:.3f}")
 

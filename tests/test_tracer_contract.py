@@ -42,15 +42,15 @@ print(json.dumps({"status": status, "layers": tracer.layer_metrics()}))
 """
 
 
-def _traced_validate(tmp_path, preset, R, n_x, n_t, *extra):
-    """Layer metrics of a traced `validate` run of the preset; with extra
-    "picard", the script also solves the preset from a perturbed start."""
+def _traced_validate(tmp_path, preset, R, n_x, n_t, picard=False):
+    """Layer metrics of a traced `validate` run of the preset; with picard,
+    the script also solves the preset from a perturbed start."""
     cfg = tmp_path / f"{preset}.cfg"
     cfg.write_text(f"experiment = validate\nproblem.preset = {preset}\ngrid.R = {R}\n"
                    f"grid.n_x = {n_x}\ngrid.n_t = {n_t}\nout = {tmp_path}/out\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mfklab.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(cfg),
-                           *extra],
+                           *(["picard"] if picard else [])],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -69,6 +69,6 @@ def test_tracer_wraps_live_names(tmp_path):
 
 def test_tracer_traces_the_drift_path(tmp_path):
     # heat has no drift: only a Burgers run reaches the gradient weights
-    layers = _traced_validate(tmp_path, "burgers", 8.0, 128, 16, "picard")
+    layers = _traced_validate(tmp_path, "burgers", 8.0, 128, 16, picard=True)
     assert layers["kernel.slope_kernel_weights.calls"] > 0
     assert layers["mild.picard_map.calls"] > 0
