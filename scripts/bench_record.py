@@ -57,10 +57,10 @@ these in mind until a change to the benchmark mends them:
 * child.py digests `*.csv` only, so the digest sets do not cover the `.npy`
   fields; `max_abs_diff_vs_parent` does;
 * NOTES.md still gives burgers-validate "256 slabs, 802 sweeps" and reads
-  `mild.picard_map` calls as sweeps: `mild.solve` now solves each slab by
-  forward substitution and sweeps only from a perturbed start, so on every
-  workload `mild.picard_map` and `mild.sweeps_per_slab` read 0 (the tracer
-  counts slabs through `solve_slab`, which the default path does not call).
+  `mild.picard_map` calls as sweeps: `mild.solve` solves each slab by
+  forward substitution and calls neither `solve_slab` nor `picard_map`, so
+  on every workload `mild.picard_map` and `mild.sweeps_per_slab` read 0 (the
+  tracer counts slabs through `solve_slab`, which only the tests call).
 """
 
 from __future__ import annotations

@@ -77,6 +77,8 @@ _RUN_KEYS = {
     "grid.R": ("R", float, "8.0", _POSITIVE),
     "grid.n_x": ("n_x", int, "256", (lambda v: v >= 2, "must be at least 2")),
     "grid.n_t": ("n_t", int, "128", _AT_LEAST_1),
+    # sets nothing (each slab is solved exactly), but parsed, checked and
+    # echoed, as configs written for the Picard solver set it
     "solver.tol": ("tol", float, "1e-6", _POSITIVE),
     "particles.N": ("N", int, "10000", _AT_LEAST_1),
     "particles.dt": ("dt", float, "0.00390625", _POSITIVE),
@@ -265,7 +267,7 @@ def run(config: RunConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    u, report = solve(problem, grid, tol=config.tol)
+    u, report = solve(problem, grid)
     written = write_field(out, "field", u)  # file name -> its artifact entry
     checks = []
     coupled = problem.L_b > 0 or problem.L_Lambda > 0

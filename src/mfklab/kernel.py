@@ -31,10 +31,12 @@ imports scipy; problems, particles and oracles take it from here.
 
 Every convolution takes one path, along x only, through numpy.fft at the
 circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
-apply_spectra (or causal_gap_product, for a sweep causal in the level gap)
-transforms the n-node sources, multiplies and transforms back, keeping a
-window that no wrapped-around term reaches.  mild.causal_slab, the forward
-substitution of a slab, applies the same spectra one source level at a time.
+apply_spectra transforms the n-node sources, multiplies and transforms back,
+keeping a window that no wrapped-around term reaches.  mild.causal_slab, the
+forward substitution of a slab, applies the same spectra one source level at
+a time.  causal_gap_product, the whole-slab product causal in the level gap,
+serves only mild.picard_map, the Picard sweep that tests compare the forward
+pass against.
 """
 
 from __future__ import annotations
@@ -287,7 +289,7 @@ def causal_gap_product(terms) -> np.ndarray:
     gap_spectra of shape (m, n + 1); row l of the result is
     sum_j<=l K[l - j] * src[j] over the terms, K[g] the operator of gap
     g + 1, on the n-node window.  One rfft per term, one irfft of the sum,
-    all along x.
+    all along x.  Only mild.picard_map, the Picard oracle, calls it.
     """
     m, n = terms[0][1].shape
     acc = np.zeros((m, n + 1), dtype=complex)

@@ -18,18 +18,17 @@ in the substituted variable w = sqrt(t - s) (uniform Simpson nodes), which
 also removes the 1/sqrt(t - s) kernel-gradient singularity.  Space integrals
 use the exactly integrated Gaussian cell weights from the kernel module.  The
 weights depend on the level gap only, so a slab operator is one x-spectrum
-per level gap.  A sweep transforms its sources along x once, forms the
-product causal in the level gap in frequency space, and transforms back
-once; the circular length 2 n_x keeps every wrapped-around term out of the
-n_x-node output window.
+per level gap, applied at the circular length 2 n_x, which keeps every
+wrapped-around term out of the n_x-node output window.
 
 The discrete map is strictly causal in the level gap: level l reads only the
 levels 0..l-1 of its input.  So solve finds each slab's fixed point by
 forward substitution (causal_slab), one level after another with no
 iteration, as for a discrete Volterra convolution equation (Hairer, Lubich &
 Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541).  The Jacobi
-iteration of the map (picard_map, solve_slab) solves a slab from a perturbed
-start (a uniqueness check) and is the forward pass's test oracle.
+iteration of the map (picard_map, solve_slab) is not on solve's path: it is
+the forward pass's test oracle, and from a perturbed start it checks that
+the fixed point is unique.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ _N_W = 65
 @dataclass
 class SlabStencils:
     """The x-spectra (kernel.gap_spectra) of every kernel weight one slab
-    uses, row g - 1 holding level gap g = 1..m, computed once so that a sweep
-    transforms only its sources.  A_hat and B_hat are built only for the
-    terms the problem has (None otherwise), so picard_map reads which terms
-    to apply from the spectra it holds.
+    uses, row g - 1 holding level gap g = 1..m, computed once so that a slab
+    solve transforms only its sources.  A_hat and B_hat are built only for
+    the terms the problem has (None otherwise), so causal_slab and
+    picard_map read which terms to apply from the spectra they hold.
     """
 
     S_hat: np.ndarray  # smoothing of the slab initial data from r to r + g dt
@@ -252,8 +251,8 @@ def causal_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
     of one (m, n_x + 1) spectrum accumulator, and level l is one inverse
     transform of its accumulated row.  It is the point m Jacobi sweeps of
     picard_map reach from v = 0, up to the order of the sums.  Returns
-    (u_slab, state) as solve_slab does, with no residual history: no sweep
-    runs.
+    (u_slab, state) with u_slab = u0_hat + v on the slab levels; the state's
+    residual history stays empty, as no sweep runs.
     """
     state = prepare_slab(r, phi, grid, stencils)
     kernels = _terms(stencils, problem)
@@ -275,17 +274,8 @@ def causal_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one mild solve (a Picard slab that does not converge raises).
+    """Diagnostics of one mild solve."""
 
-    The sweep fields (residual_histories, contraction_monitor_ok,
-    max_contraction_ratio) describe Picard sweeps, which run only from a
-    perturbed start: a forward slab (causal_slab) sweeps nothing, so its
-    history is empty, the ratio stays 0 and the monitor finds no violation.
-    The ball fields hold on either path.
-    """
-
-    tol: float  # the Picard stopping threshold over the whole run
-    residual_histories: list  # per slab, the L1 residual of each sweep (none on a forward slab)
     C_u: float
     c_u: float
     M: float
@@ -293,8 +283,6 @@ class SolveReport:
     tau_max: float
     contraction_C: float
     pi_C2_tau: float
-    contraction_monitor_ok: bool | None  # None when pi_C2_tau >= 1: nothing to check
-    max_contraction_ratio: float  # largest h[i+1] / h[i] of any slab's residuals, h[i] > 0
     max_iterate_per_time_l1: float
     max_iterate_sup: float
     max_abs_w: float
@@ -306,16 +294,11 @@ class SolveReport:
                 and self.max_iterate_sup <= self.M + 1e-12)
 
 
-def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
-          max_iter: int = 200, perturb_initial: float = 0.0):
+def solve(problem: ProblemSpec, grid: GridSpec):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
     Each slab's fixed point is computed exactly, by forward substitution
-    (causal_slab), so tol and max_iter do not enter the default path.
-    perturb_initial != 0 instead iterates the slab map (solve_slab) from that
-    multiple of u0_hat, a uniqueness check: there the per-slab stopping
-    threshold is tol * tau / T, so that tol bounds the accumulated iteration
-    error of the whole run, and max_iter bounds the sweeps of each slab.
+    (causal_slab), and its terminal level starts the next slab.
     """
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError("grid horizon must match the problem horizon")
@@ -326,50 +309,29 @@ def solve(problem: ProblemSpec, grid: GridSpec, tol: float = 1e-6,
         raise ValueError(f"slab width tau={grid.tau:.6g} exceeds tau_max={tau_max:.6g}")
 
     N, m = grid.n_slabs, grid.levels_per_slab
-    tol_slab = tol * grid.tau / grid.T
     times = grid.times()
     u = np.empty((grid.n_t + 1, grid.n_x))
     u[0] = cell_means_from_cdf(problem.u0.cdf, grid)
 
     stencils = build_slab_stencils(problem, grid)
-    histories = []
     max_l1 = 0.0
     max_sup = 0.0
     max_abs_w = 0.0
-    max_ratio = 0.0  # stays 0 when no slab has two sweeps after a nonzero residual
     C = contraction_constant(problem, M, grid.tau)
-    rho2 = float(np.pi * C * C * grid.tau)
-    # the two-sweep residual recursion only bounds anything when rho2 < 1
-    monitor_ok = True if rho2 < 1.0 else None
 
     for k in range(N):
-        r = times[k * m]
-        phi = u[k * m]
-        if perturb_initial:
-            u_slab, state = solve_slab(r, phi, problem, grid, stencils, tol=tol_slab,
-                                       max_iter=max_iter, perturb=perturb_initial,
-                                       slab_index=k)
-        else:
-            u_slab, state = causal_slab(r, phi, problem, grid, stencils)
+        u_slab, state = causal_slab(times[k * m], u[k * m], problem, grid, stencils)
         u[k * m : (k + 1) * m + 1] = u_slab
-        histories.append(state.residual_history)
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
         max_l1 = max(max_l1, per_time_l1)
         max_sup = max(max_sup, float(np.abs(state.v).max()))
         max_abs_w = max(max_abs_w, state.max_abs_w)
-        h = state.residual_history
-        max_ratio = max([max_ratio] + [b / a for a, b in zip(h, h[1:]) if a > 0.0])
-        if rho2 < 1.0:
-            for i in range(len(h) - 2):
-                if h[i + 2] > rho2 * max(h[: i + 1]) * (1.0 + 1e-9):
-                    monitor_ok = False
 
     lo, hi = float(u.min()), float(u.max())  # no |u| temporary: u is the whole field
     peak = max(hi, -lo)
     report = SolveReport(
-        tol=tol, residual_histories=histories, C_u=kernel.C_u, c_u=kernel.c_u, M=M,
-        tau=grid.tau, tau_max=float(tau_max), contraction_C=float(C),
-        pi_C2_tau=rho2, contraction_monitor_ok=monitor_ok, max_contraction_ratio=float(max_ratio),
+        C_u=kernel.C_u, c_u=kernel.c_u, M=M, tau=grid.tau, tau_max=float(tau_max),
+        contraction_C=float(C), pi_C2_tau=float(np.pi * C * C * grid.tau),
         max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
         max_abs_w=max_abs_w, min_rel=lo / peak if peak > 0 else 0.0, grid=grid,
     )
@@ -389,7 +351,7 @@ def freeze_coefficients(problem: ProblemSpec, u: Field):
 
 
 def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.ndarray,
-                     grid: GridSpec, tol: float = 1e-6, max_iter: int = 200) -> Field:
+                     grid: GridSpec) -> Field:
     """Measure-mild solution of the frozen-coefficient linear equation.
 
     b_hat and Lambda_hat are bounded fields on the grid levels; the fixed
@@ -407,7 +369,7 @@ def solve_linearized(problem: ProblemSpec, b_hat: np.ndarray, Lambda_hat: np.nda
         M_b=float(np.abs(b_hat).max()), M_Lambda=float(np.abs(Lambda_hat).max()),
         L_b=0.0, L_Lambda=0.0, z_max=float("inf"),
     )
-    field_out, _ = solve(frozen, grid, tol=tol, max_iter=max_iter)
+    field_out, _ = solve(frozen, grid)
     return field_out
 
 

@@ -15,7 +15,7 @@ def burgers_setup():
     import time
 
     t0 = time.perf_counter()
-    u, report = solve(problem, grid, tol=ACCEPTANCE_TOL)
+    u, report = solve(problem, grid)
     wall = time.perf_counter() - t0
     return {"problem": problem, "grid": grid, "u": u,
             "report": report, "wall": wall, "tol": ACCEPTANCE_TOL}

@@ -25,6 +25,8 @@ from mfklab.particles import simulate_frozen, solve_selfconsistent, weighted_fun
 from mfklab.problems import preset, smooth_test_functions
 from mfklab.quadrature import beta_half_half_quad, trapezoid_weights
 
+from _picard import picard_solve
+
 
 def _criterion(num, name, ok, detail):
     print(f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
@@ -35,7 +37,7 @@ def test_criterion_1_heat_exactness():
     problem = preset("heat", nu=1.0, u0_var=0.04)
     grid = GridSpec(R=7.0, n_x=512, n_t=64, T=1.0)
     t0 = time.perf_counter()
-    u, _ = solve(problem, grid, tol=1e-8)
+    u, _ = solve(problem, grid)
     wall = time.perf_counter() - t0
     x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
@@ -54,7 +56,7 @@ def test_criterion_2_mass_laws(burgers_setup):
 
     growth = preset("exponential_growth", lam=0.5, nu=1.0, u0_var=0.04)
     ggrid = plan_grid(growth, R=7.0, n_x=512, n_t_min=512, min_slabs=8)
-    ug, _ = solve(growth, ggrid, tol=1e-8)
+    ug, _ = solve(growth, ggrid)
     err_growth = abs(ug.mass(ggrid.n_t) - math.exp(0.5))
     _criterion(2, "mass laws", worst_cons <= 1e-3 and err_growth <= 1e-3,
                f"|mass-1| {worst_cons:.2e} <= 1e-3 (Lambda=0), "
@@ -80,7 +82,7 @@ def test_criterion_3_burgers_cross_validation(burgers_setup, burgers_reference):
 def test_criterion_4_fixed_point_uniqueness(burgers_setup):
     problem, grid = burgers_setup["problem"], burgers_setup["grid"]
     tol = burgers_setup["tol"]
-    u2, _ = solve(problem, grid, tol=tol, perturb_initial=0.1)
+    u2, _ = picard_solve(problem, grid, tol, perturb=0.1)
     dist = slab_l1(burgers_setup["u"].values - u2.values, grid.dx, grid.dt)
     _criterion(4, "Picard uniqueness under perturbed start", dist <= 2 * tol,
                f"l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")
@@ -94,8 +96,8 @@ def test_criterion_5_slab_gluing(burgers_setup):
     grid = burgers_setup["grid"]
     tol = 1e-4
     g_half = GridSpec(R=grid.R, n_x=grid.n_x, n_t=grid.n_t, T=grid.T, n_slabs=2 * grid.n_slabs)
-    u1, _ = solve(problem, grid, tol=tol)
-    u2, _ = solve(problem, g_half, tol=tol)
+    u1, _ = solve(problem, grid)
+    u2, _ = solve(problem, g_half)
     dist = slab_l1(u1.values - u2.values, grid.dx, grid.dt)
     _criterion(5, "slab widths tau vs tau/2 agree", dist <= 2 * tol,
                f"global l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")
@@ -162,7 +164,7 @@ def test_criterion_9_linearized_uniqueness(burgers_setup):
     problem, grid, u = (burgers_setup[k] for k in ("problem", "grid", "u"))
     tol = burgers_setup["tol"]
     b_hat, lam_hat = freeze_coefficients(problem, u)
-    lin = solve_linearized(problem, b_hat, lam_hat, grid, tol=tol)
+    lin = solve_linearized(problem, b_hat, lam_hat, grid)
     dist = slab_l1(u.values - lin.values, grid.dx, grid.dt)
     _criterion(9, "linearized solve reproduces the frozen solution",
                dist <= 2 * tol, f"global l1 {dist:.2e} <= 2 tol = {2 * tol:.1e}")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ from mfklab.harness import (
     write_field,
     write_field_csv,
 )
+from mfklab.mild import SolveReport
 from mfklab.mild import solve as mild_solve
 
 HEAT_CFG = """
@@ -35,7 +37,6 @@ problem.u0_var = 0.04
 grid.R = 7.0
 grid.n_x = 128
 grid.n_t = 16
-solver.tol = 1e-8
 compare.l1 = 1e-2
 """
 
@@ -183,7 +184,11 @@ def test_validate_heat_passes(tmp_path):
     assert record["solve"]["tau"] <= record["solve"]["tau_max"]
     assert record["solve"]["grid"]["n_x"] == 128
     assert abs(record["solve"]["min_rel"]) < 1e-12  # heat: positive up to rounding
-    assert record["solve"]["max_contraction_ratio"] == 0.0  # no slab sweeps
+    # the report's fields and its ball verdict, and nothing else; no field of
+    # the Picard sweeps, which solve does not run, comes back into either
+    assert set(record["solve"]) == {f.name for f in dataclasses.fields(SolveReport)} | {"ball_ok"}
+    assert not {"tol", "residual_histories", "contraction_monitor_ok",
+                "max_contraction_ratio"} & set(record["solve"])
 
 
 def test_runs_are_byte_identical(tmp_path):
@@ -443,8 +448,7 @@ def test_fixed_point_outside_the_ball_fails_the_run(tmp_path, monkeypatch):
 
 def _burgers_cfg(kind, n_x, n_t, extra):
     return (f"experiment = {kind}\nproblem.preset = burgers\nproblem.nu = 1.0\n"
-            f"problem.u0_var = 0.04\ngrid.R = 8.0\ngrid.n_x = {n_x}\ngrid.n_t = {n_t}\n"
-            f"solver.tol = 1e-8\n{extra}\n")
+            f"problem.u0_var = 0.04\ngrid.R = 8.0\ngrid.n_x = {n_x}\ngrid.n_t = {n_t}\n{extra}\n")
 
 
 def test_engaged_clamp_fails_the_run(tmp_path, capsys):
@@ -494,3 +498,16 @@ def test_burgers_validate_passes_its_checks_and_writes_its_artifacts(tmp_path):
     assert names == ["comparison.csv", "field.csv", "field.npy", "run.json"]
     rows = (tmp_path / "t1" / "comparison.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["0.25", "0.5", "1"]
+
+
+def test_burgers_validate_does_not_depend_on_solver_tol(tmp_path):
+    # solver.tol still parses, but the forward slab solve sets nothing by it
+    codes = []
+    for tol in ("1e-4", "1e-10"):
+        cfg = RunConfig.from_text(_burgers_cfg("validate", 128, 64,
+                                               f"solver.tol = {tol}\nout = {tmp_path}/{tol}"))
+        assert cfg.tol == float(tol)
+        codes.append(run(cfg))
+    assert codes[0] == codes[1]
+    for name in ("field.npy", "comparison.csv"):
+        assert (tmp_path / "1e-4" / name).read_bytes() == (tmp_path / "1e-10" / name).read_bytes()

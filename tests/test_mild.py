@@ -26,6 +26,8 @@ from mfklab.oracles import exact_cell_means, heat_oracle
 from mfklab.problems import GaussianDensity, ProblemSpec, preset, smooth_test_functions
 from mfklab.quadrature import trapezoid_weights
 
+from _picard import monitor_ok, picard_solve
+
 
 class TestSlabTau:
     def test_mixed_constants_bisection(self):
@@ -150,7 +152,7 @@ class TestSolve:
     def test_heat_matches_oracle(self):
         prob = preset("heat", nu=1.0, u0_var=0.04)
         grid = _small_grid(prob, n_x=257, n_t=32)
-        u, _ = solve(prob, grid, tol=1e-8)
+        u, _ = solve(prob, grid)
         x = grid.x_nodes()
         for k in (1, grid.n_t // 2, grid.n_t):
             t = grid.times()[k]
@@ -187,56 +189,51 @@ class TestSolve:
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         tol = 1e-9
-        u1, _ = solve(prob, grid, tol=tol)
-        u2, _ = solve(prob, grid, tol=tol, perturb_initial=0.1)
+        u1, _ = solve(prob, grid)
+        u2, _ = picard_solve(prob, grid, tol, perturb=0.1)
         assert slab_l1(u1.values - u2.values, grid.dx, grid.dt) <= 2 * tol
 
     def test_ball_preserved(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
-        _, report = solve(prob, grid, tol=1e-8)
+        _, report = solve(prob, grid)
         assert report.ball_ok()
         assert report.max_iterate_sup <= report.M
         # two-sweep contraction factor pi C^2 tau is below 1 here, so the
         # monitored residual recursion must hold where sweeps run
-        _, picard = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
-        assert picard.pi_C2_tau < 1.0
-        assert picard.contraction_monitor_ok
-        assert min(len(h) for h in picard.residual_histories) >= 3
+        _, states = picard_solve(prob, grid, 1e-8, perturb=0.1)
+        histories = [state.residual_history for state in states]
+        assert report.pi_C2_tau < 1.0
+        assert monitor_ok(histories, report.pi_C2_tau)
+        assert min(len(h) for h in histories) >= 3
 
     def test_contraction_monitor_vacuous(self):
         # logistic_fkpp's Lipschitz constants put pi C^2 tau far above 1, where
-        # the residual recursion bounds nothing: the monitor reports None
+        # the residual recursion bounds nothing
         prob = preset("logistic_fkpp")
         grid = _small_grid(prob, n_x=65, n_t=16)
         _, report = solve(prob, grid)
         assert report.pi_C2_tau >= 1.0
-        assert report.contraction_monitor_ok is None
 
     def test_observed_contraction_on_the_benchmark_grid(self):
         # successive Picard residuals of every slab shrink by far more than
         # the a priori pi C^2 tau (0.78) promises: 0.0154 measured
         prob = preset("burgers", nu=1.0, u0_var=0.04)
-        _, report = solve(prob, plan_grid(prob, R=8.0, n_x=512, n_t_min=1024), tol=1e-8,
-                          perturb_initial=0.1)
-        ratios = [b / a for h in report.residual_histories
-                  for a, b in zip(h, h[1:]) if a > 0.0]
-        assert report.max_contraction_ratio == max(ratios)
-        assert report.max_contraction_ratio < 0.05
+        _, states = picard_solve(prob, plan_grid(prob, R=8.0, n_x=512, n_t_min=1024), 1e-8,
+                                 perturb=0.1)
+        ratios = [b / a for state in states
+                  for a, b in zip(state.residual_history, state.residual_history[1:]) if a > 0.0]
+        assert max(ratios) < 0.05
 
     def test_no_contraction_ratio_without_a_second_sweep(self):
-        # a forward slab sweeps nothing, so it records no residual and no ratio
+        # heat's slab map is zero: from a perturbed start the first sweep
+        # lands on the fixed point, and the second finds a zero residual, so
+        # no slab has a ratio of successive nonzero residuals
         prob = preset("heat")
         grid = _small_grid(prob, n_x=65, n_t=16)
-        _, report = solve(prob, grid)
-        assert report.residual_histories == [[] for _ in range(grid.n_slabs)]
-        assert report.max_contraction_ratio == 0.0
-        # heat's slab map is zero: from a perturbed start the first sweep
-        # lands on the fixed point, and the second finds a zero residual
-        _, report = solve(prob, grid, perturb_initial=0.1)
-        assert all(len(h) == 2 and h[0] > 0.0 and h[1] == 0.0
-                   for h in report.residual_histories)
-        assert report.max_contraction_ratio == 0.0
+        _, states = picard_solve(prob, grid, 1e-6, perturb=0.1)
+        assert all(len(state.residual_history) == 2 and state.residual_history[0] > 0.0
+                   and state.residual_history[1] == 0.0 for state in states)
 
     def test_min_rel_of_a_heat_field(self):
         # the heat field is positive up to rounding; min_rel reports its sign
@@ -250,8 +247,8 @@ class TestSolve:
         tol = 1e-4
         g1 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         g2 = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=128)
-        u1, _ = solve(prob, g1, tol=tol)
-        u2, _ = solve(prob, g2, tol=tol)
+        u1, _ = solve(prob, g1)
+        u2, _ = solve(prob, g2)
         assert slab_l1(u1.values - u2.values, g1.dx, g1.dt) <= 2 * tol
 
 
@@ -270,7 +267,7 @@ class TestSolveLinearized:
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.5, n_slabs=2)
         zeros = np.zeros((grid.n_t + 1, grid.n_x))
         lam_field = np.full_like(zeros, lam)
-        out = solve_linearized(prob, zeros, lam_field, grid, tol=1e-10)
+        out = solve_linearized(prob, zeros, lam_field, grid)
         x = grid.x_nodes()
         for k in (grid.n_t // 2, grid.n_t):
             t = grid.times()[k]
@@ -282,9 +279,9 @@ class TestSolveLinearized:
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
         tol = 1e-9
-        u, _ = solve(prob, grid, tol=tol)
+        u, _ = solve(prob, grid)
         b_hat, lam_hat = freeze_coefficients(prob, u)
-        lin = solve_linearized(prob, b_hat, lam_hat, grid, tol=tol)
+        lin = solve_linearized(prob, b_hat, lam_hat, grid)
         assert slab_l1(u.values - lin.values, grid.dx, grid.dt) <= 2 * tol
 
 
@@ -406,16 +403,6 @@ def test_causal_slab_is_the_fixed_point_of_m_sweeps(name, m):
     assert np.abs(picard_map(forward, prob) - forward.v).max() <= 1e-14 * scale
 
 
-def test_burgers_field_does_not_depend_on_the_picard_tolerance():
-    # the forward pass solves each slab exactly: tol and max_iter bound only
-    # the Picard iteration (max_iter=1 would stop any Picard slab)
-    prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
-    grid = GridSpec(R=7.0, n_x=257, n_t=512, T=0.25, n_slabs=64)
-    u1, _ = solve(prob, grid, tol=1e-4)
-    u2, _ = solve(prob, grid, tol=1e-10, max_iter=1)
-    assert u1.values.tobytes() == u2.values.tobytes()
-
-
 def _picard_map_2d(state, problem, A, B):
     """The sweep as one 2-D (level gap, x) convolution per term through
     scipy's fftconvolve, with the slab_weights rows A and B: the oracle of
@@ -441,19 +428,20 @@ def _picard_map_2d(state, problem, A, B):
 
 
 def test_solve_matches_the_2d_convolution_sweep(monkeypatch):
-    # the Picard path, which sweeps picard_map from a perturbed start
+    # Picard sweeps of picard_map from a perturbed start, glued over the run
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=256)
-    u, report = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
+    u, states = picard_solve(prob, grid, 1e-8, perturb=0.1)
     _, A, B = slab_weights(prob, grid)
     monkeypatch.setattr(mild, "picard_map",
                         lambda state, problem: _picard_map_2d(state, problem, A, B))
-    u_2d, report_2d = solve(prob, grid, tol=1e-8, perturb_initial=0.1)
-    assert min(len(h) for h in report.residual_histories) >= 3
-    assert [len(h) for h in report.residual_histories] == \
-        [len(h) for h in report_2d.residual_histories]
+    u_2d, states_2d = picard_solve(prob, grid, 1e-8, perturb=0.1)
+    sweeps = [len(state.residual_history) for state in states]
+    assert min(sweeps) >= 3
+    assert sweeps == [len(state.residual_history) for state in states_2d]
     assert np.abs(u.values - u_2d.values).max() <= 1e-12 * np.abs(u_2d.values).max()
-    assert report.max_abs_w == pytest.approx(report_2d.max_abs_w, rel=1e-12)
+    assert max(state.max_abs_w for state in states) == \
+        pytest.approx(max(state.max_abs_w for state in states_2d), rel=1e-12)
 
 
 def test_field_lookup_conventions():
@@ -512,7 +500,7 @@ def test_burgers_mild_matches_closed_form_oracle():
 
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.5)
     grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512)
-    u, _ = solve(prob, grid, tol=1e-8)
+    u, _ = solve(prob, grid)
     w = trapezoid_weights(grid.n_x, grid.dx)
     for t in (0.25, 0.5):
         k = grid.time_index(t)
@@ -530,7 +518,7 @@ def test_heat_error_grows_with_the_slab_count():
     bounds = {1: 1.1e-5, 4: 4.4e-5, 16: 1.75e-4, 64: 7.0e-4, 256: 2.8e-3}
     for n_slabs, bound in bounds.items():
         grid = GridSpec(R=8.0, n_x=129, n_t=256, T=1.0, n_slabs=n_slabs)
-        u, _ = solve(prob, grid, tol=1e-10)
+        u, _ = solve(prob, grid)
         exact = exact_cell_means(prob, grid, [grid.n_t])[0]
         l1 = float(np.dot(trapezoid_weights(grid.n_x, grid.dx), np.abs(u.values[-1] - exact)))
         assert l1 <= bound, (n_slabs, l1)
@@ -543,7 +531,7 @@ def test_base_drift_shifts_the_heat_solution():
                        GaussianDensity(0.0, 0.04), M_b=0.0, M_Lambda=0.0,
                        L_b=0.0, L_Lambda=0.0, z_max=3.0, b0=0.5)
     grid = plan_grid(prob, R=8.0, n_x=512, n_t_min=32)
-    u, _ = solve(prob, grid, tol=1e-8)
+    u, _ = solve(prob, grid)
     x = grid.x_nodes()
     w = trapezoid_weights(grid.n_x, grid.dx)
     for k, t in enumerate(grid.times()):

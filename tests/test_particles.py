@@ -62,7 +62,7 @@ def test_initial_drift_functional_matches_quadrature():
     # ensemble mean of b(0, Y0, u(0, Y0)) against the density-weighted integral
     prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
     grid = plan_grid(prob, R=7.0, n_x=513, n_t_min=256)
-    u, _ = solve(prob, grid, tol=1e-8)
+    u, _ = solve(prob, grid)
     N = 200_000
     ens = simulate_frozen(u, prob, N, 1.0 / 256, 9, [0.0])
     y0 = ens.positions[0]
@@ -519,7 +519,7 @@ class TestSelfConsistent:
     def test_burgers_tracks_mild_solution(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.5)
         grid = plan_grid(prob, R=7.0, n_x=257, n_t_min=512)
-        u, _ = solve(prob, grid, tol=1e-7)
+        u, _ = solve(prob, grid)
         _, rec = solve_selfconsistent(prob, 50_000, 1.0 / 128, 17, grid)
         w = trapezoid_weights(grid.n_x, grid.dx)
         dist = float(np.dot(w, np.abs(rec.values[-1] - u.values[-1])))

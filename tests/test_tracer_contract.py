@@ -32,19 +32,21 @@ from mfklab.problems import GaussianDensity
 oracles.burgers_fd_reference(GaussianDensity(0.0, 0.04), 1.0, GridSpec(8.0, 64, 4, 0.25), refine=2)
 config = harness.RunConfig.from_file(sys.argv[2])
 status = harness.run(config)
-if sys.argv[3:] == ["picard"]:  # the Picard path runs only from a perturbed start
+if sys.argv[3:] == ["picard"]:  # mild.solve never sweeps: one Picard slab, perturbed
     from mfklab import mild
+    from mfklab.grids import cell_means_from_cdf
     from mfklab.problems import preset
     problem = preset(config.preset_name, **config.problem_params)
-    mild.solve(problem, mild.plan_grid(problem, config.R, config.n_x, config.n_t),
-               perturb_initial=0.1)
+    grid = mild.plan_grid(problem, config.R, config.n_x, config.n_t)
+    mild.solve_slab(0.0, cell_means_from_cdf(problem.u0.cdf, grid), problem, grid,
+                    mild.build_slab_stencils(problem, grid), perturb=0.1)
 print(json.dumps({"status": status, "layers": tracer.layer_metrics()}))
 """
 
 
 def _traced_validate(tmp_path, preset, R, n_x, n_t, picard=False):
     """Layer metrics of a traced `validate` run of the preset; with picard,
-    the script also solves the preset from a perturbed start."""
+    the script also iterates the preset's first slab from a perturbed start."""
     cfg = tmp_path / f"{preset}.cfg"
     cfg.write_text(f"experiment = validate\nproblem.preset = {preset}\ngrid.R = {R}\n"
                    f"grid.n_x = {n_x}\ngrid.n_t = {n_t}\nout = {tmp_path}/out\n")
