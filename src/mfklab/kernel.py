@@ -11,20 +11,23 @@ normalized Gaussian of variance (t-s)/(2 c_u), checks normalization
 and the Chapman-Kolmogorov composition, and provides the exactly integrated
 cell-weight operators used by the grid solver:
 
-* mean smoothing  -- maps source cell averages to target cell averages of
-  int p(s, x0, t, x) f(x0) dx0, exact when f is piecewise constant on cells;
-* gradient smoothing -- target cell averages of int d_x0 p(s, x0, t, x) f(x0)
-  dx0, computed by parts against the piecewise-linear interpolant of f, exact
-  for that interpolant.  Both stay well-conditioned as t - s -> 0, where the
-  first tends to the identity and the second to a centered difference.
+* smoothing (smooth_weights) -- maps source cell averages to target cell
+  averages of int p(s, x0, t, x) f(x0) dx0, exact for the piecewise-linear
+  reconstruction of f with central slopes;
+* gradient smoothing (slope_kernel_weights) -- target cell averages of
+  int d_x0 p(s, x0, t, x) f(x0) dx0, computed by parts against the
+  piecewise-linear interpolant of f, exact for that interpolant.  Both stay
+  well-conditioned as t - s -> 0, where the first tends to the identity and
+  the second to a centered difference.
 
 Both are value stencils: 2n - 1 weights over the offsets of n cell means.
 The gradient weights fold the interpolant's slope difference in, as the
 smoothing weights fold in their slope correction, so no operator reads a
-slope array.  Every weight is a difference of normal-CDF antiderivatives on
-a lattice of offsets; each builder evaluates the CDF and the pdf once per
-lattice point, on the tail side, and takes all its differences from those
-values.
+slope array.  The slab solver smooths its data (mild.prepare_slab) and
+integrates its sources with these two builders only.  Every weight is a
+difference of normal-CDF antiderivatives on a lattice of offsets; each
+builder evaluates the CDF and the pdf once per lattice point, on the tail
+side, and takes all its differences from those values.
 
 The normal CDF, ndtr, is this module's own numpy erfc series, so no run
 imports scipy; problems, particles and oracles take it from here.
@@ -43,8 +46,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.fft import irfft, rfft
-
-from .grids import GridSpec, cell_means_from_cdf
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
@@ -146,7 +147,9 @@ def _tail_antiderivatives(p, sigma):
 
 def _second_difference(p, J):
     """F(c) = J(c + dx) - 2 J(c) + J(c - dx) at the inner points c = p[..., 1:-1]
-    of a lattice p of step dx, from the tail values J of _tail_antiderivatives.
+    of a lattice p of step dx, from the tail values J of _tail_antiderivatives:
+    the Gaussian CDF integrated over a width-dx target cell and a width-dx
+    source cell at center offset c, so F / dx is the plain cell-mean weight.
 
     F is even, so for c >= 0 it is the second difference of J(-p) = J + max(-p, 0),
     and for c < 0 that of J(p) = J + max(p, 0): each side's large linear part
@@ -159,35 +162,9 @@ def _second_difference(p, J):
                     d2(J + np.maximum(p, 0.0)))
 
 
-def _triangle_smoothed(p, sigma):
-    """F(c) = J(c + dx) - 2 J(c) + J(c - dx), J(z) = int_{-inf}^z Phi(y / sigma) dy,
-    at the inner points of the lattice p of step dx: the Gaussian CDF
-    integrated over a width-dx target cell and a width-dx source cell at
-    center offset c."""
-    return _second_difference(p, _tail_antiderivatives(p, sigma)[0])
-
-
 def _lattice(lo: int, hi: int, shift: float, dx: float, beta):
     """Offsets (m + shift) dx - beta for m in [lo, hi), one row per beta."""
     return (np.arange(lo, hi) + shift) * dx - np.asarray(beta, dtype=float)[..., None]
-
-
-def mean_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
-    """Cell-average-to-cell-average convolution weights, offsets m = i - j.
-
-    Laid out as w[m + n - 1] for m in [-(n-1), n-1]; rows and columns sum to 1
-    up to Gaussian tail mass outside the lattice.  Exact for sources that are
-    piecewise constant on cells.
-    """
-    p = _lattice(-n, n + 1, 0.0, dx, beta)
-    return _cell_mean_weights(p, _tail_antiderivatives(p, sigma)[0], dx)
-
-
-def _cell_mean_weights(p, J, dx: float) -> np.ndarray:
-    """mean_weights at the inner points of the lattice p = m dx - beta,
-    m in [-n, n], from its tail values J (_tail_antiderivatives); shared with
-    smooth_weight_rows, which reuses the J of its wider lattice."""
-    return _second_difference(p, J) / dx
 
 
 def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
@@ -199,7 +176,7 @@ def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
     # weights read m in [-n, n] and the slope fold one point more on each side
     p = _lattice(-n - 1, n + 2, 0.0, dx, beta)
     J, J3 = _tail_antiderivatives(p, sigma)
-    base = _cell_mean_weights(p[..., 1:-1], J[..., 1:-1], dx)
+    base = _second_difference(p[..., 1:-1], J[..., 1:-1]) / dx
     # K1int is the c-antiderivative of K1(c) = int_{-h}^{h} G(c - z) z dz, the
     # response of the kernel to the in-cell linear part of the source, at the
     # midpoints c = p + h: -h (J(c - h) + J(c + h)) + J3(c + h) - J3(c - h).
@@ -221,7 +198,8 @@ def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
 
 
 def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
-    """Slope-corrected smoothing weights (same layout as mean_weights).
+    """Slope-corrected smoothing weights, laid out as w[m + n - 1] for the
+    offsets m = i - j in [-(n-1), n-1] of target cell i and source cell j.
 
     Cell averages alone lose the in-cell linear variation of the source,
     leaving an O(dx^2/12) first-moment error that compounds across chained
@@ -234,7 +212,7 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
 
 
 def slope_kernel_weights(sigma, beta, dx: float, n: int) -> np.ndarray:
-    """Gradient-kernel weights on cell means (same layout as mean_weights).
+    """Gradient-kernel weights on cell means (the layout of smooth_weights).
 
     By parts, output cell i is sum_k s_k b[i - k] over the staggered slopes
     s_k = (f_k - f_{k-1}) / dx of the zero-extended field, with
@@ -245,7 +223,8 @@ def slope_kernel_weights(sigma, beta, dx: float, n: int) -> np.ndarray:
     of one shape (k,), giving (k, 2n - 1) rows.
     """
     sigma = np.asarray(sigma, dtype=float)[..., None]
-    F = _triangle_smoothed(_lattice(-n - 1, n + 1, 0.5, dx, beta), sigma)
+    p = _lattice(-n - 1, n + 1, 0.5, dx, beta)
+    F = _second_difference(p, _tail_antiderivatives(p, sigma)[0])
     return -np.diff(F, axis=-1) / (dx * dx)
 
 
@@ -301,6 +280,7 @@ def causal_gap_product(terms) -> np.ndarray:
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:
+    """One smoothing of cell means (smooth_weights); only tests and the tracer call it."""
     return apply_spectra(gap_spectra(smooth_weights(sigma, beta, dx, values.shape[-1])), values)
 
 
@@ -413,7 +393,7 @@ class KernelModel:
             worst_g = max(worst_g, g * np.sqrt(t - s) / (self.C_u * q))
         return worst_p, worst_g
 
-    # -- composition and smoothing --------------------------------------------
+    # -- composition ----------------------------------------------------------
 
     def chapman_kolmogorov_residual(self, s, t, r, x0, y, quad_nodes: int = 256) -> float:
         """|p(s,x0,r,y) - int p(s,x0,t,x) p(t,x,r,y) dx| by the trapezoid rule."""
@@ -427,19 +407,6 @@ class KernelModel:
         # p(t, x, r, y) as a function of x is the Gaussian N(x; y - shift, var)
         integrand = self.eval_p(s, x0, t, x) * _gaussian(x, c2, var2)
         return abs(self.eval_p(s, x0, r, y) - float(np.trapezoid(integrand, x)))
-
-    def convolve_initial(self, phi, r: float, t: float, grid: GridSpec) -> np.ndarray:
-        """Kernel-smoothed field u0_hat(r, phi)(t, .) as cell averages on the grid.
-
-        phi is a density object with a cdf or an array of cell averages.
-        Satisfies ||result||_L1 <= ||phi||_L1 and ||result||_inf <= C_u
-        ||phi||_inf up to box-truncation tails.  Only tests call it: the run
-        path smooths slab data through the S spectra of mild.prepare_slab.
-        """
-        if t <= r:
-            raise ValueError("need t > r")
-        source = phi if isinstance(phi, np.ndarray) else cell_means_from_cdf(phi.cdf, grid)
-        return apply_mean_smooth(source, *self.sigma_beta(r, t), grid.dx)
 
 
 def kernel_for(problem) -> KernelModel:

@@ -14,14 +14,12 @@ The march streams: it holds the current step only and keeps the levels its
 caller will read, so an ensemble takes O(N * kept levels) memory.  It also
 steps in place on seven N-sized arrays, allocated once: the positions, the
 log-weights, four work arrays (_Work) that its feedback and its step take in
-turn, and the array that a helper thread fills with the step's noise
-meanwhile.  Four is what the closure's feedback needs at once: the weights,
+turn, and the noise array, which a helper thread refills once the step has
+added it.  Four is what the closure's feedback needs at once: the weights,
 and two float arrays and one index array for the binned KDE; the step needs
-the feedback's z, |z| and an increment; once added, the noise array takes
-the place of |z|'s among the work arrays, and |z|'s takes the next step's
-noise.  A new temporary per operation would instead cost an allocation of N
-doubles, which the allocator returns to the system on release and
-page-faults back in on the next step.
+the feedback's z, |z| and an increment.  A new temporary per operation would
+instead cost an allocation of N doubles, which the allocator returns to the
+system on release and page-faults back in on the next step.
 
 The normal draws, which release the interpreter lock, are a third to a half
 of a march at N = 1e5; the helper thread (_Noise) makes them beside the
@@ -125,31 +123,32 @@ def particle_grid(grid: GridSpec, dt: float, frozen: bool = False) -> GridSpec:
 class _Work:
     """The N-sized work arrays of one march, allocated once, used by role.
 
-    The feedback may overwrite all of them and may return z in floats[0].
-    The step then overwrites floats[1] (with |z|) and floats[2] (the
-    log-weight increment, then the position increment), and swaps floats[1]
-    for the noise array it has just added.  The closure's feedback puts the
-    weights in floats[0], gives floats[1:] and index to the binned KDE, then
-    looks z up into floats[0] through index.
+    floats is one (3, N) block.  The feedback may overwrite all of it and
+    index, and may return z in floats[0].  The step then overwrites floats[1]
+    (with |z|) and floats[2] (the log-weight increment, then the position
+    increment).  The closure's feedback puts the weights in floats[0], gives
+    floats[1:] and index to the binned KDE, then looks z up into floats[0]
+    through index.
     """
 
     def __init__(self, N: int):
-        self.floats = list(np.empty((3, N)))
+        self.floats = np.empty((3, N))
         self.index = np.empty(N, np.int64)
 
 
 class _Noise:
-    """A helper thread that fills one noise array at a time with
-    scale * (normals of rng), in the order the arrays are handed to fill.
+    """A helper thread that owns one noise array of n values and refills it
+    with scale * (normals of rng) on each fill(), in the order of the calls.
 
-    wait() returns the array being filled once it is full and re-raises what
-    the fill raised; close() stops and joins the thread, whether or not a
-    fill is pending.
+    wait() returns the array once it is full and re-raises what the fill
+    raised; the caller must be done reading it before the next fill().
+    close() stops and joins the thread, whether or not a fill is pending.
     """
 
-    def __init__(self, rng: np.random.Generator, scale: float):
+    def __init__(self, rng: np.random.Generator, scale: float, n: int):
         self._rng, self._scale = rng, scale
-        self._buf = self._error = None
+        self._buf = np.empty(n)
+        self._error = None
         self._closing = False
         self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
         self._thread = threading.Thread(target=self._run, name="mfklab-noise", daemon=True)
@@ -169,8 +168,7 @@ class _Noise:
                 self._error = exc
             self._done.release()
 
-    def fill(self, buf: np.ndarray) -> None:
-        self._buf = buf
+    def fill(self) -> None:
         self._todo.release()
 
     def wait(self) -> np.ndarray:
@@ -195,10 +193,10 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     integral accumulates by the left-point rule, and the Philox draws come in
     the fixed order (initial sample, then one normal vector per step).  Step
     k's normals are drawn by a _Noise thread while the feedback and the
-    coefficients of step k run, into an array outside work; once added, that
-    array becomes work.floats[1] and the one it replaces takes step k+1's
-    normals.  y and logw are updated in place, in the operation order of
-    y + Phi sqrt(dt) xi + (b + b0) dt; what b and Lambda return is only read.
+    coefficients of step k run, into the helper's own array, which it
+    refills with step k+1's normals once step k has added them.  y and logw
+    are updated in place, in the operation order of y + Phi sqrt(dt) xi +
+    (b + b0) dt; what b and Lambda return is only read.
     """
     if grid.T != problem.T:
         raise ValueError(f"particle horizon {grid.T} differs from the problem's {problem.T}")
@@ -215,9 +213,9 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     times = grid.times()
     dt = grid.dt
     max_abs_z = 0.0
-    noise = _Noise(rng, problem.Phi * np.sqrt(dt))
+    noise = _Noise(rng, problem.Phi * np.sqrt(dt), N)
     try:
-        noise.fill(np.empty(N))
+        noise.fill()
         for k in range(grid.n_t):
             t = times[k]
             z = feedback(k, y, logw, work)
@@ -228,12 +226,10 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
             logw += np.multiply(problem.Lambda(t, y, z), dt, out=incr)
             np.add(problem.b(t, y, z), problem.b0, out=incr)
             incr *= dt
-            xi = noise.wait()
-            y += xi
-            y += incr
-            work.floats[1] = xi
+            y += noise.wait()
             if k + 1 < grid.n_t:
-                noise.fill(absz)
+                noise.fill()
+            y += incr
             r = rows.get(k + 1)
             if r is not None:
                 positions[r] = y

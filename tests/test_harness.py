@@ -451,6 +451,23 @@ def _burgers_cfg(kind, n_x, n_t, extra):
             f"problem.u0_var = 0.04\ngrid.R = 8.0\ngrid.n_x = {n_x}\ngrid.n_t = {n_t}\n{extra}\n")
 
 
+def test_battery_without_standard_errors_fails(tmp_path):
+    # one particle per seed gives se = 0 on every entry: an estimate that is
+    # not exact is then infinitely many standard errors off, never a hit
+    path = tmp_path / "one.cfg"
+    path.write_text(_burgers_cfg("simulate-frozen", 128, 64,
+                                 "particles.N = 1\nparticles.dt = 0.015625\n"
+                                 f"particles.seeds = 2\nout = {tmp_path}/one"))
+    code = cli_main(["simulate-frozen", "--config", str(path)])
+    assert code == 1
+    rows = [r.split(",") for r in (tmp_path / "one" / "functionals.csv").read_text().splitlines()]
+    assert rows[0][-2:] == ["stderr", "z"] and len(rows) == 1 + 2 * 3 * 5
+    assert all(float(r[-2]) == 0.0 and r[-1] == "inf" for r in rows[1:])
+    battery = _read_record(tmp_path / "one", code)["checks"][2]
+    assert battery["name"].startswith("share of battery z within")
+    assert battery["value"] == 0.0 and not battery["passed"]
+
+
 def test_engaged_clamp_fails_the_run(tmp_path, capsys):
     path = tmp_path / "clamp.cfg"
     path.write_text(_burgers_cfg("solve-mild", 128, 64,

@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr as scipy_ndtr
 
-from mfklab.grids import GridSpec
 from mfklab.kernel import (
     KernelModel,
     apply_grad_smooth,
     apply_mean_smooth,
     apply_spectra,
     gap_spectra,
-    mean_weights,
     ndtr,
     slope_kernel_weights,
     smooth_weight_rows,
     smooth_weights,
     staggered_slopes,
 )
-from mfklab.problems import GaussianDensity, UniformDensity
 
 
 @pytest.fixture(scope="module")
@@ -128,25 +125,6 @@ class TestCellWeights:
         x = np.linspace(-self.R, self.R, self.n)
         f = np.exp(-(x**2)) * (1 + 0.3 * np.sin(3 * x))
         return dx, x, f
-
-    def test_mean_weights_match_quadrature(self):
-        dx, x, f = self._setup()
-        sigma, beta = 0.4, 0.15
-        out = np.convolve(f, mean_weights(sigma, beta, dx, self.n))[self.n - 1 : 2 * self.n - 1]
-
-        def pc(y):
-            j = int(round((y + self.R) / dx))
-            return f[j] if 0 <= j < self.n else 0.0
-
-        G = lambda z: math.exp(-0.5 * (z / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-        for i in (4, 15, 25):
-            lo, hi = x[i] - dx / 2, x[i] + dx / 2
-            val = quad(
-                lambda xx: quad(lambda y: G(xx - y - beta) * pc(y), -self.R - dx, self.R + dx,
-                                limit=300)[0],
-                lo, hi, limit=100,
-            )[0] / dx
-            assert out[i] == pytest.approx(val, abs=1e-9)
 
     def test_grad_weights_match_quadrature(self):
         dx, x, f = self._setup()
@@ -286,8 +264,7 @@ def test_lattice_weights_match_the_per_point_formula(sigma, n):
     for cells_per_sigma in (0.25, 1.0, 4.0):
         dx = sigma / cells_per_sigma
         for beta in (0.0, 0.4 * sigma, -2.0 * sigma):
-            for weights, oracle in ((mean_weights, _mean_oracle),
-                                    (smooth_weights, _smooth_oracle),
+            for weights, oracle in ((smooth_weights, _smooth_oracle),
                                     (slope_kernel_weights, _slope_oracle)):
                 got, ref = weights(sigma, beta, dx, n), oracle(sigma, beta, dx, n)
                 assert got.shape == ref.shape == (2 * n - 1,)
@@ -317,8 +294,6 @@ def test_weights_at_fine_spacing_are_no_further_from_mpmath():
         c = m * dx - beta
         if name == "slope":
             return -(tri(c + dx / 2) - tri(c - dx / 2)) / dx**2
-        if name == "mean":
-            return tri(c) / dx
 
         def S(cc):
             return (k1int(cc + dx / 2) - k1int(cc - dx / 2)) / dx
@@ -326,8 +301,7 @@ def test_weights_at_fine_spacing_are_no_further_from_mpmath():
 
     with mpmath.workdps(40):
         sigma, beta, dx = mpmath.mpf(sigma), mpmath.mpf(beta), mpmath.mpf(dx)
-        for name, weights, oracle in (("mean", mean_weights, _mean_oracle),
-                                      ("smooth", smooth_weights, _smooth_oracle),
+        for name, weights, oracle in (("smooth", smooth_weights, _smooth_oracle),
                                       ("slope", slope_kernel_weights, _slope_oracle)):
             truth = np.array([float(exact(name, m)) for m in offsets])
             idx = np.array(offsets) + n - 1
@@ -348,7 +322,7 @@ def test_weight_rows_are_the_scalar_weights():
         assert np.array_equal(rows[1][k], slope_kernel_weights(s, b, dx, n))
 
 
-@pytest.mark.parametrize("weights", [mean_weights, smooth_weights])
+@pytest.mark.parametrize("weights", [smooth_weights])
 def test_weights_mirror_exactly_without_drift(weights):
     # the weights are even in the offset at beta = 0, and evaluating them on
     # the tail side keeps them mirror images bit for bit
@@ -432,34 +406,6 @@ def test_convolve_full_bit_identical_to_fftconvolve(m, n):
     for got, ref in cases:
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_convolve_initial_gaussian_closed_form(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0)
-    out = unit_kernel.convolve_initial(GaussianDensity(0.0, 0.04), 0.0, 1.0, grid)
-    mid = np.argmin(np.abs(grid.x_nodes()))
-    assert out[mid] == pytest.approx(0.391213, abs=1e-4)  # cell mean vs point value
-
-
-def test_convolve_initial_preserves_indicator_mass(unit_kernel):
-    grid = GridSpec(R=8.0, n_x=801, n_t=1, T=1.0)
-    out = unit_kernel.convolve_initial(UniformDensity(-1.0, 1.0), 0.0, 0.5, grid)
-    assert np.abs(out).sum() * grid.dx == pytest.approx(1.0, abs=1e-3)
-    assert out.sum() * grid.dx == pytest.approx(1.0, abs=1e-9)
-
-
-def test_convolve_initial_norm_bounds(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=512, n_t=1, T=1.0)
-    phi = GaussianDensity(0.3, 0.09)
-    out = unit_kernel.convolve_initial(phi, 0.1, 0.6, grid)
-    assert np.abs(out).sum() * grid.dx <= 1.0 + 1e-9
-    assert np.abs(out).max() <= unit_kernel.C_u * phi.max_value + 1e-9
-
-
-def test_convolve_initial_rejects_degenerate_times(unit_kernel):
-    grid = GridSpec(R=7.0, n_x=64, n_t=1, T=1.0)
-    with pytest.raises(ValueError):
-        unit_kernel.convolve_initial(GaussianDensity(), 0.5, 0.5, grid)
 
 
 @settings(max_examples=50, deadline=None)

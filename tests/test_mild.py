@@ -23,7 +23,8 @@ from mfklab.mild import (
     weak_residual,
 )
 from mfklab.oracles import exact_cell_means, heat_oracle
-from mfklab.problems import GaussianDensity, ProblemSpec, preset, smooth_test_functions
+from mfklab.problems import (GaussianDensity, ProblemSpec, UniformDensity, preset,
+                             smooth_test_functions)
 from mfklab.quadrature import trapezoid_weights
 
 from _picard import monitor_ok, picard_solve
@@ -368,6 +369,36 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
     out = picard_map(state, prob)
     assert np.all(out[0] == 0.0)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _smoothed_slab_data(phi, gap: float, R: float, n_x: int):
+    """u0_hat one gap after the slab start, for the data phi: prepare_slab on
+    heat-preset stencils, the route every run smooths its slab data by, on a
+    one-level grid whose horizon is the gap."""
+    grid = GridSpec(R=R, n_x=n_x, n_t=1, T=gap)
+    stencils = build_slab_stencils(preset("heat", T=gap), grid)
+    return grid, prepare_slab(0.0, cell_means_from_cdf(phi.cdf, grid), grid, stencils).u0hat[1]
+
+
+def test_slab_data_smoothing_gaussian_closed_form():
+    grid, out = _smoothed_slab_data(GaussianDensity(0.0, 0.04), 1.0, 7.0, 512)
+    mid = np.argmin(np.abs(grid.x_nodes()))
+    assert out[mid] == pytest.approx(0.391213, abs=1e-4)  # cell mean vs point value
+
+
+def test_slab_data_smoothing_preserves_indicator_mass():
+    grid, out = _smoothed_slab_data(UniformDensity(-1.0, 1.0), 0.5, 8.0, 801)
+    assert np.abs(out).sum() * grid.dx == pytest.approx(1.0, abs=1e-3)
+    assert out.sum() * grid.dx == pytest.approx(1.0, abs=1e-9)
+
+
+def test_slab_data_smoothing_norm_bounds():
+    # ||u0_hat||_1 <= ||phi||_1 and ||u0_hat||_inf <= C_u ||phi||_inf, up to
+    # box-truncation tails
+    phi = GaussianDensity(0.3, 0.09)
+    grid, out = _smoothed_slab_data(phi, 0.5, 7.0, 512)
+    assert np.abs(out).sum() * grid.dx <= 1.0 + 1e-9
+    assert np.abs(out).max() <= kernel_for(preset("heat", T=0.5)).C_u * phi.max_value + 1e-9
 
 
 def _slab_problem(name):

@@ -353,6 +353,38 @@ def test_one_step_march_is_the_oracle():
     assert np.array_equal(ens.logw, logw)
 
 
+class _EagerNoise:
+    """_Noise without its thread: fill() draws at once, so a march that
+    refilled the noise array before adding it would add the next step's
+    normals in place of its own, on every run."""
+
+    def __init__(self, rng, scale, n):
+        self._rng, self._scale, self._buf = rng, scale, np.empty(n)
+
+    def fill(self):
+        self._rng.standard_normal(out=self._buf)
+        self._buf *= self._scale
+
+    def wait(self):
+        return self._buf
+
+    def close(self):
+        pass
+
+
+def test_march_adds_each_noise_before_the_next_fill(monkeypatch):
+    import mfklab.particles as particles
+
+    monkeypatch.setattr(particles, "_Noise", _EagerNoise)
+    prob = preset("burgers", nu=1.0, u0_var=0.04)
+    steps = GridSpec(R=7.0, n_x=2, n_t=8, T=1.0)
+    feedback = lambda k, y, logw, work: np.full_like(y, 0.5)
+    ens = _march(prob, 500, steps, 6, feedback, range(steps.n_t + 1))
+    positions, logw = _march_every_level(prob, 500, steps, 6, feedback)
+    assert np.array_equal(ens.positions, positions)
+    assert np.array_equal(ens.logw, logw)
+
+
 def test_concurrent_marches_under_a_short_switch_interval_match_the_oracle():
     # four marches at once, each with its noise thread, on two or fewer
     # cores and with the interpreter switching threads every microsecond: a
