@@ -84,8 +84,11 @@ _RUN_KEYS = {
     "particles.dt": ("dt", float, "0.00390625", _POSITIVE),
     "particles.seed": ("seed", int, "1234", (lambda v: v >= 0, "must be nonnegative")),
     "particles.seeds": ("seed_count", int, "5", _AT_LEAST_1),
+    # the sweep gates on the rise of the median L1 between successive counts,
+    # which only reads as convergence when the counts increase
     "sweep.N": ("sweep_N", _int_list, "1000, 10000, 100000",
-                (lambda v: v and min(v) >= 1, "must list at least one count, each at least 1")),
+                (lambda v: v and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])),
+                 "must list at least one count, each at least 1, strictly increasing")),
     "compare.l1": ("compare_l1", float, None, _POSITIVE),
     "compare.times": ("compare_times", _float_list, "", None),
     "compare.z": ("compare_z", float, "3.0", _POSITIVE),

@@ -14,24 +14,23 @@ The march streams: it holds the current step only and keeps the levels its
 caller will read, so an ensemble takes O(N * kept levels) memory.  It also
 steps in place on seven N-sized arrays, allocated once: the positions, the
 log-weights, four work arrays (_Work) that its feedback and its step take in
-turn, and the noise array, which a helper thread refills once the step has
-added it.  Four is what the closure's feedback needs at once: the weights,
+turn, and the noise array, which a one-worker executor refills once the step
+has added it.  Four is what the closure's feedback needs at once: the weights,
 and two float arrays and one index array for the binned KDE; the step needs
 the feedback's z, |z| and an increment.  A new temporary per operation would
 instead cost an allocation of N doubles, which the allocator returns to the
 system on release and page-faults back in on the next step.
 
 The normal draws, which release the interpreter lock, are a third to a half
-of a march at N = 1e5; the helper thread (_Noise) makes them beside the
-feedback and the coefficients of the same step.  One generator is drawn in one order
-all the same: the initial sample before the helper starts, and each step's
-normals only after the previous step's are added, so the ensemble is that of
-a serial march bit for bit.
+of a march at N = 1e5; the worker of a ThreadPoolExecutor(1) makes them beside
+the feedback and the coefficients of the same step.  One generator is drawn in
+one order all the same: the initial sample before the first draw is submitted,
+and each step's normals only after the previous step's are added, so the
+ensemble is that of a serial march bit for bit.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,51 +135,11 @@ class _Work:
         self.index = np.empty(N, np.int64)
 
 
-class _Noise:
-    """A helper thread that owns one noise array of n values and refills it
-    with scale * (normals of rng) on each fill(), in the order of the calls.
-
-    wait() returns the array once it is full and re-raises what the fill
-    raised; the caller must be done reading it before the next fill().
-    close() stops and joins the thread, whether or not a fill is pending.
-    """
-
-    def __init__(self, rng: np.random.Generator, scale: float, n: int):
-        self._rng, self._scale = rng, scale
-        self._buf = np.empty(n)
-        self._error = None
-        self._closing = False
-        self._todo, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._run, name="mfklab-noise", daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while True:
-            self._todo.acquire()
-            if self._closing:
-                return
-            try:
-                self._rng.standard_normal(out=self._buf)
-                self._buf *= self._scale
-            except BaseException as exc:
-                # wait() re-raises it; caught whole, so that no failure leaves
-                # the caller waiting on a thread that has ended
-                self._error = exc
-            self._done.release()
-
-    def fill(self) -> None:
-        self._todo.release()
-
-    def wait(self) -> np.ndarray:
-        self._done.acquire()
-        if self._error is not None:
-            raise self._error
-        return self._buf
-
-    def close(self) -> None:
-        self._closing = True
-        self._todo.release()
-        self._thread.join()
+def _draw(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with scale * (normals of rng) and return it."""
+    rng.standard_normal(out=out)
+    out *= scale
+    return out
 
 
 def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
@@ -192,9 +151,10 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     log-weights logw at level k; work is the march's _Work.  The growth
     integral accumulates by the left-point rule, and the Philox draws come in
     the fixed order (initial sample, then one normal vector per step).  Step
-    k's normals are drawn by a _Noise thread while the feedback and the
-    coefficients of step k run, into the helper's own array, which it
-    refills with step k+1's normals once step k has added them.  y and logw
+    k's normals are drawn (_draw) on a one-worker executor while the feedback
+    and the coefficients of step k run, into one noise array, which the next
+    submission refills with step k+1's normals once step k has added them;
+    leaving the executor joins its thread on every exit.  y and logw
     are updated in place, in the operation order of y + Phi sqrt(dt) xi +
     (b + b0) dt; what b and Lambda return is only read.
     """
@@ -213,9 +173,13 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
     times = grid.times()
     dt = grid.dt
     max_abs_z = 0.0
-    noise = _Noise(rng, problem.Phi * np.sqrt(dt), N)
-    try:
-        noise.fill()
+    # imported here, not at the top: concurrent.futures loads logging, which
+    # only runs that build particles should pay for
+    from concurrent.futures import ThreadPoolExecutor
+
+    scale, noise = problem.Phi * np.sqrt(dt), np.empty(N)
+    with ThreadPoolExecutor(1, thread_name_prefix="mfklab-noise") as helper:
+        fill = helper.submit(_draw, rng, scale, noise)
         for k in range(grid.n_t):
             t = times[k]
             z = feedback(k, y, logw, work)
@@ -226,16 +190,14 @@ def _march(problem: ProblemSpec, N: int, grid: GridSpec, seed: int,
             logw += np.multiply(problem.Lambda(t, y, z), dt, out=incr)
             np.add(problem.b(t, y, z), problem.b0, out=incr)
             incr *= dt
-            y += noise.wait()
+            y += fill.result()
             if k + 1 < grid.n_t:
-                noise.fill()
+                fill = helper.submit(_draw, rng, scale, noise)
             y += incr
             r = rows.get(k + 1)
             if r is not None:
                 positions[r] = y
                 logw_kept[r] = logw
-    finally:
-        noise.close()
     return ParticleEnsemble(grid, kept, positions, logw_kept, seed, max_abs_z)
 
 

@@ -555,6 +555,23 @@ def test_heat_error_grows_with_the_slab_count():
         assert l1 <= bound, (n_slabs, l1)
 
 
+def test_exponential_growth_error_is_first_order_in_dt():
+    # one slab of exponential_growth at 257 nodes: the L1 at T halves with
+    # the step, 1.2570e-2 at n_t 16 and 6.3617e-3 at 32 (ratio 1.976), and
+    # the bounds sit just above these values.  Slab operators of second
+    # order in dt must tighten this test to a ratio near 4
+    prob = preset("exponential_growth")
+    l1 = {}
+    for n_t in (16, 32):
+        grid = plan_grid(prob, 8.0, 257, n_t)
+        assert grid.n_slabs == 1
+        u, _ = solve(prob, grid)
+        exact = exact_cell_means(prob, grid, [grid.n_t])[0]
+        l1[n_t] = float(np.dot(trapezoid_weights(grid.n_x, grid.dx), np.abs(u.values[-1] - exact)))
+    assert 1.9 <= l1[16] / l1[32] <= 2.1, l1
+    assert l1[32] <= 6.4e-3, l1
+
+
 def test_base_drift_shifts_the_heat_solution():
     # exercises the drift-shift path of the kernel weights end to end
     zero = lambda t, x, z: np.zeros_like(np.asarray(z, dtype=float))

@@ -293,7 +293,7 @@ def test_march_with_burgers_coefficients_holds_one_more_array():
 
 
 def test_feedback_failure_ends_the_noise_thread():
-    # the helper thread is stopped and joined on every exit of the march, a
+    # the noise worker is shut down and joined on every exit of the march, a
     # failing feedback's included, and the feedback's error reaches the caller
     import threading
 
@@ -353,29 +353,33 @@ def test_one_step_march_is_the_oracle():
     assert np.array_equal(ens.logw, logw)
 
 
-class _EagerNoise:
-    """_Noise without its thread: fill() draws at once, so a march that
-    refilled the noise array before adding it would add the next step's
-    normals in place of its own, on every run."""
+class _EagerExecutor:
+    """ThreadPoolExecutor without its thread: submit() draws at once and
+    returns a finished Future, so a march that submitted the next draw
+    before adding the noise array would add the next step's normals in
+    place of its own, on every run."""
 
-    def __init__(self, rng, scale, n):
-        self._rng, self._scale, self._buf = rng, scale, np.empty(n)
-
-    def fill(self):
-        self._rng.standard_normal(out=self._buf)
-        self._buf *= self._scale
-
-    def wait(self):
-        return self._buf
-
-    def close(self):
+    def __init__(self, max_workers, thread_name_prefix=""):
         pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 def test_march_adds_each_noise_before_the_next_fill(monkeypatch):
-    import mfklab.particles as particles
+    import concurrent.futures
 
-    monkeypatch.setattr(particles, "_Noise", _EagerNoise)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _EagerExecutor)
     prob = preset("burgers", nu=1.0, u0_var=0.04)
     steps = GridSpec(R=7.0, n_x=2, n_t=8, T=1.0)
     feedback = lambda k, y, logw, work: np.full_like(y, 0.5)
@@ -386,7 +390,7 @@ def test_march_adds_each_noise_before_the_next_fill(monkeypatch):
 
 
 def test_concurrent_marches_under_a_short_switch_interval_match_the_oracle():
-    # four marches at once, each with its noise thread, on two or fewer
+    # four marches at once, each with its noise worker, on two or fewer
     # cores and with the interpreter switching threads every microsecond: a
     # fill handed over or read out of turn would change some march's rows
     import threading
