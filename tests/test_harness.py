@@ -329,7 +329,7 @@ def test_cli_import_leaves_out_scipy(cli_import_modules):
 
 
 def test_cli_import_leaves_out_concurrent_futures(cli_import_modules):
-    # concurrent.futures loads logging, 7.2-7.8 ms: the march imports its
+    # concurrent.futures loads logging, about 7 ms: the march imports its
     # executor when it runs, so only runs that build particles pay for it
     assert not [m for m in cli_import_modules if m.split(".")[0] == "concurrent"]
 
