@@ -60,7 +60,10 @@ these in mind until a change to the benchmark mends them:
   `mild.picard_map` calls as sweeps: `mild.solve` solves each slab by
   forward substitution and calls neither `solve_slab` nor `picard_map`, so
   on every workload `mild.picard_map` and `mild.sweeps_per_slab` read 0 (the
-  tracer counts slabs through `solve_slab`, which only the tests call).
+  tracer counts slabs through `solve_slab`, which only the tests call);
+* the slab pass is `mild._sweep`, run in place once per slab, and no span
+  wraps it, so its time shows only inside `mild.solve`'s self time; the next
+  change to the benchmark should time it.
 """
 
 from __future__ import annotations

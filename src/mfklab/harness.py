@@ -26,7 +26,8 @@ from .mild import plan_grid, solve
 from .oracles import VALIDATE_DEFAULTS, exact_cell_means
 from .particles import (particle_grid, simulate_frozen, solve_selfconsistent,
                         weighted_functional)
-from .problems import PRESET_NAMES, preset, smooth_test_functions
+from .problems import (PRESET_NAMES, PRESET_PARAMS, SHARED_PARAMS, preset,
+                       smooth_test_functions)
 from .quadrature import trapezoid_weights
 
 _FMT = "%.17g"
@@ -157,6 +158,11 @@ class RunConfig:
             raise ConfigError(f"problem.preset must be one of {PRESET_NAMES}, got {name!r}")
         params = {k: _value(raw, f"problem.{k}", float, None, rule)
                   for k, rule in _PROBLEM_KEYS.items() if f"problem.{k}" in raw}
+        reads = (*SHARED_PARAMS, *PRESET_PARAMS[name])
+        for k in params:
+            if k not in reads:
+                raise ConfigError(f"problem.{k} is not read by preset {name!r}, which "
+                                  f"reads {', '.join(reads)}")
         values = {attr: _value(raw, key, cast, default, rule)
                   for key, (attr, cast, default, rule) in _RUN_KEYS.items()}
         return cls(kind=kind, preset_name=name, problem_params=params, **values)

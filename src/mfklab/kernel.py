@@ -35,11 +35,9 @@ imports scipy; problems, particles and oracles take it from here.
 Every convolution takes one path, along x only, through numpy.fft at the
 circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
 apply_spectra transforms the n-node sources, multiplies and transforms back,
-keeping a window that no wrapped-around term reaches.  mild.causal_slab, the
-forward substitution of a slab, applies the same spectra one source level at
-a time.  causal_gap_product, the whole-slab product causal in the level gap,
-serves only mild.picard_map, the Picard sweep that tests compare the forward
-pass against.
+keeping a window that no wrapped-around term reaches.  The slab sweep
+(mild._sweep), the one product causal in the level gap, applies the same
+spectra one source level at a time.
 """
 
 from __future__ import annotations
@@ -236,10 +234,11 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def gap_spectra(stencil: np.ndarray) -> np.ndarray:
-    """The spectra apply_spectra and causal_gap_product need for a
-    (..., 2n - 1) stack of value stencils: a slab operator's level gaps, the
-    slab data smoothing to every level, or one kernel row.  Returns the
-    complex (..., n + 1) rfft rows at the circular length L = 2n.
+    """The spectra apply_spectra and the slab sweep (mild._sweep) multiply
+    sources by, for a (..., 2n - 1) stack of value stencils: a slab
+    operator's level gaps, the slab data smoothing to every level, or one
+    kernel row.  Returns the complex (..., n + 1) rfft rows at the circular
+    length L = 2n.
 
     A full convolution of n values with 2n - 1 weights holds the n-node
     output on [n - 1, 2n - 1); the spectra are delayed by one node, moving it
@@ -259,24 +258,6 @@ def apply_spectra(spec: np.ndarray, src: np.ndarray) -> np.ndarray:
     """
     n = src.shape[-1]
     return irfft(rfft(src, 2 * n) * spec, 2 * n)[..., n : 2 * n]
-
-
-def causal_gap_product(terms) -> np.ndarray:
-    """Causal product in the level gap, convolution in x, summed over terms.
-
-    terms holds (spectra, src) pairs with sources of one shape (m, n) and
-    gap_spectra of shape (m, n + 1); row l of the result is
-    sum_j<=l K[l - j] * src[j] over the terms, K[g] the operator of gap
-    g + 1, on the n-node window.  One rfft per term, one irfft of the sum,
-    all along x.  Only mild.picard_map, the Picard oracle, calls it.
-    """
-    m, n = terms[0][1].shape
-    acc = np.zeros((m, n + 1), dtype=complex)
-    for spec, src in terms:
-        src_hat = rfft(src, 2 * n)
-        for g in range(m):
-            acc[g:] += spec[g] * src_hat[: m - g]
-    return irfft(acc, 2 * n)[:, n : 2 * n]
 
 
 def apply_mean_smooth(values: np.ndarray, sigma: float, beta: float, dx: float) -> np.ndarray:

@@ -22,13 +22,15 @@ per level gap, applied at the circular length 2 n_x, which keeps every
 wrapped-around term out of the n_x-node output window.
 
 The discrete map is strictly causal in the level gap: level l reads only the
-levels 0..l-1 of its input.  So solve finds each slab's fixed point by
-forward substitution (causal_slab), one level after another with no
-iteration, as for a discrete Volterra convolution equation (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541).  The Jacobi
-iteration of the map (picard_map, solve_slab) is not on solve's path: it is
-the forward pass's test oracle, and from a perturbed start it checks that
-the fixed point is unique.
+levels 0..l-1 of its input.  One level loop (_sweep) applies it, and its two
+callers differ only in where the levels go.  solve runs it in place, so each
+level reads the levels just written: that one Gauss-Seidel pass is the
+forward substitution that finds the slab's fixed point with no iteration, as
+for a discrete Volterra convolution equation (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6 (1985) 532-541).  picard_map runs it into a new
+array, a Jacobi sweep of the old iterate; iterated by solve_slab it is not on
+solve's path, but is the test oracle that, from a perturbed start, checks
+that the fixed point is unique and shows the contraction.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from .kernel import (apply_spectra, causal_gap_product, gap_spectra, kernel_for,
-                     slope_kernel_weights, smooth_weight_rows, smooth_weights)
+from .kernel import (apply_spectra, gap_spectra, kernel_for, slope_kernel_weights,
+                     smooth_weight_rows, smooth_weights)
 from .problems import ProblemSpec, SmoothTestFunction, apply_generator
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -104,8 +106,8 @@ class SlabStencils:
     """The x-spectra (kernel.gap_spectra) of every kernel weight one slab
     uses, row g - 1 holding level gap g = 1..m, computed once so that a slab
     solve transforms only its sources.  A_hat and B_hat are built only for
-    the terms the problem has (None otherwise), so causal_slab and
-    picard_map read which terms to apply from the spectra they hold.
+    the terms the problem has (None otherwise), so the slab sweep reads which
+    terms to apply from the spectra it holds.
     """
 
     S_hat: np.ndarray  # smoothing of the slab initial data from r to r + g dt
@@ -183,37 +185,47 @@ def prepare_slab(r: float, phi: np.ndarray, grid: GridSpec, stencils: SlabStenci
     return PicardState(r, grid, u0hat, v, stencils)
 
 
-def _terms(stencils: SlabStencils, problem: ProblemSpec):
-    """(gap spectra, coefficient) of each term of the slab map the problem has."""
-    return [(spec, coefficient) for spec, coefficient
-            in ((stencils.A_hat, problem.Lambda), (stencils.B_hat, problem.b))
-            if spec is not None]
+def _sweep(state: PicardState, problem: ProblemSpec, out: np.ndarray) -> np.ndarray:
+    """Apply the slab map to w = state.v + u0_hat, level l into out[l]; returns out.
+
+    Level l receives sum_{j<l} K[l-1-j] * src[j], causal in the level gap as
+    well as a convolution in x: for l = 1..m, level l - 1's sources are
+    transformed once and pushed to every later level of one (m, n_x + 1)
+    spectrum accumulator, and level l is one inverse transform of its row.
+    out[0] is left as the caller gave it, 0 on both paths.  With out a new
+    array this is a Jacobi sweep, reading only the old iterate; with out =
+    state.v it runs in place, level l - 1 written before level l reads it,
+    which is the forward substitution that reaches the fixed point in one
+    pass.  Both run the same sums in the same order.
+    """
+    grid = state.grid
+    m, n = grid.levels_per_slab, grid.n_x
+    kernels = [(spec, coefficient) for spec, coefficient
+               in ((state.stencils.A_hat, problem.Lambda), (state.stencils.B_hat, problem.b))
+               if spec is not None]
+    if not kernels:
+        return out
+    x = grid.x_nodes()
+    v, u0hat = state.v, state.u0hat
+    acc = np.zeros((m, n + 1), dtype=complex)
+    for ell in range(1, m + 1):
+        w = v[ell - 1] + u0hat[ell - 1]
+        t = state.r + (ell - 1) * grid.dt
+        for spec, coefficient in kernels:
+            acc[ell - 1:] += spec[: m - ell + 1] * rfft(coefficient(t, x, w) * w, 2 * n)
+        out[ell] = irfft(acc[ell - 1], 2 * n)[n:]
+    state.max_abs_w = max(state.max_abs_w, float(np.abs(v[:m] + u0hat[:m]).max()))
+    return out
 
 
 def picard_map(state: PicardState, problem: ProblemSpec) -> np.ndarray:
-    """One application of the slab map Pi to the current iterate.
+    """One Jacobi application of the slab map Pi to the current iterate.
 
     Returns the next iterate on the slab grid (the caller updates state).
     Inputs in the ball of radius M stay in it for tau below the
     estimate_slab_tau threshold.  The kernel enters through the slab stencils.
-    Level l receives sum_{j<l} K[l-1-j] * src[j], causal in the level gap as
-    well as a convolution in x: both terms go through one causal product of
-    x-spectra and one inverse transform.
     """
-    grid = state.grid
-    m = grid.levels_per_slab
-    out = np.zeros_like(state.v)
-    kernels = _terms(state.stencils, problem)
-    if not kernels:
-        return out
-    x = grid.x_nodes()
-    w = state.v + state.u0hat
-    times = state.r + np.arange(m) * grid.dt
-    state.max_abs_w = max(state.max_abs_w, float(np.abs(w[:m]).max()))
-    out[1:] = causal_gap_product(
-        [(spec, np.array([coefficient(t, x, wj) * wj for t, wj in zip(times, w)]))
-         for spec, coefficient in kernels])
-    return out
+    return _sweep(state, problem, np.zeros_like(state.v))
 
 
 def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
@@ -241,37 +253,6 @@ def solve_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
     )
 
 
-def causal_slab(r: float, phi: np.ndarray, problem: ProblemSpec, grid: GridSpec,
-                stencils: SlabStencils):
-    """The slab's fixed point by forward substitution, in one pass over its levels.
-
-    Level l of picard_map's output reads levels 0..l-1 of its input only, so
-    the fixed point follows level by level: for l = 1..m, level l - 1's
-    sources, now final, are transformed once and pushed to every later level
-    of one (m, n_x + 1) spectrum accumulator, and level l is one inverse
-    transform of its accumulated row.  It is the point m Jacobi sweeps of
-    picard_map reach from v = 0, up to the order of the sums.  Returns
-    (u_slab, state) with u_slab = u0_hat + v on the slab levels; the state's
-    residual history stays empty, as no sweep runs.
-    """
-    state = prepare_slab(r, phi, grid, stencils)
-    kernels = _terms(stencils, problem)
-    if not kernels:
-        return state.u0hat + state.v, state
-    m, n = grid.levels_per_slab, grid.n_x
-    x = grid.x_nodes()
-    u0hat, v = state.u0hat, state.v
-    acc = np.zeros((m, n + 1), dtype=complex)
-    for ell in range(1, m + 1):
-        w = v[ell - 1] + u0hat[ell - 1]
-        t = r + (ell - 1) * grid.dt
-        for spec, coefficient in kernels:
-            acc[ell - 1:] += spec[: m - ell + 1] * rfft(coefficient(t, x, w) * w, 2 * n)
-        v[ell] = irfft(acc[ell - 1], 2 * n)[n:]
-    state.max_abs_w = float(np.abs(v[:m] + u0hat[:m]).max())
-    return u0hat + v, state
-
-
 @dataclass
 class SolveReport:
     """Diagnostics of one mild solve."""
@@ -297,8 +278,8 @@ class SolveReport:
 def solve(problem: ProblemSpec, grid: GridSpec):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
-    Each slab's fixed point is computed exactly, by forward substitution
-    (causal_slab), and its terminal level starts the next slab.
+    Each slab's fixed point is computed exactly, by one slab sweep run in
+    place (forward substitution), and its terminal level starts the next slab.
     """
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError("grid horizon must match the problem horizon")
@@ -320,8 +301,9 @@ def solve(problem: ProblemSpec, grid: GridSpec):
     C = contraction_constant(problem, M, grid.tau)
 
     for k in range(N):
-        u_slab, state = causal_slab(times[k * m], u[k * m], problem, grid, stencils)
-        u[k * m : (k + 1) * m + 1] = u_slab
+        state = prepare_slab(times[k * m], u[k * m], grid, stencils)
+        _sweep(state, problem, state.v)
+        u[k * m : (k + 1) * m + 1] = state.u0hat + state.v
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
         max_l1 = max(max_l1, per_time_l1)
         max_sup = max(max_sup, float(np.abs(state.v).max()))

@@ -23,7 +23,11 @@ import numpy as np
 
 from .kernel import ndtr
 
-PRESET_NAMES = ("heat", "exponential_growth", "burgers", "logistic_fkpp")
+# every preset reads the shared parameters and its own ones below, no other
+SHARED_PARAMS = ("nu", "T", "u0_mean", "u0_var")
+PRESET_PARAMS = {"heat": (), "exponential_growth": ("lam",), "burgers": ("z_max",),
+                 "logistic_fkpp": ("lam", "z_max")}
+PRESET_NAMES = tuple(PRESET_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,14 @@ def preset(name: str, **params) -> ProblemSpec:
     Common parameters: nu (diffusion, default 1.0), T (horizon, default 1.0),
     u0_mean, u0_var (Gaussian initial density, defaults 0 and 0.04).
     exponential_growth and logistic_fkpp take lam (default 0.5); burgers and
-    logistic_fkpp accept a z_max override.
+    logistic_fkpp accept a z_max override (PRESET_PARAMS).  A parameter the
+    preset does not read raises ValueError.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    unread = sorted(set(params) - {*SHARED_PARAMS, *PRESET_PARAMS[name]})
+    if unread:
+        raise ValueError(f"preset {name!r} does not read {', '.join(unread)}")
     nu = float(params.get("nu", 1.0))
     T = float(params.get("T", 1.0))
     if nu <= 0 or T <= 0:

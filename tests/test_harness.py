@@ -27,6 +27,7 @@ from mfklab.harness import (
 )
 from mfklab.mild import SolveReport
 from mfklab.mild import solve as mild_solve
+from mfklab.problems import preset
 
 HEAT_CFG = """
 # fast validation setup
@@ -93,6 +94,20 @@ def test_cli_rejects_out_of_range_value(tmp_path, capsys, line):
     assert cli_main(["simulate-frozen", "--config", str(path), *argv]) == 2
     key = _OVERRIDE_KEYS.get(flag, line.split(" = ")[0])
     assert f"config error: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, key", [("heat", "lam"), ("heat", "z_max"),
+                                       ("exponential_growth", "z_max"), ("burgers", "lam")])
+def test_config_rejects_problem_keys_the_preset_does_not_read(tmp_path, capsys, name, key):
+    # a key the preset ignores would be echoed in run.json as if it applied
+    with pytest.raises(ValueError, match=f"does not read {key}"):
+        preset(name, **{key: 0.5})
+    path = tmp_path / "unread.cfg"
+    path.write_text(f"experiment = validate\nproblem.preset = {name}\nproblem.{key} = 0.5\n"
+                    f"grid.n_x = 64\ngrid.n_t = 16\nout = {tmp_path}/out\n")
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert f"config error: problem.{key} is not read by preset" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
