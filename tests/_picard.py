@@ -1,11 +1,12 @@
 """The Picard iteration glued over a whole run: the oracle that tests hold
 mild.solve's forward slabs against.
 
-mild.solve finds each slab's fixed point by forward substitution and never
-sweeps.  picard_solve instead iterates the slab map (mild.solve_slab) on
-every slab from v = perturb * u0_hat, so that a perturbed start checks the
-uniqueness of the fixed point and the residual histories show the
-contraction the paper proves.
+mild.solve finds each slab's fixed point by one slab sweep run in place
+(forward substitution) and never iterates.  picard_solve instead iterates
+the Jacobi sweep of the slab map (mild.solve_slab) on every slab from
+v = perturb * u0_hat, so that a perturbed start checks the uniqueness of
+the fixed point and the residual histories show the contraction the paper
+proves.
 """
 
 import numpy as np
