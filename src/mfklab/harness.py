@@ -169,7 +169,18 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        return cls.from_text(Path(path).read_text(), overrides)
+        """from_text of a UTF-8 config file.  A missing file raises
+        FileNotFoundError; a file that cannot be read or decoded, ConfigError."""
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: byte {exc.start} "
+                              f"is {exc.object[exc.start]:#04x}") from None
+        return cls.from_text(text, overrides)
 
 
 @dataclass
@@ -274,7 +285,10 @@ def run(config: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(f"particles.dt = {config.dt:g}: {exc}") from None
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out directory {out}: {exc.strerror}") from None
 
     u, report = solve(problem, grid)
     written = write_field(out, "field", u)  # file name -> its artifact entry

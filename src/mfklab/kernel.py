@@ -32,6 +32,15 @@ side, and takes all its differences from those values.
 The normal CDF, ndtr, is this module's own numpy erfc series, so no run
 imports scipy; problems, particles and oracles take it from here.
 
+Work that is row-wise or flat runs in blocks of about _BLOCK = 2^14 lattice
+points: the builders take their rows max(1, _BLOCK // lattice length) at a
+time into one preallocated output, and ndtr takes a large input _BLOCK
+values at a time.  Each builder makes some forty passes over its lattice, so
+a block keeps those passes in cache and its temporaries bounded: many rows
+in one call then cost less than one call per row, with no more peak memory
+than one block's temporaries.  Rows and values are elementwise, so the
+blocks change no bit of the result.  The block size is decided here only.
+
 Every convolution takes one path, along x only, through numpy.fft at the
 circular length L = 2 n: gap_spectra transforms a stack of stencils once, and
 apply_spectra transforms the n-node sources, multiplies and transforms back,
@@ -46,6 +55,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+
+# lattice points per block of row-wise or flat work (see the module docstring)
+_BLOCK = 1 << 14
 
 # P(t) = erfcx(z) / t, t = 2 / (2 + z), in powers of y = 4t - 2: a 28-term
 # Chebyshev fit in mpmath, rewritten in the power basis by scripts/fit_ndtr.py
@@ -100,15 +112,24 @@ def ndtr(x):
     On the band -39 < x < 9 it is Q(-x) for x < 0 and 1 - Q(x) for x >= 0,
     with Q from _gauss_tail; the error is below 1e-13 relative for x <= 0 and
     2.3e-16 absolute for x >= 0.  Outside the band Phi rounds to the doubles
-    0 and 1, which it returns.
+    0 and 1, which it returns.  An input of more than _BLOCK values is
+    evaluated in flat blocks of _BLOCK.
     """
     x = np.asarray(x, dtype=float)
-    out = np.clip(x, 0.0, 1.0, out=np.empty_like(x))  # NaN stays NaN
+    out = np.empty(x.shape)
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    for i in range(0, flat.size, _BLOCK):
+        _ndtr_block(flat[i : i + _BLOCK], flat_out[i : i + _BLOCK])
+    return out[()]
+
+
+def _ndtr_block(x, out):
+    """ndtr of a 1-D block x, written into out."""
+    np.clip(x, 0.0, 1.0, out=out)  # NaN stays NaN
     band = (x > _NDTR_LO) & (x < _NDTR_HI)
     xb = x[band]
     q = _gauss_tail(np.abs(xb))[1]
     out[band] = np.where(xb < 0.0, q, 1.0 - q)
-    return out[()]
 
 
 def normal_pdf(z):
@@ -165,10 +186,26 @@ def _lattice(lo: int, hi: int, shift: float, dx: float, beta):
     return (np.arange(lo, hi) + shift) * dx - np.asarray(beta, dtype=float)[..., None]
 
 
-def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
-    """smooth_weights for arrays sigma and beta of one shape (k,): its (k, 2n - 1)
-    rows, for the slab build's Simpson nodes."""
-    sigma = np.asarray(sigma, dtype=float)[..., None]
+def _in_row_blocks(block, sigma, beta, dx: float, n: int, width: int) -> np.ndarray:
+    """The (..., 2n - 1) rows of block for sigma and beta broadcast together,
+    written into one output max(1, _BLOCK // width) rows at a time, width
+    being the lattice length of one row: block(sigma, beta, dx, n, out) fills
+    out with the rows of the 1-D blocks sigma and beta.  The blocks are the
+    private block functions, not the public builders, so a wrapper on a
+    public name (perfbench's tracer spans) counts one call per call."""
+    sigma, beta = np.broadcast_arrays(np.asarray(sigma, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    out = np.empty(sigma.shape + (2 * n - 1,))
+    rows, sigma, beta = out.reshape(-1, 2 * n - 1), sigma.reshape(-1), beta.reshape(-1)
+    step = max(1, _BLOCK // width)
+    for i in range(0, len(sigma), step):
+        block(sigma[i : i + step], beta[i : i + step], dx, n, rows[i : i + step])
+    return out
+
+
+def _smooth_block(sigma, beta, dx: float, n: int, out: np.ndarray) -> None:
+    """smooth_weight_rows of one block of rows, written into out."""
+    sigma = sigma[:, None]
     h = 0.5 * dx
     # one CDF per point of the lattice m dx - beta, m in [-n-1, n+1]: the cell
     # weights read m in [-n, n] and the slope fold one point more on each side
@@ -192,7 +229,13 @@ def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
                   k1int(J + np.maximum(p, 0.0), np.where(p > 0.0, cubic, J3), 1.0))
     S = np.diff(k1, axis=-1) / dx
     # conv(central_slopes(f), S) == conv(f, folded) with the fold below
-    return base + (S[..., 2:] - S[..., :-2]) / (2.0 * dx)
+    np.add(base, (S[..., 2:] - S[..., :-2]) / (2.0 * dx), out=out)
+
+
+def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
+    """smooth_weights for arrays sigma and beta of one shape (k,): its (k, 2n - 1)
+    rows, built in blocks of rows (_in_row_blocks)."""
+    return _in_row_blocks(_smooth_block, sigma, beta, dx, n, 2 * n + 3)
 
 
 def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
@@ -205,8 +248,18 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     reconstruction with central slopes (f_{j+1} - f_{j-1}) / (2 dx) matching
     the given cell means; the slope stencil is folded into the weight vector,
     so application stays one convolution.  Row and column sums remain 1.
+
+    sigma is a scalar: this is one row of smooth_weight_rows, which builds
+    every row a run uses, so only tests and the tracer call it.
     """
     return smooth_weight_rows(sigma, beta, dx, n)
+
+
+def _slope_block(sigma, beta, dx: float, n: int, out: np.ndarray) -> None:
+    """slope_kernel_weights of one block of rows, written into out."""
+    p = _lattice(-n - 1, n + 1, 0.5, dx, beta)
+    F = _second_difference(p, _tail_antiderivatives(p, sigma[:, None])[0])
+    np.divide(-np.diff(F, axis=-1), dx * dx, out=out)
 
 
 def slope_kernel_weights(sigma, beta, dx: float, n: int) -> np.ndarray:
@@ -218,12 +271,10 @@ def slope_kernel_weights(sigma, beta, dx: float, n: int) -> np.ndarray:
     difference is folded in, w[m] = (b[m] - b[m-1]) / dx, so application is
     one convolution with the cell means.  In the sigma -> 0 limit this
     reduces to minus the centered difference.  sigma and beta may be arrays
-    of one shape (k,), giving (k, 2n - 1) rows.
+    of one shape (k,), giving (k, 2n - 1) rows, built in blocks of rows
+    (_in_row_blocks).
     """
-    sigma = np.asarray(sigma, dtype=float)[..., None]
-    p = _lattice(-n - 1, n + 1, 0.5, dx, beta)
-    F = _second_difference(p, _tail_antiderivatives(p, sigma)[0])
-    return -np.diff(F, axis=-1) / (dx * dx)
+    return _in_row_blocks(_slope_block, sigma, beta, dx, n, 2 * n + 2)
 
 
 def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
@@ -299,23 +350,23 @@ class KernelModel:
 
     # -- kernel moments -------------------------------------------------------
 
-    def variance(self, s, t: float):
-        """(t - s) a, the variance of p(s, x0, t, .); s may be an array of
-        start times, giving one variance each."""
+    def variance(self, s, t):
+        """(t - s) a, the variance of p(s, x0, t, .); s or t may be arrays of
+        start or end times, giving one variance each."""
         self._check_times(s, t)
         var = (t - s) * self.a
         return float(var) if np.ndim(var) == 0 else var
 
-    def mean_shift(self, s, t: float):
+    def mean_shift(self, s, t):
         self._check_times(s, t)
         return (t - s) * self.b0
 
-    def sigma_beta(self, s, t: float):
-        """(std, drift shift) of p(s, x0, t, .) about x0; s may be an array."""
+    def sigma_beta(self, s, t):
+        """(std, drift shift) of p(s, x0, t, .) about x0; s or t may be arrays."""
         return np.sqrt(self.variance(s, t)), self.mean_shift(s, t)
 
     def _check_times(self, s, t):
-        if not (np.all((0.0 <= s) & (s < t)) and t <= self.T + 1e-12):
+        if not (np.all((0.0 <= s) & (s < t)) and np.all(t <= self.T + 1e-12)):
             raise ValueError(f"need 0 <= s < t <= T, got s={s}, t={t}")
 
     # -- pointwise evaluation -------------------------------------------------

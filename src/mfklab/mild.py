@@ -42,7 +42,7 @@ from numpy.fft import irfft, rfft
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (apply_spectra, gap_spectra, kernel_for, slope_kernel_weights,
-                     smooth_weight_rows, smooth_weights)
+                     smooth_weight_rows)
 from .problems import ProblemSpec, SmoothTestFunction, apply_generator
 from .quadrature import simpson_weights, trapezoid_weights
 
@@ -121,23 +121,24 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
 
     The problem's kernel is time-homogeneous, so the weights depend on the
     level gap only and one set, built for the slab at r = 0, serves every
-    slab.  For the target level t = g dt at gap g, the source interval is
-    [t - g dt, t - (g-1) dt]; the integral runs in w = sqrt(t - s) with
-    composite Simpson weights carrying the 2w Jacobian, so the w = 0 endpoint
-    (kernel degenerating to the identity) has zero weight and is skipped.
-    A is built iff M_Lambda > 0 and B iff M_b > 0 (None otherwise).
+    slab.  S is one smooth_weight_rows call over the m gaps.  For the target
+    level t = g dt at gap g, the source interval is [t - g dt, t - (g-1) dt];
+    A and B integrate over it in w = sqrt(t - s), one builder call per gap
+    over its Simpson nodes as rows, with composite Simpson weights carrying
+    the 2w Jacobian, so the w = 0 endpoint (kernel degenerating to the
+    identity) has zero weight and is skipped.  The builders evaluate their
+    rows in cache-sized blocks (kernel._BLOCK).  A is built iff M_Lambda > 0
+    and B iff M_b > 0 (None otherwise).
     """
     kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
-    S = np.empty((m, 2 * n - 1))
+    S = smooth_weight_rows(*kernel.sigma_beta(0.0, np.arange(1, m + 1) * dt), dx, n)
     A = np.empty((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
     B = np.empty((m, 2 * n - 1)) if problem.M_b > 0.0 else None
+    if A is None and B is None:
+        return S, A, B
     for g in range(1, m + 1):
         t = g * dt
-        S[g - 1] = smooth_weights(*kernel.sigma_beta(0.0, t), dx, n)
-        if A is None and B is None:
-            continue
-        # all Simpson nodes of the gap at once, as rows
         w_lo, w_hi = np.sqrt((g - 1) * dt), np.sqrt(g * dt)
         w = np.linspace(w_lo, w_hi, _N_W)
         wt = simpson_weights(_N_W, (w_hi - w_lo) / (_N_W - 1)) * 2.0 * w

@@ -316,6 +316,28 @@ def test_cli_missing_config(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-under-a-file"])
+def test_cli_unreadable_input_is_a_config_error(tmp_path, capsys, case):
+    # each ended in a traceback (IsADirectoryError, UnicodeDecodeError, or
+    # the run's own mkdir) instead of one config error that names the path
+    config, blocker = tmp_path / "heat.cfg", tmp_path / "blocker"
+    blocker.write_text("a file where a directory is needed\n")
+    text = HEAT_CFG + f"out = {tmp_path}/out\n"
+    if case == "config-is-a-directory":
+        config.mkdir()
+    elif case == "config-not-utf8":
+        config.write_bytes(text.replace("fast", "f\u00e4st").encode("latin-1"))
+    else:
+        text = HEAT_CFG + f"out = {blocker}/out\n"
+        config.write_text(text)
+    named = blocker / "out" if case == "out-under-a-file" else config
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(["validate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and str(named) in err[0]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.fixture(scope="module")
 def cli_import_modules():
     """The modules a fresh interpreter holds after `import mfklab.cli`."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr as scipy_ndtr
 
+from mfklab import kernel
 from mfklab.kernel import (
     KernelModel,
     apply_grad_smooth,
@@ -320,6 +321,45 @@ def test_weight_rows_are_the_scalar_weights():
     for k, (s, b) in enumerate(zip(sigmas, betas)):
         assert np.array_equal(rows[0][k], smooth_weights(s, b, dx, n))
         assert np.array_equal(rows[1][k], slope_kernel_weights(s, b, dx, n))
+
+
+@pytest.mark.parametrize("n", [512, 129])
+@pytest.mark.parametrize("rows, one_row, width", [
+    (smooth_weight_rows, smooth_weights, lambda n: 2 * n + 3),
+    (slope_kernel_weights, slope_kernel_weights, lambda n: 2 * n + 2),
+], ids=["smooth", "slope"])
+def test_weight_rows_in_blocks_are_the_one_row_weights(rows, one_row, width, n):
+    # three whole blocks of rows and a remainder, against one call per row
+    step = kernel._BLOCK // width(n)
+    k = 3 * step + step // 2
+    rng = np.random.default_rng(n)
+    sigmas, betas, dx = rng.uniform(1e-3, 1.0, k), rng.uniform(-0.5, 0.5, k), 8.0 / n
+    built = rows(sigmas, betas, dx, n)
+    assert built.shape == (k, 2 * n - 1) and built.flags.c_contiguous
+    assert np.array_equal(built, np.array([one_row(s, b, dx, n)
+                                           for s, b in zip(sigmas, betas)]))
+
+
+def test_ndtr_in_flat_blocks_is_the_per_row_ndtr():
+    # 21003 values: one whole block of 2^14 and a remainder, their seam inside row 2
+    x = np.random.default_rng(7).uniform(-40.0, 10.0, (3, 7001))
+    assert x.size > kernel._BLOCK
+    got = ndtr(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, np.array([ndtr(row) for row in x]))
+
+
+def test_sigma_beta_takes_an_array_of_end_times():
+    model = KernelModel(0.7, b0=0.3, T=1.0)
+    t = np.arange(1, 65) / 64.0
+    sigma, beta = model.sigma_beta(0.0, t)
+    assert np.array_equal(sigma, [model.sigma_beta(0.0, float(ti))[0] for ti in t])
+    assert np.array_equal(beta, [model.sigma_beta(0.0, float(ti))[1] for ti in t])
+    for method in (model.variance, model.mean_shift, model.sigma_beta):
+        with pytest.raises(ValueError, match="need 0 <= s < t <= T"):
+            method(0.0, np.append(t, 1.5))
+        with pytest.raises(ValueError, match="need 0 <= s < t <= T"):
+            method(0.0, np.append(0.0, t))
 
 
 @pytest.mark.parametrize("weights", [smooth_weights])

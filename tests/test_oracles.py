@@ -61,6 +61,20 @@ def test_exact_cell_means_per_preset():
         exact_cell_means(preset("logistic_fkpp"), grid, [1])
 
 
+@pytest.mark.parametrize("name", ["heat", "exponential_growth"])
+def test_exact_cell_means_batched_are_the_per_level_rows(name):
+    # every level in one broadcast CDF, against one Gaussian density per level
+    problem = preset(name)
+    grid = GridSpec(R=7.0, n_x=512, n_t=64, T=problem.T)
+    levels = [0, 1, 17, 32, 63, 64]
+    nu, lam = problem.Phi**2, float(problem.Lambda(0.0, 0.0, 0.0))
+    expect = [cell_means_from_cdf(GaussianDensity(problem.u0.mean,
+                                                  problem.u0.var + nu * t).cdf, grid)
+              * exp_mass_oracle(lam, t) for t in grid.times()[levels]]
+    assert np.array_equal(exact_cell_means(problem, grid, levels), np.array(expect))
+    assert np.array_equal(exact_cell_means(problem, grid, range(65))[levels], np.array(expect))
+
+
 class TestBurgersFormula:
     u0 = GaussianDensity(0.0, 0.04)
     grid = GridSpec(R=8.0, n_x=512, n_t=1024, T=1.0, n_slabs=256)
