@@ -63,7 +63,16 @@ these in mind until a change to the benchmark mends them:
   tracer counts slabs through `solve_slab`, which only the tests call);
 * the slab pass is `mild._sweep`, run in place once per slab, and no span
   wraps it, so its time shows only inside `mild.solve`'s self time; the next
-  change to the benchmark should time it.
+  change to the benchmark should time it;
+* `kernel.smooth_weights.calls` and `kernel.smooth_weights.distinct_frac`
+  read 0 on every workload: the run builds its smoothing rows in blocks
+  through `kernel.smooth_weight_rows`, and only tests call the one-row
+  `smooth_weights`; the next change to the benchmark should count the rows
+  of `smooth_weight_rows`;
+* BENCHMARK.json's heat-validate note says the kernel stencil build is "~93%
+  of the run": since the build runs in blocks, `perfbench/run.py --trace 1`
+  reads `mild.build_slab_stencils.s` 0.0105 s of a 0.0238 s `harness.run`
+  (44%).
 """
 
 from __future__ import annotations
