@@ -32,13 +32,14 @@ side, and takes all its differences from those values.
 The normal CDF, ndtr, is this module's own numpy erfc series, so no run
 imports scipy; problems, particles and oracles take it from here.
 
-Work that is row-wise or flat runs in blocks of about _BLOCK = 2^14 lattice
-points: the builders take their rows max(1, _BLOCK // lattice length) at a
-time into one preallocated output, and ndtr takes a large input _BLOCK
-values at a time.  Each builder makes some forty passes over its lattice, so
-a block keeps those passes in cache and its temporaries bounded: many rows
-in one call then cost less than one call per row, with no more peak memory
-than one block's temporaries.  Rows and values are elementwise, so the
+Row-wise work runs in blocks of about _BLOCK = 2^14 lattice points: the
+builders take their rows max(1, _BLOCK // lattice length) at a time into one
+preallocated output, and oracles.exact_cell_means takes its Gaussian levels
+max(1, _BLOCK // (n_x + 1)) at a time, so ndtr, which takes its input whole,
+gets at most _BLOCK values from it.  Each builder makes some forty passes
+over its lattice, so a block keeps those passes in cache and its temporaries
+bounded: many rows in one call then cost less than one call per row, with no
+more peak memory than one block's temporaries.  Rows are elementwise, so the
 blocks change no bit of the result.  The block size is decided here only.
 
 Every convolution takes one path, along x only, through numpy.fft at the
@@ -112,24 +113,15 @@ def ndtr(x):
     On the band -39 < x < 9 it is Q(-x) for x < 0 and 1 - Q(x) for x >= 0,
     with Q from _gauss_tail; the error is below 1e-13 relative for x <= 0 and
     2.3e-16 absolute for x >= 0.  Outside the band Phi rounds to the doubles
-    0 and 1, which it returns.  An input of more than _BLOCK values is
-    evaluated in flat blocks of _BLOCK.
+    0 and 1, which it returns.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
-    for i in range(0, flat.size, _BLOCK):
-        _ndtr_block(flat[i : i + _BLOCK], flat_out[i : i + _BLOCK])
-    return out[()]
-
-
-def _ndtr_block(x, out):
-    """ndtr of a 1-D block x, written into out."""
-    np.clip(x, 0.0, 1.0, out=out)  # NaN stays NaN
+    out = np.clip(x, 0.0, 1.0, out=np.empty(x.shape))  # NaN stays NaN
     band = (x > _NDTR_LO) & (x < _NDTR_HI)
     xb = x[band]
     q = _gauss_tail(np.abs(xb))[1]
     out[band] = np.where(xb < 0.0, q, 1.0 - q)
+    return out[()]
 
 
 def normal_pdf(z):

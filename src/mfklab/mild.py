@@ -14,12 +14,13 @@ global mild equation.
 
 Discretization: fields are piecewise constant in time from the left level;
 the time integral of the kernel weights over each source interval is computed
-in the substituted variable w = sqrt(t - s) (uniform Simpson nodes), which
-also removes the 1/sqrt(t - s) kernel-gradient singularity.  Space integrals
-use the exactly integrated Gaussian cell weights from the kernel module.  The
-weights depend on the level gap only, so a slab operator is one x-spectrum
-per level gap, applied at the circular length 2 n_x, which keeps every
-wrapped-around term out of the n_x-node output window.
+in the substituted variable w = sqrt(t - s) by one Gauss-Legendre rule in w
+(quadrature.sqrt_tau_rule), which also removes the 1/sqrt(t - s)
+kernel-gradient singularity.  Space integrals use the exactly integrated
+Gaussian cell weights from the kernel module.  The weights depend on the
+level gap only, so a slab operator is one x-spectrum per level gap, applied
+at the circular length 2 n_x, which keeps every wrapped-around term out of
+the n_x-node output window.
 
 The discrete map is strictly causal in the level gap: level l reads only the
 levels 0..l-1 of its input.  One level loop (_sweep) applies it, and its two
@@ -44,7 +45,7 @@ from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (apply_spectra, gap_spectra, kernel_for, slope_kernel_weights,
                      smooth_weight_rows)
 from .problems import ProblemSpec, SmoothTestFunction, apply_generator
-from .quadrature import simpson_weights, trapezoid_weights
+from .quadrature import sqrt_tau_rule, trapezoid_weights
 
 
 def estimate_slab_tau(M_b: float, M_Lambda: float, C_u: float,
@@ -97,10 +98,6 @@ def _tau_max(problem: ProblemSpec) -> float:
                              horizon=problem.T)
 
 
-# Simpson nodes per source interval in the w = sqrt(t - s) variable (odd).
-_N_W = 65
-
-
 @dataclass
 class SlabStencils:
     """The x-spectra (kernel.gap_spectra) of every kernel weight one slab
@@ -123,12 +120,13 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
     level gap only and one set, built for the slab at r = 0, serves every
     slab.  S is one smooth_weight_rows call over the m gaps.  For the target
     level t = g dt at gap g, the source interval is [t - g dt, t - (g-1) dt];
-    A and B integrate over it in w = sqrt(t - s), one builder call per gap
-    over its Simpson nodes as rows, with composite Simpson weights carrying
-    the 2w Jacobian, so the w = 0 endpoint (kernel degenerating to the
-    identity) has zero weight and is skipped.  The builders evaluate their
-    rows in cache-sized blocks (kernel._BLOCK).  A is built iff M_Lambda > 0
-    and B iff M_b > 0 (None otherwise).
+    A and B integrate over it in w = sqrt(t - s) on [sqrt((g-1) dt),
+    sqrt(g dt)] by quadrature.sqrt_tau_rule, whose nodes for every gap come
+    from one call.  Each gap is one builder call over its nodes as rows,
+    summed with the rule's weights.  The nodes are interior, so no kernel is
+    evaluated at s = t, where it degenerates to the identity.  The builders
+    evaluate their rows in cache-sized blocks (kernel._BLOCK).  A is built
+    iff M_Lambda > 0 and B iff M_b > 0 (None otherwise).
     """
     kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
@@ -137,19 +135,16 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
     B = np.empty((m, 2 * n - 1)) if problem.M_b > 0.0 else None
     if A is None and B is None:
         return S, A, B
-    for g in range(1, m + 1):
-        t = g * dt
-        w_lo, w_hi = np.sqrt((g - 1) * dt), np.sqrt(g * dt)
-        w = np.linspace(w_lo, w_hi, _N_W)
-        wt = simpson_weights(_N_W, (w_hi - w_lo) / (_N_W - 1)) * 2.0 * w
-        keep = wt != 0.0
-        w, wt = w[keep], wt[keep]
-        sigma, beta = kernel.sigma_beta(np.maximum(t - w * w, 0.0), t)
+    g = np.arange(1, m + 1)
+    w, wt = sqrt_tau_rule(np.sqrt((g - 1) * dt), np.sqrt(g * dt))
+    t = g[:, None] * dt
+    sigma, beta = kernel.sigma_beta(t - w * w, t)
+    for i in range(m):
         # einsum, not BLAS: the node sum keeps one order at any thread count
         if A is not None:
-            A[g - 1] = np.einsum("i,ij->j", wt, smooth_weight_rows(sigma, beta, dx, n))
+            A[i] = np.einsum("i,ij->j", wt[i], smooth_weight_rows(sigma[i], beta[i], dx, n))
         if B is not None:
-            B[g - 1] = np.einsum("i,ij->j", wt, slope_kernel_weights(sigma, beta, dx, n))
+            B[i] = np.einsum("i,ij->j", wt[i], slope_kernel_weights(sigma[i], beta[i], dx, n))
     return S, A, B
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .grids import Field, GridSpec, cell_means_from_cdf
-from .kernel import ndtr
+from .kernel import _BLOCK, ndtr
 
 # burgers_cell_means' rule: panels of _CH_PANEL with _CH_ORDER nodes each
 _CH_PANEL = 0.025
@@ -89,8 +89,9 @@ def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
     Every level whose solution is a Gaussian row, N(u0_mean, u0_var + nu t)
     scaled by the mass e^{lam t} (each level of heat and exponential_growth,
     and burgers' t = 0), comes from one cell_means_from_cdf call whose CDF
-    broadcasts over a (levels, 1) column of standard deviations; ndtr
-    evaluates it in cache-sized blocks.  Burgers levels at t > 0 take
+    broadcasts over a (levels, 1) column of standard deviations, taken
+    max(1, kernel._BLOCK // (n_x + 1)) levels at a time into the rows, so its
+    temporaries stay one cache-sized block.  Burgers levels at t > 0 take
     burgers_cell_means one level at a time.
     """
     if problem.name not in VALIDATE_DEFAULTS:
@@ -101,9 +102,13 @@ def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
     times = grid.times()[levels]
     gauss = times <= 0.0 if problem.name == "burgers" else np.ones(len(times), dtype=bool)
     rows = np.empty((len(times), grid.n_x))
-    sd = np.sqrt(u0.var + nu * times[gauss])[:, None]
-    mass = np.array([exp_mass_oracle(lam, t) for t in times[gauss]])[:, None]
-    rows[gauss] = cell_means_from_cdf(lambda x: ndtr((x - u0.mean) / sd), grid) * mass
+    gauss_rows = np.flatnonzero(gauss)
+    step = max(1, _BLOCK // (grid.n_x + 1))
+    for i in range(0, len(gauss_rows), step):
+        block = gauss_rows[i : i + step]
+        sd = np.sqrt(u0.var + nu * times[block])[:, None]
+        mass = np.array([exp_mass_oracle(lam, t) for t in times[block]])[:, None]
+        rows[block] = cell_means_from_cdf(lambda x: ndtr((x - u0.mean) / sd), grid) * mass
     for i in np.flatnonzero(~gauss):
         rows[i] = burgers_cell_means(u0, nu, times[i], grid)
     return rows

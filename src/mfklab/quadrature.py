@@ -1,16 +1,18 @@
 """Deterministic quadrature helpers.
 
-Composite Newton-Cotes rules on uniform nodes, and integrals with
-inverse-square-root endpoint singularities handled by the substitution
-s = b - w**2 (resp. s = a + w**2), which maps g(s)/sqrt(b - s) to the bounded
-integrand 2*g(b - w**2).
+The composite trapezoid rule on uniform nodes, and one rule for integrals
+with an inverse-square-root endpoint singularity: with tau the distance to
+the singular endpoint, the substitution tau = w**2 maps g(tau) dtau to the
+integrand 2 w g(w**2) dw, bounded where g ~ 1/sqrt(tau), which a
+Gauss-Legendre rule in w then integrates.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
+
+# Gauss-Legendre nodes per interval of sqrt_tau_rule
+_N_GL = 32
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -22,49 +24,27 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights; n must be odd and >= 3."""
-    if n < 3 or n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd node count >= 3")
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (h / 3.0)
+def sqrt_tau_rule(lo, hi):
+    """Nodes w and weights of int_{lo^2}^{hi^2} g(tau) dtau = int_lo^hi 2 w g(w^2) dw.
 
-
-def sqrt_singular_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    n: int = 4097,
-    singular: str = "upper",
-) -> float:
-    """Integrate f over [a, b] where f blows up like an inverse square root.
-
-    singular: "upper" for f ~ g/sqrt(b-s), "lower" for f ~ g/sqrt(s-a), "both"
-    to split at the midpoint and substitute on each half.  f must accept an
-    ndarray of interior points; the singular endpoints are never evaluated.
+    lo and hi broadcast; the result holds _N_GL Gauss-Legendre nodes in w on
+    [lo, hi] along a new last axis, and the weights carry the 2 w Jacobian,
+    so sum(weights * g(w**2)) is the integral.  The nodes are interior, so g
+    is never evaluated at tau = lo^2 or hi^2.
     """
-    if singular == "both":
-        mid = 0.5 * (a + b)
-        return sqrt_singular_quad(f, a, mid, n, "lower") + sqrt_singular_quad(
-            f, mid, b, n, "upper"
-        )
-    if singular not in ("upper", "lower"):
-        raise ValueError("singular must be 'upper', 'lower' or 'both'")
-    # composite midpoint in w: the substituted integrand 2 w f is bounded but
-    # may be nonzero at w = 0 (f carrying a second singularity), so no
-    # endpoint is ever evaluated
-    W = np.sqrt(b - a)
-    h = W / n
-    w = (np.arange(n) + 0.5) * h
-    s = b - w**2 if singular == "upper" else a + w**2
-    return float(np.dot(2.0 * w * h, f(s)))
+    x, wx = np.polynomial.legendre.leggauss(_N_GL)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    half = 0.5 * (hi - lo)
+    w = 0.5 * (hi + lo) + half * x
+    return w, 2.0 * w * half * wx
 
 
-def beta_half_half_quad(delta: float, n: int = 4097) -> float:
-    """Quadrature of int_0^delta dw / sqrt((delta - w) * w); the exact value is pi."""
-    return sqrt_singular_quad(
-        lambda s: 1.0 / np.sqrt((delta - s) * s), 0.0, delta, n=n, singular="both"
-    )
+def beta_half_half_quad(delta: float) -> float:
+    """Quadrature of int_0^delta ds / sqrt((delta - s) s); the exact value is pi.
 
+    The integrand is symmetric about delta / 2, so this is twice the half
+    over [0, delta / 2], taken in w = sqrt(s).
+    """
+    w, wt = sqrt_tau_rule(0.0, np.sqrt(0.5 * delta))
+    s = w * w
+    return 2.0 * float(np.dot(wt, 1.0 / np.sqrt((delta - s) * s)))

@@ -340,15 +340,6 @@ def test_weight_rows_in_blocks_are_the_one_row_weights(rows, one_row, width, n):
                                            for s, b in zip(sigmas, betas)]))
 
 
-def test_ndtr_in_flat_blocks_is_the_per_row_ndtr():
-    # 21003 values: one whole block of 2^14 and a remainder, their seam inside row 2
-    x = np.random.default_rng(7).uniform(-40.0, 10.0, (3, 7001))
-    assert x.size > kernel._BLOCK
-    got = ndtr(x)
-    assert got.shape == x.shape
-    assert np.array_equal(got, np.array([ndtr(row) for row in x]))
-
-
 def test_sigma_beta_takes_an_array_of_end_times():
     model = KernelModel(0.7, b0=0.3, T=1.0)
     t = np.arange(1, 65) / 64.0

@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from mfklab import mild
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import apply_mean_smooth, kernel_for
+from mfklab.kernel import (apply_mean_smooth, kernel_for, slope_kernel_weights,
+                           smooth_weight_rows)
 from mfklab.mild import (
     ball_radius,
     build_slab_stencils,
@@ -322,6 +323,43 @@ def test_stencils_cache_shape():
     S, A, B = slab_weights(growth, grid)
     assert S.shape == A.shape == (2, 2 * 65 - 1)
     assert B is None  # no state-dependent drift
+
+
+def _dense_time_rule_row(problem, grid, g, builder, n=1025):
+    """Gap g's interval-integrated kernel row by composite Simpson on n nodes
+    in w = sqrt(t - s): an independent, much denser rule than slab_weights'.
+    The w = 0 node has weight 0 and is dropped; s is clamped at 0, where
+    w = sqrt(t) may round it below."""
+    t, dt = g * grid.dt, grid.dt
+    lo, hi = math.sqrt((g - 1) * dt), math.sqrt(g * dt)
+    w = np.linspace(lo, hi, n)
+    wt = np.full(n, 2.0)
+    wt[1::2] = 4.0
+    wt[0] = wt[-1] = 1.0
+    wt *= (hi - lo) / (3.0 * (n - 1)) * 2.0 * w
+    keep = w > 0.0
+    sigma, beta = kernel_for(problem).sigma_beta(np.maximum(t - w[keep] ** 2, 0.0), t)
+    return np.einsum("i,ij->j", wt[keep], builder(sigma, beta, grid.dx, grid.n_x))
+
+
+@pytest.mark.parametrize("name, gaps", [("burgers", (1, 2, 3, 4)),
+                                        ("exponential_growth", (1, 2, 64))])
+def test_slab_weights_match_a_dense_time_rule(name, gaps):
+    # Burgers' B rows at 512x1024 and exponential_growth's A rows in one slab
+    # at 257x64, against 1025 Simpson nodes in w.  The largest relative error
+    # reads 6.4e-12 (Burgers) and 1.3e-11 (exponential_growth), both at gap 1;
+    # 65 Simpson nodes read 2.5e-9 and 1.2e-8 there
+    prob = preset(name)
+    if name == "burgers":
+        grid = GridSpec(R=8.0, n_x=512, n_t=1024, T=1.0, n_slabs=256)
+    else:
+        grid = plan_grid(prob, 8.0, 257, 64)
+    assert grid.levels_per_slab == max(gaps)
+    _, A, B = slab_weights(prob, grid)
+    rows, builder = (B, slope_kernel_weights) if name == "burgers" else (A, smooth_weight_rows)
+    for g in gaps:
+        ref = _dense_time_rule_row(prob, grid, g, builder)
+        assert np.abs(rows[g - 1] - ref).max() <= 2e-11 * np.abs(ref).max(), g
 
 
 def _drift_growth_problem(terms):
