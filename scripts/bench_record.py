@@ -65,14 +65,18 @@ these in mind until a change to the benchmark mends them:
   wraps it, so its time shows only inside `mild.solve`'s self time; the next
   change to the benchmark should time it;
 * `kernel.smooth_weights.calls` and `kernel.smooth_weights.distinct_frac`
-  read 0 on every workload: the run builds its smoothing rows in blocks
+  read 0 on every workload: the slab-data smoothing spectra come in closed
+  form from `kernel.smooth_symbols`, the growth rows are built in blocks
   through `kernel.smooth_weight_rows`, and only tests call the one-row
   `smooth_weights`; the next change to the benchmark should count the rows
-  of `smooth_weight_rows`;
-* BENCHMARK.json's heat-validate note says the kernel stencil build is "~93%
-  of the run": since the build runs in blocks, `perfbench/run.py --trace 1`
-  reads `mild.build_slab_stencils.s` 0.0105 s of a 0.0238 s `harness.run`
-  (44%).
+  of `smooth_weight_rows` and time `smooth_symbols`;
+* BENCHMARK.json's heat-validate note, "the kernel stencil build is ~93% of
+  the run", no longer describes the run: heat builds no weight row at all
+  (its S spectra are `kernel.smooth_symbols`, and it has no A or B), and
+  `perfbench/run.py --trace 1` reads `mild.build_slab_stencils.s` 0.0011 s
+  of a 0.0107 s `harness.run` (10%); the largest layers are now
+  `harness.write_field_csv` and the exact oracle in `harness.run`'s self
+  time.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .problems import (
     GaussianDensity,
     ProblemSpec,
     SmoothTestFunction,
-    UniformDensity,
     apply_generator,
     preset,
     smooth_test_functions,
@@ -61,7 +60,6 @@ __all__ = [
     "GaussianDensity",
     "ProblemSpec",
     "SmoothTestFunction",
-    "UniformDensity",
     "apply_generator",
     "preset",
     "smooth_test_functions",

@@ -23,11 +23,18 @@ cell-weight operators used by the grid solver:
 Both are value stencils: 2n - 1 weights over the offsets of n cell means.
 The gradient weights fold the interpolant's slope difference in, as the
 smoothing weights fold in their slope correction, so no operator reads a
-slope array.  The slab solver smooths its data (mild.prepare_slab) and
-integrates its sources with these two builders only.  Every weight is a
-difference of normal-CDF antiderivatives on a lattice of offsets; each
-builder evaluates the CDF and the pdf once per lattice point, on the tail
-side, and takes all its differences from those values.
+slope array.  The slab solver integrates its sources with these two builders
+only.  Every weight is a difference of normal-CDF antiderivatives on a
+lattice of offsets; each builder evaluates the CDF and the pdf once per
+lattice point, on the tail side, and takes all its differences from those
+values.
+
+The slab solver smooths its data (mild.prepare_slab) without building
+smoothing weights: smooth_symbols gives their spectra in closed form, by
+Poisson summation of the Gaussian's Fourier symbol over a few aliases, and
+smooth_weight_rows is its oracle.  The interval-integrated rows reach the
+kernel at zero width, where the alias sum converges too slowly, so they
+stay on the builders.
 
 The normal CDF, ndtr, is this module's own numpy erfc series, so no run
 imports scipy; problems, particles and oracles take it from here.
@@ -245,6 +252,54 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     every row a run uses, so only tests and the tracer call it.
     """
     return smooth_weight_rows(sigma, beta, dx, n)
+
+
+# aliases k + 2 pi j / dx are summed while exp(-sigma^2 k_j^2 / 2) may reach this
+_ALIAS_TOL = 1e-17
+
+
+def smooth_symbols(sigma, beta, dx: float, n: int) -> np.ndarray:
+    """gap_spectra(smooth_weight_rows(sigma, beta, dx, n)) in closed form: the
+    (k, n + 1) spectra of the slope-corrected cell-mean smoothing for arrays
+    sigma and beta of one shape (k,).
+
+    At k = pi q / (n dx), q = 0..n, the lattice sum of the weights is, by
+    Poisson summation, the sum over aliases k_j = k + 2 pi j / dx of the
+    Gaussian symbol exp(-sigma^2 k_j^2 / 2 - i k_j beta) times
+    sinc^2(x_j) + (sin(k dx) / dx) sinc(x_j) (sinc(x_j) - cos(x_j)) / k_j,
+    with x_j = k_j dx / 2: the two cell averages, and the in-cell linear part
+    read through the central slope, whose symbol sin(k dx) / dx the lattice
+    fold makes alias-free.  (-1)^q is gap_spectra's one-node delay.  The
+    sum keeps |j| <= J, J the least with exp(-sigma_min^2 ((2J + 1) pi /
+    dx)^2 / 2) < _ALIAS_TOL, one alias at a time into one (k, n + 1) array.
+
+    The weights are the infinite lattice's, periodized at L = 2 n: they
+    differ from the physical rows by the Gaussian's mass beyond n dx, a
+    box-truncation tail.  With beta = 0 the rows are even and the spectra
+    real, returned as a real array; otherwise each alias takes its phase.
+    """
+    sigma, beta = np.broadcast_arrays(np.asarray(sigma, dtype=float),
+                                      np.asarray(beta, dtype=float))
+    half_var = -0.5 * np.square(sigma)[..., None]
+    real = not np.any(beta)
+    q = np.arange(n + 1)
+    k = np.pi * q / (n * dx)
+    # the first alias left out has |k_j| >= (2J + 1) pi / dx
+    reach = np.sqrt(-2.0 * np.log(_ALIAS_TOL)) * dx / (np.pi * sigma.min())
+    n_alias = int(np.floor((reach - 1.0) / 2.0)) + 1
+    delay, slope = np.where(q % 2, -1.0, 1.0), np.sin(k * dx) / dx
+    out = np.zeros(sigma.shape + (n + 1,), dtype=float if real else complex)
+    for j in range(-n_alias, n_alias + 1):
+        kj = k + 2.0 * np.pi * j / dx
+        x = 0.5 * dx * kj
+        s = np.sinc(x / np.pi)
+        fold = np.divide(s - np.cos(x), kj, out=np.zeros_like(kj), where=kj != 0.0)
+        term = np.exp(half_var * np.square(kj))
+        term *= delay * s * (s + slope * fold)
+        if not real:
+            term = term * np.exp(-1j * np.multiply.outer(beta, kj))
+        out += term
+    return out
 
 
 def _slope_block(sigma, beta, dx: float, n: int, out: np.ndarray) -> None:

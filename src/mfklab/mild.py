@@ -20,7 +20,9 @@ kernel-gradient singularity.  Space integrals use the exactly integrated
 Gaussian cell weights from the kernel module.  The weights depend on the
 level gap only, so a slab operator is one x-spectrum per level gap, applied
 at the circular length 2 n_x, which keeps every wrapped-around term out of
-the n_x-node output window.
+the n_x-node output window.  The smoothing of the slab data has its spectra
+in closed form (kernel.smooth_symbols), so a solve never builds those
+weights; the interval-integrated ones are built and transformed.
 
 The discrete map is strictly causal in the level gap: level l reads only the
 levels 0..l-1 of its input.  One level loop (_sweep) applies it, and its two
@@ -43,7 +45,7 @@ from numpy.fft import irfft, rfft
 
 from .grids import Field, GridSpec, cell_means_from_cdf, slab_l1
 from .kernel import (apply_spectra, gap_spectra, kernel_for, slope_kernel_weights,
-                     smooth_weight_rows)
+                     smooth_symbols, smooth_weight_rows)
 from .problems import ProblemSpec, SmoothTestFunction, apply_generator
 from .quadrature import sqrt_tau_rule, trapezoid_weights
 
@@ -100,11 +102,13 @@ def _tau_max(problem: ProblemSpec) -> float:
 
 @dataclass
 class SlabStencils:
-    """The x-spectra (kernel.gap_spectra) of every kernel weight one slab
-    uses, row g - 1 holding level gap g = 1..m, computed once so that a slab
-    solve transforms only its sources.  A_hat and B_hat are built only for
-    the terms the problem has (None otherwise), so the slab sweep reads which
-    terms to apply from the spectra it holds.
+    """The x-spectra, in kernel.gap_spectra's layout, of every kernel weight
+    one slab uses, row g - 1 holding level gap g = 1..m, computed once so
+    that a slab solve transforms only its sources.  S_hat is the closed form
+    kernel.smooth_symbols, real when the kernel has no base drift; A_hat and
+    B_hat are gap_spectra of the physical rows, built only for the terms the
+    problem has (None otherwise), so the slab sweep reads which terms to
+    apply from the spectra it holds.
     """
 
     S_hat: np.ndarray  # smoothing of the slab initial data from r to r + g dt
@@ -112,29 +116,30 @@ class SlabStencils:
     B_hat: np.ndarray | None  # gradient kernel integrated over one interval
 
 
-def slab_weights(problem: ProblemSpec, grid: GridSpec):
-    """The initial-data smoothing S and the interval-integrated kernels A and
-    B of one slab, each (m, 2 n_x - 1) with row g - 1 for level gap g.
+def _gap_sigma_beta(problem: ProblemSpec, grid: GridSpec):
+    """(sigma, beta) of the kernel from the slab start to each level gap g = 1..m."""
+    return kernel_for(problem).sigma_beta(0.0, np.arange(1, grid.levels_per_slab + 1) * grid.dt)
 
-    The problem's kernel is time-homogeneous, so the weights depend on the
-    level gap only and one set, built for the slab at r = 0, serves every
-    slab.  S is one smooth_weight_rows call over the m gaps.  For the target
-    level t = g dt at gap g, the source interval is [t - g dt, t - (g-1) dt];
-    A and B integrate over it in w = sqrt(t - s) on [sqrt((g-1) dt),
-    sqrt(g dt)] by quadrature.sqrt_tau_rule, whose nodes for every gap come
-    from one call.  Each gap is one builder call over its nodes as rows,
-    summed with the rule's weights.  The nodes are interior, so no kernel is
-    evaluated at s = t, where it degenerates to the identity.  The builders
-    evaluate their rows in cache-sized blocks (kernel._BLOCK).  A is built
-    iff M_Lambda > 0 and B iff M_b > 0 (None otherwise).
+
+def _interval_weights(problem: ProblemSpec, grid: GridSpec):
+    """The interval-integrated kernels A and B of one slab, each (m, 2 n_x - 1)
+    with row g - 1 for level gap g, or None for a term the problem lacks.
+
+    For the target level t = g dt at gap g, the source interval is
+    [t - g dt, t - (g-1) dt]; A and B integrate over it in w = sqrt(t - s) on
+    [sqrt((g-1) dt), sqrt(g dt)] by quadrature.sqrt_tau_rule, whose nodes for
+    every gap come from one call.  Each gap is one builder call over its
+    nodes as rows, summed with the rule's weights.  The nodes are interior,
+    so no kernel is evaluated at s = t, where it degenerates to the identity.
+    The builders evaluate their rows in cache-sized blocks (kernel._BLOCK).
+    A is built iff M_Lambda > 0 and B iff M_b > 0.
     """
     kernel = kernel_for(problem)
     m, n, dx, dt = grid.levels_per_slab, grid.n_x, grid.dx, grid.dt
-    S = smooth_weight_rows(*kernel.sigma_beta(0.0, np.arange(1, m + 1) * dt), dx, n)
     A = np.empty((m, 2 * n - 1)) if problem.M_Lambda > 0.0 else None
     B = np.empty((m, 2 * n - 1)) if problem.M_b > 0.0 else None
     if A is None and B is None:
-        return S, A, B
+        return A, B
     g = np.arange(1, m + 1)
     w, wt = sqrt_tau_rule(np.sqrt((g - 1) * dt), np.sqrt(g * dt))
     t = g[:, None] * dt
@@ -145,13 +150,31 @@ def slab_weights(problem: ProblemSpec, grid: GridSpec):
             A[i] = np.einsum("i,ij->j", wt[i], smooth_weight_rows(sigma[i], beta[i], dx, n))
         if B is not None:
             B[i] = np.einsum("i,ij->j", wt[i], slope_kernel_weights(sigma[i], beta[i], dx, n))
-    return S, A, B
+    return A, B
+
+
+def slab_weights(problem: ProblemSpec, grid: GridSpec):
+    """The physical weights of one slab: the initial-data smoothing S and the
+    interval-integrated kernels A and B (_interval_weights), each
+    (m, 2 n_x - 1) with row g - 1 for level gap g.
+
+    The problem's kernel is time-homogeneous, so the weights depend on the
+    level gap only and one set, built for the slab at r = 0, serves every
+    slab.  S is one smooth_weight_rows call over the m gaps.  A solve reads
+    S through its closed-form spectra (kernel.smooth_symbols), so these S
+    rows are their oracle; A and B are the rows a solve transforms.
+    """
+    S = smooth_weight_rows(*_gap_sigma_beta(problem, grid), grid.dx, grid.n_x)
+    return (S, *_interval_weights(problem, grid))
 
 
 def build_slab_stencils(problem: ProblemSpec, grid: GridSpec) -> SlabStencils:
-    """The spectra of slab_weights, the form a solve applies them in."""
-    S, A, B = slab_weights(problem, grid)
-    return SlabStencils(gap_spectra(S), None if A is None else gap_spectra(A),
+    """The spectra a solve applies: S_hat in closed form (kernel.smooth_symbols,
+    never the physical S rows), A_hat and B_hat as gap_spectra of the
+    interval-integrated rows."""
+    A, B = _interval_weights(problem, grid)
+    return SlabStencils(smooth_symbols(*_gap_sigma_beta(problem, grid), grid.dx, grid.n_x),
+                        None if A is None else gap_spectra(A),
                         None if B is None else gap_spectra(B))
 
 

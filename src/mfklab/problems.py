@@ -61,33 +61,6 @@ class GaussianDensity:
 
 
 @dataclass(frozen=True)
-class UniformDensity:
-    """Uniform density on [lo, hi], used as a rough (indicator-type) initial law."""
-
-    lo: float = -1.0
-    hi: float = 1.0
-
-    def __post_init__(self):
-        if self.hi <= self.lo:
-            raise ValueError("need lo < hi")
-
-    @property
-    def max_value(self):
-        return 1.0 / (self.hi - self.lo)
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.lo) & (x <= self.hi), self.max_value, 0.0)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, n)
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """One MFKE / semilinear PDE instance with its declared constants."""
 
@@ -96,7 +69,7 @@ class ProblemSpec:
     Phi: float  # constant diffusion coefficient Phi = sqrt(nu)
     b: Callable  # b(t, x, z) -> drift, vectorized over x, z
     Lambda: Callable  # Lambda(t, x, z) -> growth rate, vectorized
-    u0: GaussianDensity | UniformDensity
+    u0: GaussianDensity
     M_b: float
     M_Lambda: float
     L_b: float

@@ -17,6 +17,7 @@ from mfklab.kernel import (
     gap_spectra,
     ndtr,
     slope_kernel_weights,
+    smooth_symbols,
     smooth_weight_rows,
     smooth_weights,
     staggered_slopes,
@@ -338,6 +339,27 @@ def test_weight_rows_in_blocks_are_the_one_row_weights(rows, one_row, width, n):
     assert built.shape == (k, 2 * n - 1) and built.flags.c_contiguous
     assert np.array_equal(built, np.array([one_row(s, b, dx, n)
                                            for s, b in zip(sigmas, betas)]))
+
+
+@pytest.mark.parametrize("beta_dx", [0.0, 0.37, -2.6])
+@pytest.mark.parametrize("n", [64, 65, 512])
+def test_smooth_symbols_are_the_spectra_of_the_weight_rows(n, beta_dx):
+    # the closed-form spectra against gap_spectra of the physical rows, for
+    # sigma / dx from 0.3 (five aliases each side) to 40, or to n / 9 where
+    # the box would cut the Gaussian off.  The physical rows' second
+    # differences lose digits as sigma / dx grows: the row error relative to
+    # the row's peak reads at most 1.45e-15 max(1, (sigma / dx)^2), 2.3e-12 at
+    # sigma = 40 dx
+    dx = 16.0 / n
+    ratios = np.geomspace(0.3, min(40.0, n / 9), 12)
+    sigmas = ratios * dx
+    betas = np.full_like(sigmas, beta_dx * dx)
+    ref = gap_spectra(smooth_weight_rows(sigmas, betas, dx, n))
+    got = smooth_symbols(sigmas, betas, dx, n)
+    assert got.shape == ref.shape == (len(sigmas), n + 1)
+    assert got.dtype == (float if beta_dx == 0.0 else complex)
+    err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert np.all(err <= 2e-15 * np.maximum(1.0, ratios**2))
 
 
 def test_sigma_beta_takes_an_array_of_end_times():

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from mfklab import mild
 from mfklab.grids import Field, GridSpec, cell_means_from_cdf, slab_l1
-from mfklab.kernel import (apply_mean_smooth, kernel_for, slope_kernel_weights,
+from mfklab.kernel import (apply_mean_smooth, gap_spectra, kernel_for, slope_kernel_weights,
                            smooth_weight_rows)
 from mfklab.mild import (
     ball_radius,
@@ -23,8 +23,7 @@ from mfklab.mild import (
     weak_residual,
 )
 from mfklab.oracles import exact_cell_means, heat_oracle
-from mfklab.problems import (GaussianDensity, ProblemSpec, UniformDensity, preset,
-                             smooth_test_functions)
+from mfklab.problems import GaussianDensity, ProblemSpec, preset, smooth_test_functions
 from mfklab.quadrature import trapezoid_weights
 
 from _picard import monitor_ok, picard_solve
@@ -325,6 +324,41 @@ def test_stencils_cache_shape():
     assert B is None  # no state-dependent drift
 
 
+@pytest.mark.parametrize("name", ["exponential_growth", "logistic_fkpp", "burgers"])
+def test_slab_stencils_are_the_spectra_of_the_slab_weights(name):
+    # A_hat and B_hat are gap_spectra of the physical rows bit for bit; S_hat
+    # is their closed form, within round-off of the physical S rows' spectra
+    # (1.0e-14 of the peak on exponential_growth's 16 gaps, sigma up to 4.6 dx)
+    prob = _slab_problem(name)
+    grid = plan_grid(prob, 7.0, 65, 16)
+    stencils = build_slab_stencils(prob, grid)
+    S, A, B = slab_weights(prob, grid)
+    for spec, rows in ((stencils.A_hat, A), (stencils.B_hat, B)):
+        assert (spec is None) == (rows is None)
+        if rows is not None:
+            assert np.array_equal(spec, gap_spectra(rows))
+    ref = gap_spectra(S)
+    assert np.abs(stencils.S_hat - ref).max() <= 2e-14 * np.abs(ref).max()
+
+
+def test_solves_never_build_the_physical_smoothing_rows(monkeypatch):
+    # the slab data is smoothed through kernel.smooth_symbols: with mild's
+    # physical row builder refusing, heat and Burgers solve to the same fields
+    burgers = preset("burgers", nu=1.0, u0_var=0.04)
+    cases = [(preset("heat"), GridSpec(R=7.0, n_x=128, n_t=16, T=1.0)),
+             (burgers, plan_grid(burgers, R=8.0, n_x=128, n_t_min=64))]
+    fields = [solve(prob, grid)[0].values for prob, grid in cases]
+
+    def refuse(*args):
+        raise AssertionError("physical smoothing rows built")
+
+    monkeypatch.setattr(mild, "smooth_weight_rows", refuse)
+    with pytest.raises(AssertionError, match="physical smoothing rows"):
+        slab_weights(*cases[0])
+    for (prob, grid), values in zip(cases, fields):
+        assert np.array_equal(solve(prob, grid)[0].values, values)
+
+
 def _dense_time_rule_row(problem, grid, g, builder, n=1025):
     """Gap g's interval-integrated kernel row by composite Simpson on n nodes
     in w = sqrt(t - s): an independent, much denser rule than slab_weights'.
@@ -408,23 +442,35 @@ def test_slab_operator_matches_per_level_sums(n_x, m, terms):
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _smoothed_slab_data(phi, gap: float, R: float, n_x: int):
-    """u0_hat one gap after the slab start, for the data phi: prepare_slab on
-    heat-preset stencils, the route every run smooths its slab data by, on a
-    one-level grid whose horizon is the gap."""
+def _smoothed_slab_data(cell_means, gap: float, R: float, n_x: int):
+    """u0_hat one gap after the slab start, for the data cell_means(grid):
+    prepare_slab on heat-preset stencils, the route every run smooths its
+    slab data by, on a one-level grid whose horizon is the gap."""
     grid = GridSpec(R=R, n_x=n_x, n_t=1, T=gap)
     stencils = build_slab_stencils(preset("heat", T=gap), grid)
-    return grid, prepare_slab(0.0, cell_means_from_cdf(phi.cdf, grid), grid, stencils).u0hat[1]
+    return grid, prepare_slab(0.0, cell_means(grid), grid, stencils).u0hat[1]
+
+
+def _density_cell_means(density):
+    return lambda grid: cell_means_from_cdf(density.cdf, grid)
 
 
 def test_slab_data_smoothing_gaussian_closed_form():
-    grid, out = _smoothed_slab_data(GaussianDensity(0.0, 0.04), 1.0, 7.0, 512)
+    grid, out = _smoothed_slab_data(_density_cell_means(GaussianDensity(0.0, 0.04)),
+                                    1.0, 7.0, 512)
     mid = np.argmin(np.abs(grid.x_nodes()))
     assert out[mid] == pytest.approx(0.391213, abs=1e-4)  # cell mean vs point value
 
 
+def _indicator_cell_means(grid):
+    """Exact cell means of the density 1/2 on [-1, 1], rough data for the symbols."""
+    x, h = grid.x_nodes(), 0.5 * grid.dx
+    overlap = np.minimum(x + h, 1.0) - np.maximum(x - h, -1.0)
+    return 0.5 * np.maximum(overlap, 0.0) / grid.dx
+
+
 def test_slab_data_smoothing_preserves_indicator_mass():
-    grid, out = _smoothed_slab_data(UniformDensity(-1.0, 1.0), 0.5, 8.0, 801)
+    grid, out = _smoothed_slab_data(_indicator_cell_means, 0.5, 8.0, 801)
     assert np.abs(out).sum() * grid.dx == pytest.approx(1.0, abs=1e-3)
     assert out.sum() * grid.dx == pytest.approx(1.0, abs=1e-9)
 
@@ -433,7 +479,7 @@ def test_slab_data_smoothing_norm_bounds():
     # ||u0_hat||_1 <= ||phi||_1 and ||u0_hat||_inf <= C_u ||phi||_inf, up to
     # box-truncation tails
     phi = GaussianDensity(0.3, 0.09)
-    grid, out = _smoothed_slab_data(phi, 0.5, 7.0, 512)
+    grid, out = _smoothed_slab_data(_density_cell_means(phi), 0.5, 7.0, 512)
     assert np.abs(out).sum() * grid.dx <= 1.0 + 1e-9
     assert np.abs(out).max() <= kernel_for(preset("heat", T=0.5)).C_u * phi.max_value + 1e-9
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mfklab.problems import (
     GaussianDensity,
     ProblemSpec,
-    UniformDensity,
     apply_generator,
     check_constants,
     preset,
@@ -99,14 +98,6 @@ def test_gaussian_density_consistency():
     s = g.sample(rng, 200_000)
     assert s.mean() == pytest.approx(0.3, abs=0.01)
     assert s.var() == pytest.approx(0.25, abs=0.01)
-
-
-def test_uniform_density_bounds():
-    u = UniformDensity(-1.0, 1.0)
-    rng = np.random.Generator(np.random.Philox(key=1))
-    s = u.sample(rng, 1000)
-    assert s.min() >= -1.0 and s.max() <= 1.0
-    assert u.pdf(np.array([0.0]))[0] == pytest.approx(0.5)
 
 
 @settings(max_examples=50, deadline=None)
