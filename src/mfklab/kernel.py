@@ -233,7 +233,9 @@ def _smooth_block(sigma, beta, dx: float, n: int, out: np.ndarray) -> None:
 
 def smooth_weight_rows(sigma, beta, dx: float, n: int) -> np.ndarray:
     """smooth_weights for arrays sigma and beta of one shape (k,): its (k, 2n - 1)
-    rows, built in blocks of rows (_in_row_blocks)."""
+    rows, built in blocks of rows (_in_row_blocks).  A run builds only the
+    growth rows with it; the slab-data smoothing rows are smooth_symbols'
+    oracle."""
     return _in_row_blocks(_smooth_block, sigma, beta, dx, n, 2 * n + 3)
 
 
@@ -249,7 +251,7 @@ def smooth_weights(sigma: float, beta: float, dx: float, n: int) -> np.ndarray:
     so application stays one convolution.  Row and column sums remain 1.
 
     sigma is a scalar: this is one row of smooth_weight_rows, which builds
-    every row a run uses, so only tests and the tracer call it.
+    every smoothing row a run uses, so only tests and the tracer call it.
     """
     return smooth_weight_rows(sigma, beta, dx, n)
 
@@ -334,9 +336,9 @@ def staggered_slopes(values: np.ndarray, dx: float) -> np.ndarray:
 def gap_spectra(stencil: np.ndarray) -> np.ndarray:
     """The spectra apply_spectra and the slab sweep (mild._sweep) multiply
     sources by, for a (..., 2n - 1) stack of value stencils: a slab
-    operator's level gaps, the slab data smoothing to every level, or one
-    kernel row.  Returns the complex (..., n + 1) rfft rows at the circular
-    length L = 2n.
+    operator's level gaps, one kernel row, or the physical slab-data
+    smoothing rows, the oracle of smooth_symbols.  Returns the complex
+    (..., n + 1) rfft rows at the circular length L = 2n.
 
     A full convolution of n values with 2n - 1 weights holds the n-node
     output on [n - 1, 2n - 1); the spectra are delayed by one node, moving it
