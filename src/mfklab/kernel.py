@@ -272,8 +272,11 @@ def smooth_symbols(sigma, beta, dx: float, n: int) -> np.ndarray:
     with x_j = k_j dx / 2: the two cell averages, and the in-cell linear part
     read through the central slope, whose symbol sin(k dx) / dx the lattice
     fold makes alias-free.  (-1)^q is gap_spectra's one-node delay.  The
-    sum keeps |j| <= J, J the least with exp(-sigma_min^2 ((2J + 1) pi /
-    dx)^2 / 2) < _ALIAS_TOL, one alias at a time into one (k, n + 1) array.
+    sum keeps, for each row, the aliases with exp(-sigma^2 ((2 |j| - 1) pi /
+    dx)^2 / 2) >= _ALIAS_TOL, one alias at a time into one (k, n + 1) array.
+    Alias j touches only the rows narrow enough to need it: a slab's sigma
+    grows like the square root of the gap, so at small sigma_1 / dx the many
+    aliases fall on few rows.
 
     The weights are the infinite lattice's, periodized at L = 2 n: they
     differ from the physical rows by the Gaussian's mass beyond n dx, a
@@ -282,26 +285,28 @@ def smooth_symbols(sigma, beta, dx: float, n: int) -> np.ndarray:
     """
     sigma, beta = np.broadcast_arrays(np.asarray(sigma, dtype=float),
                                       np.asarray(beta, dtype=float))
-    half_var = -0.5 * np.square(sigma)[..., None]
+    shape, sigma, beta = sigma.shape, sigma.reshape(-1), beta.reshape(-1)
     real = not np.any(beta)
     q = np.arange(n + 1)
     k = np.pi * q / (n * dx)
-    # the first alias left out has |k_j| >= (2J + 1) pi / dx
-    reach = np.sqrt(-2.0 * np.log(_ALIAS_TOL)) * dx / (np.pi * sigma.min())
-    n_alias = int(np.floor((reach - 1.0) / 2.0)) + 1
+    # alias j has |k_j| >= (2 |j| - 1) pi / dx; row i needs it while
+    # (2 |j| - 1) <= reach[i]
+    reach = np.sqrt(-2.0 * np.log(_ALIAS_TOL)) * dx / (np.pi * sigma)
+    n_alias = int(np.floor((reach.max() + 1.0) / 2.0))
     delay, slope = np.where(q % 2, -1.0, 1.0), np.sin(k * dx) / dx
-    out = np.zeros(sigma.shape + (n + 1,), dtype=float if real else complex)
+    out = np.zeros((sigma.size, n + 1), dtype=float if real else complex)
     for j in range(-n_alias, n_alias + 1):
+        rows = np.flatnonzero(reach >= 2 * abs(j) - 1)
         kj = k + 2.0 * np.pi * j / dx
         x = 0.5 * dx * kj
         s = np.sinc(x / np.pi)
         fold = np.divide(s - np.cos(x), kj, out=np.zeros_like(kj), where=kj != 0.0)
-        term = np.exp(half_var * np.square(kj))
+        term = np.exp(np.multiply.outer(-0.5 * np.square(sigma[rows]), np.square(kj)))
         term *= delay * s * (s + slope * fold)
         if not real:
-            term = term * np.exp(-1j * np.multiply.outer(beta, kj))
-        out += term
-    return out
+            term = term * np.exp(-1j * np.multiply.outer(beta[rows], kj))
+        out[rows] += term
+    return out.reshape(shape + (n + 1,))
 
 
 def _slope_block(sigma, beta, dx: float, n: int, out: np.ndarray) -> None:

@@ -345,13 +345,14 @@ def test_weight_rows_in_blocks_are_the_one_row_weights(rows, one_row, width, n):
 @pytest.mark.parametrize("n", [64, 65, 512])
 def test_smooth_symbols_are_the_spectra_of_the_weight_rows(n, beta_dx):
     # the closed-form spectra against gap_spectra of the physical rows, for
-    # sigma / dx from 0.3 (five aliases each side) to 40, or to n / 9 where
-    # the box would cut the Gaussian off.  The physical rows' second
+    # sigma / dx from 0.05 (28 aliases each side) to 40, or to n / 9 where
+    # the box would cut the Gaussian off, in one call, so the wide rows skip
+    # the aliases only the narrow ones take.  The physical rows' second
     # differences lose digits as sigma / dx grows: the row error relative to
-    # the row's peak reads at most 1.45e-15 max(1, (sigma / dx)^2), 2.3e-12 at
+    # the row's peak reads at most 1.63e-15 max(1, (sigma / dx)^2), 2.3e-12 at
     # sigma = 40 dx
     dx = 16.0 / n
-    ratios = np.geomspace(0.3, min(40.0, n / 9), 12)
+    ratios = np.geomspace(0.05, min(40.0, n / 9), 16)
     sigmas = ratios * dx
     betas = np.full_like(sigmas, beta_dx * dx)
     ref = gap_spectra(smooth_weight_rows(sigmas, betas, dx, n))
