@@ -42,8 +42,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
-KERNEL, MILD = "src/mfklab/kernel.py", "src/mfklab/mild.py"
+KERNEL, MILD, ORACLES = "src/mfklab/kernel.py", "src/mfklab/mild.py", "src/mfklab/oracles.py"
 SYMBOLS_ORACLE = "tests/test_kernel.py::test_smooth_symbols_are_the_spectra_of_the_weight_rows"
+FINE_RULE = ("tests/test_oracles.py::TestBurgersFormula::"
+             "test_panels_sized_to_the_kernel_match_the_fixed_fine_rule")
 
 MUTANTS = (
     Mutant("symbol without the slope fold", KERNEL,
@@ -79,6 +81,17 @@ MUTANTS = (
            "return _sweep(state, problem, state.v)",
            ("tests/test_mild.py::test_slab_operator_matches_per_level_sums",
             "tests/test_mild.py::test_solve_matches_the_2d_convolution_sweep")),
+    Mutant("Cole-Hopf panels not capped at 5 sqrt(nu t)", ORACLES,
+           "while 2.0 * h <= min(5.0 * s, mass / _CH_MASS_PANELS):",
+           "while 2.0 * h <= mass / _CH_MASS_PANELS:",
+           (FINE_RULE,)),
+    Mutant("Cole-Hopf panels without the floor of panels across the mass", ORACLES,
+           "while 2.0 * h <= min(5.0 * s, mass / _CH_MASS_PANELS):",
+           "while 2.0 * h <= 5.0 * s:",
+           (FINE_RULE, "tests/test_oracles.py::TestBurgersFormula::test_two_resolutions_agree")),
+    Mutant("Cole-Hopf panels across the remainder's support, not u0's mass", ORACLES,
+           "h = _panel_width(s, mass)", "h = _panel_width(s, 2 * support * _CH_PANEL)",
+           (FINE_RULE,)),
 )
 
 

@@ -8,6 +8,7 @@ solver in the acceptance suite.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -15,10 +16,11 @@ import numpy as np
 from .grids import Field, GridSpec, cell_means_from_cdf
 from .kernel import _BLOCK, ndtr
 
-# burgers_cell_means' rule: panels of _CH_PANEL with _CH_ORDER nodes each
+# burgers_cell_means' rule: panels of _CH_PANEL times a power of two, with
+# _CH_ORDER nodes each and at least _CH_MASS_PANELS across u0's mass
 _CH_PANEL = 0.025
 _CH_ORDER = 16
-_CH_BLOCK = 64  # cell edges per block of Gaussian weights
+_CH_MASS_PANELS = 8
 _CH_ROUNDING = 1e-6  # largest rounding bound accepted in a cell average
 
 # presets with exact cells, validate's -> (default times / T, None for all levels > 0; compare.l1)
@@ -41,6 +43,24 @@ def exp_mass_oracle(lam: float, t: float) -> float:
     return math.exp(lam * t)
 
 
+def _panel_width(s: float, mass: float) -> float:
+    """The widest _CH_PANEL 2^k within 5 s and mass / _CH_MASS_PANELS (at least _CH_PANEL)."""
+    h = _CH_PANEL
+    while 2.0 * h <= min(5.0 * s, mass / _CH_MASS_PANELS):
+        h *= 2.0
+    return h
+
+
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], computed on first use (read-only)."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def burgers_cell_means(u0, nu: float, t: float, grid: GridSpec) -> np.ndarray:
     """Exact cell averages on the grid of u_t = (nu/2) u_xx - u u_x at time t.
 
@@ -48,32 +68,46 @@ def burgers_cell_means(u0, nu: float, t: float, grid: GridSpec) -> np.ndarray:
     cell edges over dx, theta the heat flow (variance nu t) of exp(-U0/nu), U0
     the CDF of u0.  Of exp(-U0/nu) = e^{-1/nu} + (1 - e^{-1/nu}) H(-y) + r(y),
     the first two terms flow in closed form; r, smooth on either side of 0, is
-    integrated by composite Gauss-Legendre on [-L, 0] and [0, L], L the fewest
-    whole panels past which r vanishes.  Raises ValueError when u0 has mass
-    outside the grid box, sqrt(nu t) is below a fifth of a panel, or nu is so
-    small that theta's rounding may reach _CH_ROUNDING in a cell average.
+    integrated by composite Gauss-Legendre (_CH_ORDER nodes a panel) on
+    [-L, 0] and [0, L], L past the last panel end of _CH_PANEL where r is
+    above 1e-15.  Its panels are the widest _CH_PANEL 2^k within 5 sqrt(nu t),
+    the kernel's scale, that leave _CH_MASS_PANELS across u0's mass (r's own
+    scale; 4 on each side of a centred u0): 0.4 wide, 128 nodes, for u0 of
+    variance 0.04 at nu t >= 0.0064, where panels of _CH_PANEL take 2048.
+    Raises ValueError when u0 has mass outside the grid box, sqrt(nu t) is
+    below a fifth of _CH_PANEL, or nu is so small that theta's rounding may
+    reach _CH_ROUNDING in a cell average.
     """
-    h = _CH_PANEL
     s = math.sqrt(nu * t) if nu > 0 and t > 0 else 0.0
-    if s < 0.2 * h:
-        raise ValueError(f"sqrt(nu t) = {s:g} is below a fifth of a panel, {0.2 * h:g}")
+    if s < 0.2 * _CH_PANEL:
+        raise ValueError(f"sqrt(nu t) = {s:g} is below a fifth of a panel, {0.2 * _CH_PANEL:g}")
     c = math.exp(-1.0 / nu)
-    remainder = lambda y: np.exp(-u0.cdf(y) / nu) - c - (1.0 - c) * (y < 0)
-    ends = h * np.arange(1, math.ceil(grid.R / h) + 1)  # |r| falls off either side of 0
-    panels = 1 + int(np.sum(np.maximum(abs(remainder(-ends)), abs(remainder(ends))) > 1e-15))
-    if panels > len(ends):
+    remainder = lambda y, cdf: np.exp(-cdf / nu) - c - (1.0 - c) * (y < 0)
+    n = math.ceil(grid.R / _CH_PANEL)
+    ends = _CH_PANEL * np.arange(-n, n + 1)  # panel ends of _CH_PANEL, 0 at ends[n]
+    cdf = u0.cdf(ends)
+    r = abs(remainder(ends, cdf))
+    support = 1 + int(np.sum(np.maximum(r[n - 1 :: -1], r[n + 1 :]) > 1e-15))  # L / _CH_PANEL
+    if support > n:
         raise ValueError(f"u0 carries mass outside the grid box [{-grid.R:g}, {grid.R:g}]")
-    nodes, weights = np.polynomial.legendre.leggauss(_CH_ORDER)
-    y = (h * (np.arange(-panels, panels)[:, None] + 0.5 * (nodes + 1.0))).ravel()
-    wr = np.tile(0.5 * h * weights, 2 * panels) * remainder(y) / (s * math.sqrt(2.0 * math.pi))
+    # u0's mass: the fewest whole panels outside which U0 is within 1e-15 of 0 or 1
+    # (none when it lies between two ends: then h is _CH_PANEL)
+    moving = np.flatnonzero((cdf > 1e-15) & (cdf < 1.0 - 1e-15))
+    mass = _CH_PANEL * (np.ptp(moving) + 2) if moving.size else 0.0
+    h = _panel_width(s, mass)
+    panels = math.ceil(support * (_CH_PANEL / h))  # exact: h / _CH_PANEL is a power of two
+    nodes, weights = _legendre(_CH_ORDER)
+    y = (h * (np.arange(-panels, panels)[:, None] + nodes)).ravel()
+    wr = np.tile(h * weights, 2 * panels) * remainder(y, u0.cdf(y)) / (s * math.sqrt(2.0 * math.pi))
     wr = np.stack((wr, np.abs(wr)))  # rows: theta's terms, their magnitudes
     edges = np.append(grid.x_nodes() - 0.5 * grid.dx, grid.R + 0.5 * grid.dx)
     theta = np.repeat(c + (1.0 - c) * ndtr(-edges / s)[:, None], 2, axis=1)
-    for i in range(0, len(edges), _CH_BLOCK):
+    step = max(1, _BLOCK // len(y))  # cell edges per block of Gaussian weights
+    for i in range(0, len(edges), step):
         # einsum, not BLAS: the sums must not depend on the BLAS thread count;
         # both operands summed along their contiguous last axis
-        gauss = np.exp(-0.5 * np.square((edges[i : i + _CH_BLOCK, None] - y) / s))
-        theta[i : i + _CH_BLOCK] += np.einsum("ij,kj->ik", gauss, wr)
+        gauss = np.exp(-0.5 * np.square((edges[i : i + step, None] - y) / s))
+        theta[i : i + step] += np.einsum("ij,kj->ik", gauss, wr)
     theta, size = theta.T
     slack = np.divide(size, theta, out=np.full_like(theta, np.inf), where=theta > 0)
     # a cell average's rounding: len(y) summed terms, each exp within a few eps of its weight
@@ -92,7 +126,8 @@ def exact_cell_means(problem, grid: GridSpec, levels) -> np.ndarray:
     broadcasts over a (levels, 1) column of standard deviations, taken
     max(1, kernel._BLOCK // (n_x + 1)) levels at a time into the rows, so its
     temporaries stay one cache-sized block.  Burgers levels at t > 0 take
-    burgers_cell_means one level at a time.
+    burgers_cell_means one level at a time, each on panels sized to its
+    kernel: 128 nodes at validate's T/4, T/2 and T on the burgers preset.
     """
     if problem.name not in VALIDATE_DEFAULTS:
         raise ValueError(f"no exact solution for {problem.name!r}")
