@@ -19,8 +19,12 @@ sides wrote the same digests, and two verdicts per end-to-end metric:
 
 * `gain`: the change won at least 9 of the 10 pairs, and the medians differ,
   in the better direction, by more than the parent's q3 - q1 and by more than
-  GAIN_FLOOR = 1e-9 of the parent's median (so a last-digit move of `err_ref`,
-  which can win every pair with a zero IQR, is no gain);
+  GAIN_SHARE = 1/10 of the metric's `bound` in BENCHMARK.json, a fraction of
+  the parent's median.  The parent's q3 - q1 can be far below what two
+  exports of one run path differ by: a last-digit move of `err_ref` wins
+  every pair with a zero IQR, and two trees with the same run path have
+  differed by 0.1 MB of `peak_rss_mb` over a q1-q3 of 0.01 MB (frozen-battery
+  in BENCH_pr32.json); a tenth of the bound is 0.28 MB there;
 * `within_bound`: the change's median is worse than the parent's by at most
   the metric's `bound` in BENCHMARK.json, a fraction of the parent's median.
 
@@ -100,7 +104,7 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10  # the fewest pairs that can support a claimed gain
 GAIN_WINS = 9  # pairs the change must win for a gain
-GAIN_FLOOR = 1e-9  # relative to the parent's median: a smaller move is round-off
+GAIN_SHARE = 0.1  # of the metric's bound: a smaller move of the medians is no gain
 # one line per repetition of perfbench/run.py (see its `report`)
 REP_LINE = re.compile(r" rep=\d+ trace=0 ok=\S+ .* err_ref=(\S+) max_du=(\S+) digests=(.*)$")
 
@@ -210,9 +214,9 @@ def verdicts(metric: dict, parent: dict, change: dict, wins: int) -> dict:
     """`gain` and `within_bound` of one end-to-end metric (see the module doc);
     parent and change are the sides' {median, q1, q3, runs} of it."""
     by = better_by(metric, parent["median"], change["median"])
-    floor = max(parent["q3"] - parent["q1"], GAIN_FLOOR * abs(parent["median"]))
-    return {"gain": wins >= GAIN_WINS and by > floor,
-            "within_bound": -by <= metric["bound"] * abs(parent["median"])}
+    bound = metric["bound"] * abs(parent["median"])
+    floor = max(parent["q3"] - parent["q1"], GAIN_SHARE * bound)
+    return {"gain": wins >= GAIN_WINS and by > floor, "within_bound": -by <= bound}
 
 
 def main(argv=None) -> int:
@@ -234,8 +238,8 @@ def main(argv=None) -> int:
                   "commit; per run the metric is run.py's median over its repetitions; median "
                   "and quartiles are over runs; a pair is won when the change reads better; "
                   f"gain: at least {GAIN_WINS} of {PAIRS} pairs won and the medians differ by "
-                  f"more than the parent's q3 - q1 and than {GAIN_FLOOR:g} of the parent's "
-                  "median; within_bound: the change's median is worse "
+                  f"more than the parent's q3 - q1 and than {GAIN_SHARE:g} of BENCHMARK.json's "
+                  "bound times the parent's median; within_bound: the change's median is worse "
                   "by at most BENCHMARK.json's bound times the parent's median",
         "commits": {"parent": parent, "change": change},
         "versions": {"python": platform.python_version(), "numpy": np.__version__,

@@ -14,7 +14,7 @@ old text is gone or repeated fails at once, before anything runs, so the
 list has to follow every refactor of the code it mutates.  The exit status
 is 0 only when every mutant is killed.
 
-The run takes about 20 s, so tier-1 does not run it; it checks only
+The run takes about 25 s, so tier-1 does not run it; it checks only
 that every entry still applies (tests/test_mutants.py).  A change to the
 mild or particle path runs it and quotes its output in CHANGES.md.
 """
@@ -43,9 +43,11 @@ class Mutant(NamedTuple):
 
 
 KERNEL, MILD, ORACLES = "src/mfklab/kernel.py", "src/mfklab/mild.py", "src/mfklab/oracles.py"
+HARNESS = "src/mfklab/harness.py"
 SYMBOLS_ORACLE = "tests/test_kernel.py::test_smooth_symbols_are_the_spectra_of_the_weight_rows"
 FINE_RULE = ("tests/test_oracles.py::TestBurgersFormula::"
              "test_panels_sized_to_the_kernel_match_the_fixed_fine_rule")
+RELEASED = "tests/test_harness.py::test_particle_runs_release_the_field_levels_they_do_not_read"
 
 MUTANTS = (
     Mutant("symbol without the slope fold", KERNEL,
@@ -92,6 +94,26 @@ MUTANTS = (
     Mutant("Cole-Hopf panels across the remainder's support, not u0's mass", ORACLES,
            "h = _panel_width(s, mass)", "h = _panel_width(s, 2 * support * _CH_PANEL)",
            (FINE_RULE,)),
+    Mutant("row blocks of the weight builders drop their last row", KERNEL,
+           "block(sigma[i : i + step], beta[i : i + step], dx, n, rows[i : i + step])",
+           "block(sigma[i : i + step - 1], beta[i : i + step - 1], dx, n, rows[i : i + step - 1])",
+           ("tests/test_kernel.py::test_weight_rows_in_blocks_are_the_one_row_weights",)),
+    Mutant("Gaussian level blocks of the exact cells drop their last level", ORACLES,
+           "block = gauss_rows[i : i + step]", "block = gauss_rows[i : i + step - 1]",
+           ("tests/test_oracles.py::test_exact_cell_means_batched_are_the_per_level_rows",)),
+    Mutant("frozen march reads the field one level late", HARNESS,
+           "Field(steps, u.values[:: grid.n_t // steps.n_t].copy())",
+           "Field(steps, np.roll(u.values, -1, axis=0)[:: grid.n_t // steps.n_t].copy())",
+           ("tests/test_harness.py::test_frozen_battery_is_that_of_the_whole_field",)),
+    Mutant("frozen levels kept as a view of the whole field", HARNESS,
+           "u.values[:: grid.n_t // steps.n_t].copy()", "u.values[:: grid.n_t // steps.n_t]",
+           (RELEASED,)),
+    Mutant("closure compared with the level before T", HARNESS,
+           "u_T = u.values[-1:].copy()", "u_T = u.values[-2:-1].copy()",
+           ("tests/test_harness.py::test_mckean_distance_is_to_the_last_level_of_the_field",)),
+    Mutant("whole field kept alive through the closure", HARNESS,
+           "u_T = u.values[-1:].copy()\n        del u\n", "u_T = u.values[-1:].copy()\n",
+           (RELEASED,)),
 )
 
 

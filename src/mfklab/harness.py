@@ -4,10 +4,15 @@ Configuration files are flat `key = value` text with dotted section prefixes
 (see the README for the schema).  A run writes each field twice: the whole
 (n_t + 1, n_x) float64 array losslessly as `<name>.npy` (C order), and a
 readable `<name>.csv` summary (`t,x1,u`) at the levels round(j n_t / 4),
-j = 0..4.  Its other artifacts are CSV files, and every CSV number has 17
-significant digits.  One `run.json` record (config echo, versions, solve
-report, checks, and the SHA-256 of every other file the run wrote) holds no
-timings, so repeated runs of one config are byte-identical.  The exit status
+j = 0..4.  Once `field.npy` is written, a run holds only the mild field's
+levels that its experiment reads: `simulate-mckean` and `sweep` keep u(T);
+`simulate-frozen` with fewer particle steps than field levels keeps every
+(n_t / steps)-th level, the ones its march and battery read, and otherwise
+the whole field, as `validate` does.  Its other artifacts are CSV files, and
+every CSV number has 17 significant digits.  One `run.json` record (config
+echo, versions, solve report, checks, and the SHA-256 of every other file the
+run wrote) holds no timings, so repeated runs of one config are
+byte-identical.  The exit status
 is the conjunction of the checks.
 """
 
@@ -292,6 +297,14 @@ def run(config: RunConfig) -> int:
 
     u, report = solve(problem, grid)
     written = write_field(out, "field", u)  # file name -> its artifact entry
+    # the whole field is in field.npy; the march and the checks after it
+    # hold only the levels they read
+    if config.kind in ("simulate-mckean", "sweep"):
+        u_T = u.values[-1:].copy()
+        del u
+    elif config.kind == "simulate-frozen" and grid.n_t > steps.n_t:
+        # step k reads level k n_f // n_s, which is level k of these
+        u = Field(steps, u.values[:: grid.n_t // steps.n_t].copy())
     checks = []
     coupled = problem.L_b > 0 or problem.L_Lambda > 0
     if coupled:
@@ -323,7 +336,7 @@ def run(config: RunConfig) -> int:
                                   battery_times)
             particles.append(_particle_record(ens))
             for t in battery_times:
-                k = grid.time_index(t)
+                k = u.grid.time_index(t)
                 for tf in basket:
                     est, se = weighted_functional(ens, tf, t)
                     quad = float(np.dot(wx, tf.f(x) * u.values[k]))
@@ -346,7 +359,7 @@ def run(config: RunConfig) -> int:
         ens, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
         particles.append(_particle_record(ens))
         written |= write_field(out, "mckean_field", rec)
-        dist = compare_fields(rec, [rec.grid.n_t], u.values[-1:]).l1[0]
+        dist = compare_fields(rec, [rec.grid.n_t], u_T).l1[0]
         tol = config.compare_l1
         checks.append(_check("l1 distance to mild at T", dist, tol,
                              tol is None or dist <= tol))
@@ -361,7 +374,7 @@ def run(config: RunConfig) -> int:
                     ens, rec = solve_selfconsistent(problem, n_particles, config.dt,
                                                     config.seed + s, grid)
                     particles.append(_particle_record(ens))
-                    dists.append(compare_fields(rec, [rec.grid.n_t], u.values[-1:]).l1[0])
+                    dists.append(compare_fields(rec, [rec.grid.n_t], u_T).l1[0])
                 med = float(np.median(dists))
                 medians.append(med)
                 fh.write(f"{n_particles},{_FMT % med},{config.seed_count}\n")

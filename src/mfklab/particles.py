@@ -72,8 +72,11 @@ class ParticleEnsemble:
         return self.levels.index(k)
 
     def health(self) -> list:
-        """Per kept level: ESS/N, Silverman's bandwidth and the share of weight
-        outside [-R, R], which the KDE and Field.lookup drop."""
+        """Per kept level: ESS/N, Silverman's bandwidth and outside_box, the
+        share of weight at |y| > R.  That share bounds what the box's readers
+        drop, without being it: Field.lookup reads the end nodes out to
+        |y| = R + dx/2, and the binned KDE keeps part of the weight of any
+        particle within dx of the box."""
         out = []
         times = self.grid.times()
         for k, y, logw in zip(self.levels, self.positions, self.logw):

@@ -11,6 +11,8 @@ _SPEC.loader.exec_module(bench_record)
 
 LOWER = {"name": "wall_s", "better": "lower", "bound": 0.25}
 HIGHER = {"name": "rate", "better": "higher", "bound": 0.25}
+ERR_REF = {"name": "err_ref", "better": "lower", "bound": 0.01}
+RSS = {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}
 
 
 def _side(median, q1, q3):
@@ -33,8 +35,27 @@ def test_a_round_off_move_is_no_gain():
     # IQR 0, and the medians 4.4e-13 apart relative
     parent = _side(1.84191581923585, 1.84191581923585, 1.84191581923585)
     change = _side(1.8419158192350313, 1.8419158192350313, 1.8419158192350313)
-    assert bench_record.verdicts(LOWER, parent, change, 10)["gain"] is False
-    assert bench_record.verdicts(LOWER, parent, _side(1.84, 1.84, 1.84), 10)["gain"] is True
+    assert bench_record.verdicts(ERR_REF, parent, change, 10)["gain"] is False
+    # a tenth of the 1% bound is 0.00184 here
+    assert bench_record.verdicts(ERR_REF, parent, _side(1.8402, 1.8402, 1.8402), 10)["gain"] is False
+    assert bench_record.verdicts(ERR_REF, parent, _side(1.84, 1.84, 1.84), 10)["gain"] is True
+
+
+def test_an_offset_between_exports_of_one_run_path_is_no_gain():
+    # BENCH_pr32.json's frozen-battery peak_rss_mb, whose run path that change
+    # did not touch: 10 of 10 pairs won, 0.09 MB apart against a parent IQR of
+    # 0.012 MB, but below a tenth of the 5% bound (0.28 MB)
+    parent = _side(56.515584000000004, 56.512512, 56.524288)
+    change = _side(56.425472, 56.408576, 56.432128000000006)
+    assert bench_record.verdicts(RSS, parent, change, 10) == {"gain": False, "within_bound": True}
+
+
+def test_the_closure_holding_u_at_t_only_is_a_gain():
+    # mckean-closure peak_rss_mb when the closure stops holding the whole
+    # mild field: three fresh perfbench/child.py runs a side
+    parent = _side(54.788, 54.776, 54.98)
+    change = _side(50.725, 50.61, 50.827)
+    assert bench_record.verdicts(RSS, parent, change, 10) == {"gain": True, "within_bound": True}
 
 
 @pytest.mark.parametrize("metric, change, within", [

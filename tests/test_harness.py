@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,11 @@ from mfklab.harness import (
     write_field,
     write_field_csv,
 )
-from mfklab.mild import SolveReport
+from mfklab.mild import SolveReport, plan_grid
 from mfklab.mild import solve as mild_solve
-from mfklab.problems import preset
+from mfklab.particles import simulate_frozen, weighted_functional
+from mfklab.problems import preset, smooth_test_functions
+from mfklab.quadrature import trapezoid_weights
 
 HEAT_CFG = """
 # fast validation setup
@@ -566,3 +570,73 @@ def test_burgers_validate_does_not_depend_on_solver_tol(tmp_path):
     assert codes[0] == codes[1]
     for name in ("field.npy", "comparison.csv"):
         assert (tmp_path / "1e-4" / name).read_bytes() == (tmp_path / "1e-10" / name).read_bytes()
+
+
+# burgers at 64 x 32 plans 512 field levels: particle steps of 1/32 read every
+# 16th of them, steps of 1/1024 are finer than the field
+@pytest.mark.parametrize("kind, extra", [
+    ("simulate-mckean", "particles.N = 500"),
+    ("sweep", "sweep.N = 100, 200\nparticles.seeds = 1"),
+    ("simulate-frozen", "particles.N = 500\nparticles.seeds = 2"),
+], ids=["simulate-mckean", "sweep", "simulate-frozen"])
+def test_particle_runs_release_the_field_levels_they_do_not_read(tmp_path, monkeypatch,
+                                                                 kind, extra):
+    solved, entered = [], []
+
+    def solve(*args):
+        u, report = mild_solve(*args)
+        solved.append(weakref.ref(u.values))
+        return u, report
+
+    def entry(march):
+        def wrapped(*args):
+            gc.collect()
+            # the frozen march's first argument is its field, the closure's its problem
+            entered.append((solved[0]() is None, getattr(args[0], "grid", None)))
+            return march(*args)
+        return wrapped
+
+    monkeypatch.setattr(harness, "solve", solve)
+    for name in ("solve_selfconsistent", "simulate_frozen"):
+        monkeypatch.setattr(harness, name, entry(getattr(harness, name)))
+    run(RunConfig.from_text(_burgers_cfg(kind, 64, 32,
+                                         f"{extra}\nparticles.dt = 0.03125\nout = {tmp_path}")))
+    assert np.load(tmp_path / "field.npy").shape == (513, 64)  # the whole field is written
+    # the closure holds u(T) only; the frozen march gets the field on its own steps
+    steps = GridSpec(8.0, 64, 32, 1.0) if kind == "simulate-frozen" else None
+    assert entered == [(True, steps)] * (1 if kind == "simulate-mckean" else 2)
+
+
+def test_mckean_distance_is_to_the_last_level_of_the_field(tmp_path):
+    cfg = _burgers_cfg("simulate-mckean", 64, 32, f"particles.N = 500\nparticles.dt = 0.03125\n"
+                                                  f"out = {tmp_path}")
+    run(RunConfig.from_text(cfg))
+    u = np.load(tmp_path / "field.npy")
+    rec = np.load(tmp_path / "mckean_field.npy")
+    steps = GridSpec(8.0, 64, 32, 1.0)
+    want = compare_fields(Field(steps, rec), [32], u[-1:]).l1[0]
+    check = _read_record(tmp_path, 0)["checks"][2]
+    assert check["name"] == "l1 distance to mild at T" and check["value"] == want
+
+
+@pytest.mark.parametrize("dt", [0.03125, 0.0009765625])  # 16 field levels a step; 2 steps a level
+def test_frozen_battery_is_that_of_the_whole_field(tmp_path, dt):
+    cfg = RunConfig.from_text(_burgers_cfg("simulate-frozen", 64, 32,
+                                           f"particles.N = 500\nparticles.dt = {dt}\n"
+                                           f"particles.seeds = 2\nout = {tmp_path}"))
+    run(cfg)
+    problem = preset("burgers", nu=1.0, u0_var=0.04)
+    u, _ = mild_solve(problem, plan_grid(problem, 8.0, 64, 32))
+    x, wx = u.grid.x_nodes(), trapezoid_weights(u.grid.n_x, u.grid.dx)
+    times = [0.25, 0.5, 1.0]
+    want = []
+    for seed in (1234, 1235):
+        ens = simulate_frozen(u, problem, 500, dt, seed, times)
+        for t in times:
+            for tf in smooth_test_functions():
+                est, se = weighted_functional(ens, tf, t)
+                quad = float(np.dot(wx, tf.f(x) * u.values[u.grid.time_index(t)]))
+                want.append((seed, t, tf.name, quad, est, se, abs(est - quad) / se))
+    rows = [r.split(",") for r in (tmp_path / "functionals.csv").read_text().splitlines()[1:]]
+    got = [(int(r[0]), float(r[1]), r[2], *map(float, r[3:])) for r in rows]
+    assert got == want
