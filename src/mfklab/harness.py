@@ -12,8 +12,7 @@ the whole field, as `validate` does.  Its other artifacts are CSV files, and
 every CSV number has 17 significant digits.  One `run.json` record (config
 echo, versions, solve report, checks, and the SHA-256 of every other file the
 run wrote) holds no timings, so repeated runs of one config are
-byte-identical.  The exit status
-is the conjunction of the checks.
+byte-identical.  The exit status is the conjunction of the checks.
 """
 
 from __future__ import annotations
