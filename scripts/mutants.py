@@ -48,6 +48,7 @@ SYMBOLS_ORACLE = "tests/test_kernel.py::test_smooth_symbols_are_the_spectra_of_t
 FINE_RULE = ("tests/test_oracles.py::TestBurgersFormula::"
              "test_panels_sized_to_the_kernel_match_the_fixed_fine_rule")
 RELEASED = "tests/test_harness.py::test_particle_runs_release_the_field_levels_they_do_not_read"
+STREAMED = "tests/test_harness.py::test_streamed_field_npy_is_np_save_of_the_solve"
 
 MUTANTS = (
     Mutant("symbol without the slope fold", KERNEL,
@@ -102,18 +103,25 @@ MUTANTS = (
            "block = gauss_rows[i : i + step]", "block = gauss_rows[i : i + step - 1]",
            ("tests/test_oracles.py::test_exact_cell_means_batched_are_the_per_level_rows",)),
     Mutant("frozen march reads the field one level late", HARNESS,
-           "Field(steps, u.values[:: grid.n_t // steps.n_t].copy())",
-           "Field(steps, np.roll(u.values, -1, axis=0)[:: grid.n_t // steps.n_t].copy())",
+           "block[-start % self.stride :: self.stride]", "block[(1 - start) % self.stride :: self.stride]",
            ("tests/test_harness.py::test_frozen_battery_is_that_of_the_whole_field",)),
-    Mutant("frozen levels kept as a view of the whole field", HARNESS,
-           "u.values[:: grid.n_t // steps.n_t].copy()", "u.values[:: grid.n_t // steps.n_t]",
+    Mutant("frozen levels kept as a view of the transient slab block", HARNESS,
+           "block[-start % self.stride :: self.stride].copy()",
+           "block[-start % self.stride :: self.stride]",
            (RELEASED,)),
     Mutant("closure compared with the level before T", HARNESS,
-           "u_T = u.values[-1:].copy()", "u_T = u.values[-2:-1].copy()",
+           "u_T = sink.kept[-1:]", "u_T = sink.kept[-2:-1]",
            ("tests/test_harness.py::test_mckean_distance_is_to_the_last_level_of_the_field",)),
-    Mutant("whole field kept alive through the closure", HARNESS,
-           "u_T = u.values[-1:].copy()\n        del u\n", "u_T = u.values[-1:].copy()\n",
+    Mutant("whole field kept alive through the run: every level kept", HARNESS,
+           "self.stride = math.gcd(*summary_levels(grid.n_t), *reads)", "self.stride = 1",
            (RELEASED,)),
+    Mutant("last slab's final level not streamed", MILD,
+           "block = levels if k == N - 1 else levels[:m]", "block = levels[:m]",
+           (STREAMED, "tests/test_mild.py::TestSolve::test_consumer_gets_each_level_once_slab_by_slab")),
+    Mutant("min_rel taken over the last slab only", MILD,
+           "lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))",
+           "lo, hi = float(block.min()), float(block.max())",
+           ("tests/test_mild.py::TestSolve::test_min_rel_is_that_of_the_whole_field",)),
 )
 
 

@@ -4,28 +4,32 @@ Configuration files are flat `key = value` text with dotted section prefixes
 (see the README for the schema).  A run writes each field twice: the whole
 (n_t + 1, n_x) float64 array losslessly as `<name>.npy` (C order), and a
 readable `<name>.csv` summary (`t,x1,u`) at the levels round(j n_t / 4),
-j = 0..4.  Once `field.npy` is written, a run holds only the mild field's
-levels that its experiment reads: `simulate-mckean` and `sweep` keep u(T);
-`simulate-frozen` with fewer particle steps than field levels keeps every
-(n_t / steps)-th level, the ones its march and battery read, and otherwise
-the whole field, as `validate` does.  Its other artifacts are CSV files, and
-every CSV number has 17 significant digits.  One `run.json` record (config
-echo, versions, solve report, checks, and the SHA-256 of every other file the
-run wrote) holds no timings, so repeated runs of one config are
-byte-identical.  The exit status is the conjunction of the checks.
+j = 0..4.  The mild solve streams its levels into one FieldWriter, the sink
+that writes `field.npy` slab by slab and keeps copies of only the levels the
+run reads, so a run holds one slab and those levels, never the whole field.
+It keeps the summary levels, which are all `solve-mild` reads, and:
+`validate` its compared levels; `simulate-mckean` and `sweep` u(T);
+`simulate-frozen` every (n_t / steps)-th level with fewer particle steps
+than field levels, the ones its march and battery read, and otherwise every
+level.  Its other artifacts are CSV files, and every CSV number has 17
+significant digits.  One `run.json` record (config echo, versions, solve
+report, checks, and the SHA-256 of every other file the run wrote) holds no
+timings, so repeated runs of one config are byte-identical.  The exit status
+is the conjunction of the checks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .grids import Field
+from .grids import Field, GridSpec
 from .mild import plan_grid, solve
 from .oracles import VALIDATE_DEFAULTS, exact_cell_means
 from .particles import (particle_grid, simulate_frozen, solve_selfconsistent,
@@ -35,6 +39,9 @@ from .problems import (PRESET_NAMES, PRESET_PARAMS, SHARED_PARAMS, preset,
 from .quadrature import trapezoid_weights
 
 _FMT = "%.17g"
+# bytes FieldWriter gathers before one write: burgers-validate's 256 slab
+# blocks of 16 kB go out in 64 writes
+_WRITE_BUFFER = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -196,12 +203,15 @@ class ComparisonReport:
     linf: np.ndarray
 
 
-def compare_fields(field_obj: Field, levels, ref: np.ndarray) -> ComparisonReport:
-    """Trapezoid L1 and sup distances of the field at `levels` to the rows of `ref`."""
-    grid = field_obj.grid
-    if np.shape(ref) != (len(levels), grid.n_x):
-        raise ValueError(f"reference rows {np.shape(ref)}, want ({len(levels)}, {grid.n_x})")
-    diff = np.abs(field_obj.values[levels] - ref)
+def compare_fields(grid: GridSpec, levels, values: np.ndarray,
+                   ref: np.ndarray) -> ComparisonReport:
+    """Trapezoid L1 and sup distances of a field's rows `values`, its levels
+    `levels` on grid, to the rows of `ref`."""
+    want = (len(levels), grid.n_x)
+    for rows, what in ((values, "field"), (ref, "reference")):
+        if np.shape(rows) != want:
+            raise ValueError(f"{what} rows {np.shape(rows)}, want {want}")
+    diff = np.abs(values - ref)
     l1 = diff @ trapezoid_weights(grid.n_x, grid.dx)
     return ComparisonReport(grid.times()[levels], l1, diff.max(axis=1))
 
@@ -211,28 +221,91 @@ def summary_levels(n_t: int) -> list[int]:
     return sorted({round(j * n_t / 4) for j in range(5)})
 
 
-def write_field_csv(path, field_obj: Field):
-    """The field's `t,x1,u` rows at its summary_levels."""
-    grid = field_obj.grid
+def write_field_csv(path, grid: GridSpec, summary: np.ndarray):
+    """The `t,x1,u` rows of a field on grid at its summary_levels, whose
+    values are the rows of summary."""
     times = grid.times()
     # the x columns are formatted once; each level's lines become one
     # template whose only % fields are its values (formatted numbers hold no %)
     x_tails = [f",{_FMT % x},{_FMT}\n" for x in grid.x_nodes()]
     with open(path, "w") as fh:
         fh.write("t,x1,u\n")
-        for k in summary_levels(grid.n_t):
+        for k, values in zip(summary_levels(grid.n_t), summary):
             t_head = _FMT % times[k]
-            fh.write("".join([t_head + tail for tail in x_tails])
-                     % tuple(field_obj.values[k].tolist()))
+            fh.write("".join([t_head + tail for tail in x_tails]) % tuple(values.tolist()))
+
+
+class FieldWriter:
+    """The sink of one field's levels, handed over in blocks as mild.solve
+    hands over each slab's: called as sink(start, block), block[i] being
+    level start + i, from level 0 on.
+
+    Within its `with` block it writes `<name>.npy` as the blocks arrive: the
+    header of the whole (n_t + 1, n_x) float64 array, then each block, which
+    it first checks finite.  The file is written under a temporary name that
+    becomes `<name>.npy` once every level has arrived, so a failed run leaves
+    no partial field.  Of the levels it keeps copies of the multiples of
+    `stride`, the greatest common divisor of the summary levels and of
+    `reads`, the levels its caller reads: `kept` holds them, row j level
+    j * stride.  On leaving it writes `<name>.csv` from them and sets
+    `entries`, the two files' entries for the run record's artifact map.
+    Its memory is the kept levels; the blocks are the caller's.
+    """
+
+    def __init__(self, out: Path, name: str, grid: GridSpec, reads=()):
+        self.out, self.name, self.grid = out, name, grid
+        self.stride = math.gcd(*summary_levels(grid.n_t), *reads)
+        self.kept = None
+        self.entries = None
+        self._pieces = []
+        self._next = 0  # the level the next block starts at
+
+    def __enter__(self) -> "FieldWriter":
+        self._part = self.out / f"{self.name}.npy.part"
+        self._fh = open(self._part, "wb", buffering=_WRITE_BUFFER)
+        np.lib.format.write_array_header_1_0(self._fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(float)), "fortran_order": False,
+            "shape": (self.grid.n_t + 1, self.grid.n_x)})
+        return self
+
+    def __call__(self, start: int, block: np.ndarray):
+        if start != self._next:
+            raise ValueError(f"block starts at level {start}, not at level {self._next}")
+        if not np.isfinite(block).all():
+            raise ValueError("field values must be finite")
+        self._fh.write(block)  # C-contiguous float64 rows, as np.save writes them
+        # the block is the caller's, so the kept levels are copied out of it
+        self._pieces.append(block[-start % self.stride :: self.stride].copy())
+        self._next = start + len(block)
+
+    def __exit__(self, exc_type, exc, tb):
+        self._fh.close()
+        levels = self.grid.n_t + 1
+        if exc_type is not None or self._next != levels:
+            self._part.unlink()
+            if exc_type is None:
+                raise ValueError(f"{self.name}: {self._next} of {levels} levels handed over")
+            return False
+        self._part.replace(self.out / f"{self.name}.npy")
+        self.kept = np.concatenate(self._pieces)
+        self._pieces = None
+        write_field_csv(self.out / f"{self.name}.csv", self.grid,
+                        self.rows(summary_levels(self.grid.n_t)))
+        self.entries = {f"{self.name}.csv": {},
+                        f"{self.name}.npy": {"shape": [levels, self.grid.n_x]}}
+        return False
+
+    def rows(self, levels) -> np.ndarray:
+        """The values of `levels`, kept levels each, one row each."""
+        return self.kept[np.asarray(levels) // self.stride]
 
 
 def write_field(out: Path, name: str, field_obj: Field) -> dict:
-    """Write the whole field as `<name>.npy` and its summary as `<name>.csv`;
-    returns their entries for the run record's artifact map."""
-    values = np.ascontiguousarray(field_obj.values)
-    np.save(out / f"{name}.npy", values, allow_pickle=False)
-    write_field_csv(out / f"{name}.csv", field_obj)
-    return {f"{name}.csv": {}, f"{name}.npy": {"shape": list(values.shape)}}
+    """Write a whole field through a FieldWriter, as one block: `<name>.npy`
+    and `<name>.csv`; returns their entries for the run record's artifact map."""
+    with FieldWriter(out, name, field_obj.grid) as sink:
+        sink(0, np.ascontiguousarray(field_obj.values))
+    return sink.entries
 
 
 def write_comparison_csv(path, report: ComparisonReport):
@@ -294,16 +367,23 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create out directory {out}: {exc.strerror}") from None
 
-    u, report = solve(problem, grid)
-    written = write_field(out, "field", u)  # file name -> its artifact entry
-    # the whole field is in field.npy; the march and the checks after it
-    # hold only the levels they read
+    # the solve streams its levels into field.npy; the run keeps only those it reads
+    if config.kind == "validate":
+        reads = levels
+    elif config.kind == "simulate-frozen":
+        # step k reads level k n_f // n_s: every (n_f / n_s)-th level, or every level
+        every = max(grid.n_t // steps.n_t, 1)
+        reads = range(0, grid.n_t + 1, every)
+    else:
+        reads = [grid.n_t] if config.kind in ("simulate-mckean", "sweep") else []
+    with FieldWriter(out, "field", grid, reads) as sink:
+        _, report = solve(problem, grid, sink)
+    written = sink.entries  # file name -> its artifact entry
     if config.kind in ("simulate-mckean", "sweep"):
-        u_T = u.values[-1:].copy()
-        del u
-    elif config.kind == "simulate-frozen" and grid.n_t > steps.n_t:
-        # step k reads level k n_f // n_s, which is level k of these
-        u = Field(steps, u.values[:: grid.n_t // steps.n_t].copy())
+        u_T = sink.kept[-1:]
+    elif config.kind == "simulate-frozen":
+        # step k reads level k of these
+        u = Field(steps if every > 1 else grid, sink.kept[:: every // sink.stride])
     checks = []
     coupled = problem.L_b > 0 or problem.L_Lambda > 0
     if coupled:
@@ -318,7 +398,7 @@ def run(config: RunConfig) -> int:
 
     if config.kind == "validate":
         tol = config.compare_l1 if config.compare_l1 is not None else default_tol
-        rep = compare_fields(u, levels, exact)
+        rep = compare_fields(grid, levels, sink.rows(levels), exact)
         worst = float(rep.l1.max())
         write_comparison_csv(out / "comparison.csv", rep)
         written["comparison.csv"] = {}
@@ -358,7 +438,7 @@ def run(config: RunConfig) -> int:
         ens, rec = solve_selfconsistent(problem, config.N, config.dt, config.seed, grid)
         particles.append(_particle_record(ens))
         written |= write_field(out, "mckean_field", rec)
-        dist = compare_fields(rec, [rec.grid.n_t], u_T).l1[0]
+        dist = compare_fields(rec.grid, [rec.grid.n_t], rec.values[-1:], u_T).l1[0]
         tol = config.compare_l1
         checks.append(_check("l1 distance to mild at T", dist, tol,
                              tol is None or dist <= tol))
@@ -373,7 +453,8 @@ def run(config: RunConfig) -> int:
                     ens, rec = solve_selfconsistent(problem, n_particles, config.dt,
                                                     config.seed + s, grid)
                     particles.append(_particle_record(ens))
-                    dists.append(compare_fields(rec, [rec.grid.n_t], u_T).l1[0])
+                    dists.append(compare_fields(rec.grid, [rec.grid.n_t], rec.values[-1:],
+                                                u_T).l1[0])
                 med = float(np.median(dists))
                 medians.append(med)
                 fh.write(f"{n_particles},{_FMT % med},{config.seed_count}\n")

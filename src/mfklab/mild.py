@@ -34,6 +34,12 @@ SIAM J. Sci. Stat. Comput. 6 (1985) 532-541).  picard_map runs it into a new
 array, a Jacobi sweep of the old iterate; iterated by solve_slab it is not on
 solve's path, but is the test oracle that, from a perturbed start, checks
 that the fixed point is unique and shows the contraction.
+
+Each slab needs only the terminal level of the one before, so solve holds
+one slab's levels at a time and hands each slab's new levels to a consumer
+as soon as the slab is solved; the consumer keeps what it reads (the
+harness's FieldWriter streams them to field.npy and keeps the levels its
+experiment reads).  Without a consumer, solve collects the whole field.
 """
 
 from __future__ import annotations
@@ -294,11 +300,20 @@ class SolveReport:
                 and self.max_iterate_sup <= self.M + 1e-12)
 
 
-def solve(problem: ProblemSpec, grid: GridSpec):
+def solve(problem: ProblemSpec, grid: GridSpec, consume=None):
     """Glue slab fixed points into the bounded mild solution on [0, T].
 
     Each slab's fixed point is computed exactly, by one slab sweep run in
     place (forward substitution), and its terminal level starts the next slab.
+    After each slab, consume(start, block) receives the levels the slab adds,
+    block[i] being level start + i: slab k adds levels k m .. (k + 1) m - 1,
+    and the last slab level n_t too.  A junction level k m is slab k's
+    u0_hat[0] + v[0], slab k - 1's terminal level with any -0.0 made +0.0.
+    The block is the slab's own array, dropped after the call, so a consumer
+    copies what it keeps; memory is then one slab plus what the consumer
+    keeps.  Without consume the levels are collected into the whole
+    (n_t + 1, n_x) Field, which is returned with the report; with it the
+    field returned is None.
     """
     if abs(grid.T - problem.T) > 1e-12 * max(1.0, problem.T):
         raise ValueError("grid horizon must match the problem horizon")
@@ -310,25 +325,36 @@ def solve(problem: ProblemSpec, grid: GridSpec):
 
     N, m = grid.n_slabs, grid.levels_per_slab
     times = grid.times()
-    u = np.empty((grid.n_t + 1, grid.n_x))
-    u[0] = cell_means_from_cdf(problem.u0.cdf, grid)
+    u = None
+    if consume is None:
+        u = np.empty((grid.n_t + 1, grid.n_x))
+
+        def consume(start, block):
+            u[start : start + len(block)] = block
 
     stencils = build_slab_stencils(problem, grid)
     max_l1 = 0.0
     max_sup = 0.0
     max_abs_w = 0.0
+    lo, hi = np.inf, -np.inf
     C = contraction_constant(problem, M, grid.tau)
 
+    phi = cell_means_from_cdf(problem.u0.cdf, grid)
     for k in range(N):
-        state = prepare_slab(times[k * m], u[k * m], grid, stencils)
+        state = prepare_slab(times[k * m], phi, grid, stencils)
         _sweep(state, problem, state.v)
-        u[k * m : (k + 1) * m + 1] = state.u0hat + state.v
         per_time_l1 = np.abs(state.v).sum(axis=1).max() * grid.dx
         max_l1 = max(max_l1, per_time_l1)
         max_sup = max(max_sup, float(np.abs(state.v).max()))
         max_abs_w = max(max_abs_w, state.max_abs_w)
+        levels = state.v
+        levels += state.u0hat  # u = u0_hat + v, in the iterate's array
+        block = levels if k == N - 1 else levels[:m]
+        consume(k * m, block)
+        # min and max over the slabs are those of the field, which holds each level once
+        lo, hi = min(lo, float(block.min())), max(hi, float(block.max()))
+        phi = levels[m]
 
-    lo, hi = float(u.min()), float(u.max())  # no |u| temporary: u is the whole field
     peak = max(hi, -lo)
     report = SolveReport(
         C_u=kernel.C_u, c_u=kernel.c_u, M=M, tau=grid.tau, tau_max=float(tau_max),
@@ -336,7 +362,7 @@ def solve(problem: ProblemSpec, grid: GridSpec):
         max_iterate_per_time_l1=float(max_l1), max_iterate_sup=float(max_sup),
         max_abs_w=max_abs_w, min_rel=lo / peak if peak > 0 else 0.0, grid=grid,
     )
-    return Field(grid, u), report
+    return (None if u is None else Field(grid, u)), report
 
 
 def freeze_coefficients(problem: ProblemSpec, u: Field):

@@ -57,7 +57,12 @@ class GaussianDensity:
         return ndtr((np.asarray(x, dtype=float) - self.mean) / self.std)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.mean + self.std * rng.standard_normal(n)
+        """n draws, scaled and shifted in the array of standard normals: the
+        bits of mean + std * rng.standard_normal(n), as * and + commute."""
+        y = rng.standard_normal(n)
+        y *= self.std
+        y += self.mean
+        return y
 
 
 @dataclass(frozen=True)

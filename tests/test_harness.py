@@ -1,11 +1,10 @@
 import dataclasses
-import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -153,13 +152,13 @@ class TestCompareFields:
 
     def test_identical_fields(self):
         grid, a = self._pair()
-        rep = compare_fields(a, [0, 1, 2], a.values)
+        rep = compare_fields(grid, [0, 1, 2], a.values, a.values)
         assert np.all(rep.l1 == 0.0) and np.all(rep.linf == 0.0)
 
     def test_constant_offset_arithmetic(self):
         # offset 0.01 on a width-2 box: l1 = 0.02 per level, sup = 0.01
         grid, a = self._pair()
-        rep = compare_fields(a, [2, 1], a.values[[2, 1]] + 0.01)
+        rep = compare_fields(grid, [2, 1], a.values[[2, 1]], a.values[[2, 1]] + 0.01)
         assert np.array_equal(rep.times, [1.0, 0.5])
         assert np.allclose(rep.l1, 0.02, atol=1e-12)
         assert np.allclose(rep.linf, 0.01, atol=1e-15)
@@ -168,9 +167,11 @@ class TestCompareFields:
         grid, a = self._pair()
         other = GridSpec(R=1.0, n_x=101, n_t=2, T=1.0, n_slabs=2)
         with pytest.raises(ValueError, match="reference rows"):
-            compare_fields(a, [0, 1, 2], Field.zeros(other).values)
+            compare_fields(grid, [0, 1, 2], a.values, Field.zeros(other).values)
         with pytest.raises(ValueError, match="reference rows"):
-            compare_fields(a, [1], a.values)
+            compare_fields(grid, [1], a.values[[1]], a.values)
+        with pytest.raises(ValueError, match="field rows"):
+            compare_fields(grid, [1], a.values, a.values[[1]])
 
 
 def _read_record(out, code):
@@ -379,7 +380,7 @@ def test_field_csv_schema(tmp_path):
     grid = GridSpec(R=1.0, n_x=3, n_t=1, T=1.0)
     f = Field(grid, np.arange(6, dtype=float).reshape(2, 3))
     path = tmp_path / "f.csv"
-    write_field_csv(path, f)
+    write_field_csv(path, grid, f.values)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,u"
     assert len(lines) == 1 + 2 * 3
@@ -390,7 +391,7 @@ def test_field_csv_matches_per_value_format(tmp_path):
     grid = GridSpec(R=1.5, n_x=2, n_t=3, T=0.3)
     values = np.array([[-0.0, 5e-324], [1e-320, 1e300], [3.0, -7.0], [0.1, -2.5e-17]])
     path = tmp_path / "f.csv"
-    write_field_csv(path, Field(grid, values))
+    write_field_csv(path, grid, values)
     want = "t,x1,u\n" + "".join(
         "%.17g,%.17g,%.17g\n" % (t, x, values[k, j])
         for k, t in enumerate(grid.times())
@@ -572,39 +573,78 @@ def test_burgers_validate_does_not_depend_on_solver_tol(tmp_path):
         assert (tmp_path / "1e-4" / name).read_bytes() == (tmp_path / "1e-10" / name).read_bytes()
 
 
-# burgers at 64 x 32 plans 512 field levels: particle steps of 1/32 read every
-# 16th of them, steps of 1/1024 are finer than the field
+# burgers at 64 x 4096 plans 256 slabs of 16 levels: particle steps of 1/256
+# read every 16th level, one in each slab block
 @pytest.mark.parametrize("kind, extra", [
+    ("validate", ""),
     ("simulate-mckean", "particles.N = 500"),
     ("sweep", "sweep.N = 100, 200\nparticles.seeds = 1"),
     ("simulate-frozen", "particles.N = 500\nparticles.seeds = 2"),
-], ids=["simulate-mckean", "sweep", "simulate-frozen"])
-def test_particle_runs_release_the_field_levels_they_do_not_read(tmp_path, monkeypatch,
-                                                                 kind, extra):
-    solved, entered = [], []
+], ids=["validate", "simulate-mckean", "sweep", "simulate-frozen"])
+def test_particle_runs_release_the_field_levels_they_do_not_read(tmp_path, kind, extra):
+    import tracemalloc
 
-    def solve(*args):
-        u, report = mild_solve(*args)
-        solved.append(weakref.ref(u.values))
-        return u, report
+    def cfg(n_t, out):
+        return RunConfig.from_text(_burgers_cfg(kind, 64, n_t,
+                                                f"{extra}\nparticles.dt = 0.00390625\nout = {out}"))
 
-    def entry(march):
-        def wrapped(*args):
-            gc.collect()
-            # the frozen march's first argument is its field, the closure's its problem
-            entered.append((solved[0]() is None, getattr(args[0], "grid", None)))
-            return march(*args)
-        return wrapped
+    run(cfg(256, tmp_path / "warm"))  # modules the run loads on first use are not counted
+    tracemalloc.start()
+    try:
+        run(cfg(4096, tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole = np.load(tmp_path / "field.npy", allow_pickle=False)  # the whole field is written
+    assert whole.shape == (4097, 64)
+    # the solve holds one slab, the run the levels it reads
+    assert peak < whole.nbytes / 2, (peak, whole.nbytes)
 
-    monkeypatch.setattr(harness, "solve", solve)
-    for name in ("solve_selfconsistent", "simulate_frozen"):
-        monkeypatch.setattr(harness, name, entry(getattr(harness, name)))
-    run(RunConfig.from_text(_burgers_cfg(kind, 64, 32,
-                                         f"{extra}\nparticles.dt = 0.03125\nout = {tmp_path}")))
-    assert np.load(tmp_path / "field.npy").shape == (513, 64)  # the whole field is written
-    # the closure holds u(T) only; the frozen march gets the field on its own steps
-    steps = GridSpec(8.0, 64, 32, 1.0) if kind == "simulate-frozen" else None
-    assert entered == [(True, steps)] * (1 if kind == "simulate-mckean" else 2)
+
+@pytest.mark.parametrize("name, params, n_t", [
+    ("heat", "", 16),  # one slab
+    ("burgers", "problem.nu = 1.0\nproblem.u0_var = 0.04", 64),  # 128 slabs
+    ("exponential_growth", "problem.lam = 0.5", 16),
+    ("logistic_fkpp", "problem.lam = 2.0", 32),
+])
+def test_streamed_field_npy_is_np_save_of_the_solve(tmp_path, name, params, n_t):
+    cfg = RunConfig.from_text(f"experiment = solve-mild\nproblem.preset = {name}\n{params}\n"
+                              f"grid.R = 8.0\ngrid.n_x = 64\ngrid.n_t = {n_t}\nout = {tmp_path}")
+    assert run(cfg) == 0
+    problem = preset(name, **cfg.problem_params)
+    u, report = mild_solve(problem, plan_grid(problem, 8.0, 64, n_t))
+    buf = io.BytesIO()
+    np.save(buf, u.values, allow_pickle=False)
+    assert (tmp_path / "field.npy").read_bytes() == buf.getvalue()
+    write_field_csv(tmp_path / "whole.csv", u.grid, u.values[summary_levels(u.grid.n_t)])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert _read_record(tmp_path, 0)["solve"]["min_rel"] == report.min_rel
+
+
+def test_a_solve_that_turns_non_finite_leaves_no_field(tmp_path, monkeypatch, capsys):
+    def nan_after_half(name, **params):
+        problem = preset(name, **params)
+        b = problem.b
+        return dataclasses.replace(
+            problem, b=lambda t, x, z: b(t, x, z) + (np.nan if t > problem.T / 2 else 0.0))
+
+    monkeypatch.setattr(harness, "preset", nan_after_half)
+    path = tmp_path / "nan.cfg"
+    path.write_text(_burgers_cfg("validate", 64, 64, f"out = {tmp_path}/nan"))
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "run failed: field values must be finite\n"
+    assert sorted(p.name for p in (tmp_path / "nan").iterdir()) == []
+
+
+def test_a_field_stream_that_stops_short_is_refused(tmp_path):
+    grid = GridSpec(R=1.0, n_x=3, n_t=4, T=1.0)
+    with pytest.raises(ValueError, match="4 of 5 levels"):
+        with harness.FieldWriter(tmp_path, "f", grid) as sink:
+            sink(0, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="starts at level 2, not at level 0"):
+        with harness.FieldWriter(tmp_path, "f", grid) as sink:
+            sink(2, np.zeros((3, 3)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mckean_distance_is_to_the_last_level_of_the_field(tmp_path):
@@ -614,7 +654,7 @@ def test_mckean_distance_is_to_the_last_level_of_the_field(tmp_path):
     u = np.load(tmp_path / "field.npy")
     rec = np.load(tmp_path / "mckean_field.npy")
     steps = GridSpec(8.0, 64, 32, 1.0)
-    want = compare_fields(Field(steps, rec), [32], u[-1:]).l1[0]
+    want = compare_fields(steps, [32], rec[-1:], u[-1:]).l1[0]
     check = _read_record(tmp_path, 0)["checks"][2]
     assert check["name"] == "l1 distance to mild at T" and check["value"] == want
 

@@ -242,6 +242,31 @@ class TestSolve:
         assert report.min_rel == u.values.min() / u.values.max()
         assert abs(report.min_rel) < 1e-12
 
+    @pytest.mark.parametrize("name, params", [
+        ("heat", {}), ("burgers", {"nu": 1.0, "u0_var": 0.04}),
+        ("exponential_growth", {"lam": 0.5}), ("logistic_fkpp", {"lam": 2.0})])
+    def test_min_rel_is_that_of_the_whole_field(self, name, params):
+        # each field's minimum and largest |u| lie before its last slab
+        prob = preset(name, **params)
+        u, report = solve(prob, plan_grid(prob, 8.0, 64, 32, min_slabs=4))
+        assert report.min_rel == u.values.min() / np.abs(u.values).max() < 0.0
+
+    @pytest.mark.parametrize("name, params, n_t, min_slabs", [
+        ("heat", {}, 16, 1), ("burgers", {"nu": 1.0, "u0_var": 0.04}, 64, 1),
+        ("logistic_fkpp", {"lam": 2.0}, 32, 4)])
+    def test_consumer_gets_each_level_once_slab_by_slab(self, name, params, n_t, min_slabs):
+        prob = preset(name, **params)
+        grid = plan_grid(prob, 8.0, 64, n_t, min_slabs=min_slabs)
+        blocks = []
+        field_none, streamed = solve(prob, grid, lambda start, block: blocks.append(
+            (start, block.copy())))
+        u, report = solve(prob, grid)
+        m = grid.levels_per_slab
+        assert field_none is None and streamed == report
+        assert [start for start, _ in blocks] == list(range(0, grid.n_t, m))
+        assert [len(b) for _, b in blocks] == [m] * (grid.n_slabs - 1) + [m + 1]
+        assert np.concatenate([b for _, b in blocks]).tobytes() == u.values.tobytes()
+
     def test_slab_refinement_consistency(self):
         prob = preset("burgers", nu=1.0, u0_var=0.04, T=0.25)
         tol = 1e-4

@@ -127,3 +127,11 @@ def test_generator_analytic_agrees_with_stencil():
             analytic = apply_generator(prob, tf, 0.0, x)
             stencil = apply_generator(prob, tf.f, 0.0, x, h_fd=1e-5)
             assert stencil == pytest.approx(analytic, abs=5e-5)
+
+
+@pytest.mark.parametrize("mean, var", [(0.0, 0.04), (-1.3, 2.5), (0.7, 1e-6)])
+def test_sample_is_the_shifted_scaled_normals_bit_for_bit(mean, var):
+    density = GaussianDensity(mean, var)
+    got = density.sample(np.random.default_rng(11), 1000)
+    want = mean + density.std * np.random.default_rng(11).standard_normal(1000)
+    assert got.tobytes() == want.tobytes()
