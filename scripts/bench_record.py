@@ -54,10 +54,14 @@ these in mind until a change to the benchmark mends them:
   `ensemble.positions.shape`, which counts the rows an ensemble keeps, not
   its steps, since the particle engine streams: step_rate reads about 128x
   low on frozen-battery and 0 on mckean-closure;
-* BENCHMARK.json's burgers-validate note names "the 525k-row field CSV" as a
-  main cost: the whole field goes to `field.npy`, `field.csv` holds five
-  levels (2560 rows), and `harness.write_field_csv` times and counts the
-  summary only;
+* BENCHMARK.json's burgers-validate note says "FV (mostly _restrict),
+  256-slab chaining and the 525k-row field CSV dominate": `validate`
+  compares against the exact Cole-Hopf cells, so no FV runs; `field.csv`
+  holds five levels (2560 rows), and `harness.write_field_csv` times and
+  counts the summary only; and the whole field is never held, since
+  `mild.solve` streams each slab's levels into `field.npy` through
+  `harness.FieldWriter`, which keeps only the levels the run reads (the
+  note's 4.2 MB field is the peak it no longer reaches);
 * child.py digests `*.csv` only, so the digest sets do not cover the `.npy`
   fields; `max_abs_diff_vs_parent` does;
 * NOTES.md still gives burgers-validate "256 slabs, 802 sweeps" and reads

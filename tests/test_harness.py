@@ -603,9 +603,9 @@ def test_particle_runs_release_the_field_levels_they_do_not_read(tmp_path, kind,
 
 @pytest.mark.parametrize("name, params, n_t", [
     ("heat", "", 16),  # one slab
-    ("burgers", "problem.nu = 1.0\nproblem.u0_var = 0.04", 64),  # 128 slabs
-    ("exponential_growth", "problem.lam = 0.5", 16),
-    ("logistic_fkpp", "problem.lam = 2.0", 32),
+    ("burgers", "problem.nu = 1.0\nproblem.u0_var = 0.04", 64),  # 256 slabs of 2 levels
+    ("exponential_growth", "problem.lam = 0.5", 16),  # one slab
+    ("logistic_fkpp", "problem.lam = 2.0", 32),  # 6 slabs of 6 levels
 ])
 def test_streamed_field_npy_is_np_save_of_the_solve(tmp_path, name, params, n_t):
     cfg = RunConfig.from_text(f"experiment = solve-mild\nproblem.preset = {name}\n{params}\n"
